@@ -213,8 +213,10 @@ def chsh_from_counts(records: list) -> ChshEstimate:
 
     Records must follow the :func:`chsh_schedule` order.  Each correlation's
     variance comes from first-order propagation of independent Poisson counts
-    through the ratio estimator: ``var(E) = 4*A*B / T**3`` with ``A`` the
-    coincident-count sum, ``B`` the anti-coincident sum and ``T = A + B``.
+    through the ratio estimator: ``var(E) = 4*(B'**2*A + A'**2*B) / T'**4``
+    with ``A`` the coincident-count sum, ``B`` the anti-coincident sum, the
+    primes marking those sums less their expected accidentals, and
+    ``T' = A' + B'``.  Without accidentals this is ``4*A*B / T**3``.
     """
     if len(records) != 16:
         raise OutOfRangeError(f"a CHSH run has 16 records, got {len(records)}")
@@ -225,9 +227,11 @@ def chsh_from_counts(records: list) -> ChshEstimate:
         es.append(polarimetry.correlation_E(quad))
         a = float(quad[0].count + quad[1].count)
         b = float(quad[2].count + quad[3].count)
-        t = a + b
+        a_pairs = a - quad[0].accidentals - quad[1].accidentals
+        b_pairs = b - quad[2].accidentals - quad[3].accidentals
+        t = a_pairs + b_pairs
         if t <= 0.0:
-            raise EmptyDataError("a CHSH quadruple has no counts")
-        variances.append(4.0 * a * b / t**3)
+            raise EmptyDataError("a CHSH quadruple has no pair counts")
+        variances.append(4.0 * (b_pairs**2 * a + a_pairs**2 * b) / t**4)
     s = es[0] + es[1] + es[2] - es[3]
     return ChshEstimate(s=float(s), sigma=float(np.sqrt(sum(variances))), correlations=tuple(es))

@@ -24,6 +24,7 @@ from .errors import (
     UnphysicalStateError,
     WernerlabError,
 )
+from .qlinalg import min_eigenvalue
 
 _INPUT_ERRORS = (
     ValueError,
@@ -113,6 +114,16 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _mle_report(result: tomography.MLEResult) -> dict:
+    return {
+        "method": "mle",
+        "min_eigenvalue": min_eigenvalue(result.rho),
+        "cost": result.cost,
+        "iterations": result.iterations,
+        "converged": result.converged,
+    }
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -193,15 +204,7 @@ def _cmd_reconstruct(args) -> int:
                 "evaluation budget"
             )
         rho = result.rho
-        from .qlinalg import min_eigenvalue
-
-        report = {
-            "method": "mle",
-            "min_eigenvalue": min_eigenvalue(rho),
-            "cost": result.cost,
-            "iterations": result.iterations,
-            "converged": result.converged,
-        }
+        report = _mle_report(result)
     _write_json(args.out, states.density_matrix_to_json(rho))
     _write_json(report_path, report)
     argv = ["wernerlab", "reconstruct", args.counts, "--method", args.method]
@@ -345,19 +348,8 @@ def _cmd_pipeline(args) -> int:
         raise _StrictFailure(
             "maximum-likelihood search did not converge within the evaluation budget"
         )
-    from .qlinalg import min_eigenvalue
-
     _write_json(paths["rho_mle"], states.density_matrix_to_json(result.rho))
-    _write_json(
-        report_path,
-        {
-            "method": "mle",
-            "min_eigenvalue": min_eigenvalue(result.rho),
-            "cost": result.cost,
-            "iterations": result.iterations,
-            "converged": result.converged,
-        },
-    )
+    _write_json(report_path, _mle_report(result))
 
     doc = _metrics_doc(
         result.rho, args.target, angles,

@@ -60,12 +60,13 @@ class BirefringentElement:
 DEFAULT_SPECTRUM = Spectrum(center_nm=702.2, fwhm_nm=4.62)
 
 
-def _sinc(z: float) -> float:
-    # sin(z)/z with a series branch so the removable singularity stays smooth.
-    if abs(z) < 1e-4:
-        z2 = z * z
-        return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    return float(np.sin(z) / z)
+def _envelope(spectrum: Spectrum, opd_nm):
+    """``|gamma|`` envelope ``sinc(L*dl/l0**2)`` of a path difference or an
+    array of them."""
+    if spectrum.shape not in SUPPORTED_SHAPES:
+        raise UnsupportedShapeError(f"unsupported spectral shape {spectrum.shape!r}")
+    l0 = spectrum.center_nm
+    return np.sinc(opd_nm * spectrum.fwhm_nm / (l0 * l0))
 
 
 def gamma(spectrum: Spectrum, element: BirefringentElement) -> complex:
@@ -73,15 +74,11 @@ def gamma(spectrum: Spectrum, element: BirefringentElement) -> complex:
 
     For a rectangular spectrum of center wavelength ``l0`` and full width
     ``dl`` the coherence left after a path difference ``L`` is
-    ``exp(2j*pi*L/l0) * sinc(pi*L*dl/l0**2)``, which first vanishes at
-    ``L = l0**2/dl``.
+    ``exp(2j*pi*L/l0) * sinc(L*dl/l0**2)`` with ``sinc(u) = sin(pi*u)/(pi*u)``,
+    which first vanishes at ``L = l0**2/dl``.
     """
-    if spectrum.shape not in SUPPORTED_SHAPES:
-        raise UnsupportedShapeError(f"unsupported spectral shape {spectrum.shape!r}")
-    l0 = spectrum.center_nm
-    z = np.pi * element.opd_nm * spectrum.fwhm_nm / (l0 * l0)
-    phase = 2.0 * np.pi * element.opd_nm / l0
-    return complex(np.exp(1j * phase) * _sinc(z))
+    phase = 2.0 * np.pi * element.opd_nm / spectrum.center_nm
+    return complex(np.exp(1j * phase) * _envelope(spectrum, element.opd_nm))
 
 
 def _axis_matrix(basis: str) -> np.ndarray:
@@ -151,11 +148,10 @@ def decoherence_curve(spectrum: Spectrum, opd_over_center) -> np.ndarray:
     grid = np.asarray(opd_over_center, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise OutOfRangeError("the path-difference grid must be a non-empty 1-d array")
-    out = np.empty((grid.size, 2), dtype=float)
-    for i, u in enumerate(grid):
-        g = gamma(spectrum, BirefringentElement(opd_nm=u * spectrum.center_nm))
-        out[i] = (u, abs(g))
-    return out
+    opd = grid * spectrum.center_nm
+    if not np.all(np.isfinite(opd)):
+        raise OutOfRangeError("the path-difference grid must be finite")
+    return np.column_stack([grid, np.abs(_envelope(spectrum, opd))])
 
 
 def curve_to_csv(curve: np.ndarray) -> str:

@@ -137,24 +137,10 @@ class CoincidenceRecord:
 
 
 def poisson_sample(rng: np.random.Generator, mean: float) -> int:
-    """One Poisson draw: CDF inversion below mean 30, else a normal
-    approximation with continuity correction."""
+    """One Poisson draw of the given mean."""
     if mean < 0.0:
         raise OutOfRangeError(f"Poisson mean {mean} is negative")
-    if mean == 0.0:
-        return 0
-    if mean < 30.0:
-        u = rng.random()
-        term = math.exp(-mean)
-        cdf = term
-        k = 0
-        while u > cdf and k < 10_000:
-            k += 1
-            term *= mean / k
-            cdf += term
-        return k
-    z = rng.standard_normal()
-    return max(0, int(math.floor(mean + math.sqrt(mean) * z + 0.5)))
+    return int(rng.poisson(mean))
 
 
 def simulate_counts(
@@ -187,17 +173,20 @@ def correlation_E(quad: list[CoincidenceRecord]) -> float:
     """Polarization correlation from the four counts of an analyzer quadruple.
 
     The quadruple is ordered ``(a, b), (a_perp, b_perp), (a_perp, b), (a,
-    b_perp)`` so that ``E = (C1 + C2 - C3 - C4) / (C1 + C2 + C3 + C4)``.
+    b_perp)`` so that ``E = (C1 + C2 - C3 - C4) / (C1 + C2 + C3 + C4)``, with
+    each ``Ci`` the count less its expected accidentals.
     """
     if len(quad) != 4:
         raise OutOfRangeError(f"a correlation needs exactly 4 records, got {len(quad)}")
     durations = {float(r.duration) for r in quad}
     if max(durations) - min(durations) > 1e-9:
         raise OutOfRangeError("correlation records must share one integration time")
-    counts = [float(r.count) for r in quad]
+    counts = [float(r.count) - r.accidentals for r in quad]
     total = sum(counts)
     if total <= 0.0:
-        raise EmptyDataError("all four correlation counts are zero")
+        raise EmptyDataError(
+            "the four correlation counts do not exceed their expected accidentals"
+        )
     return (counts[0] + counts[1] - counts[2] - counts[3]) / total
 
 
@@ -242,6 +231,19 @@ def records_to_json(records: list[CoincidenceRecord]) -> dict:
     return doc
 
 
+def _finite_number(doc: dict, key: str, default=None) -> float:
+    """``doc[key]`` as a float; null, bool, non-numeric and non-finite values
+    raise ``ValueError``."""
+    value = doc.get(key, default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def records_from_json(doc: dict) -> list[CoincidenceRecord]:
     """Parse the JSON form produced by :func:`records_to_json`.
 
@@ -249,21 +251,12 @@ def records_from_json(doc: dict) -> list[CoincidenceRecord]:
     """
     if not isinstance(doc, dict) or "records" not in doc or "duration_s" not in doc:
         raise ValueError("counts document must contain 'duration_s' and 'records'")
-    duration = float(doc["duration_s"])
+    duration = _finite_number(doc, "duration_s")
     if duration <= 0.0:
         raise OutOfRangeError("integration time must be positive")
-    accidental_rate = doc.get("accidentals_per_s", 0.0)
-    if (
-        isinstance(accidental_rate, bool)
-        or not isinstance(accidental_rate, (int, float))
-        or not math.isfinite(accidental_rate)
-        or accidental_rate < 0.0
-    ):
-        raise ValueError(
-            "accidentals_per_s must be a finite non-negative number, "
-            f"got {accidental_rate!r}"
-        )
-    accidental_rate = float(accidental_rate)
+    accidental_rate = _finite_number(doc, "accidentals_per_s", default=0.0)
+    if accidental_rate < 0.0:
+        raise ValueError(f"accidentals_per_s must be non-negative, got {accidental_rate!r}")
     records = []
     for item in doc["records"]:
         if not isinstance(item, dict) or "arm1" not in item or "count" not in item:

@@ -1,8 +1,8 @@
 """Small dense Hermitian linear algebra used throughout the package.
 
 Everything here targets the 2x2 and 4x4 complex matrices of two-photon
-polarization work, so the eigensolver favours determinism and simplicity
-over asymptotic performance.
+polarization work.  Eigendecompositions come from ``np.linalg.eigh`` with a
+fixed ordering and eigenvector phase convention on top.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ class Tolerances:
 
     hermiticity: largest allowed entry of ``m - m.conj().T``.
     psd_clamp: eigenvalues above ``-psd_clamp`` are treated as zero.
-    reconstruction: accuracy target for eigendecomposition round trips.
     """
 
     hermiticity: float = 1e-8
     psd_clamp: float = 1e-9
-    reconstruction: float = 1e-10
 
 
 DEFAULT_TOL = Tolerances()
@@ -55,7 +53,7 @@ def check_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL.hermiticity) -> np.n
 
 
 def herm_eig(m: np.ndarray, tol: float = DEFAULT_TOL.hermiticity):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by ``np.linalg.eigh``.
 
     Returns ``(w, v)`` with eigenvalues ``w`` sorted in descending order and
     orthonormal eigenvectors in the columns of ``v``.  Each eigenvector is
@@ -63,47 +61,10 @@ def herm_eig(m: np.ndarray, tol: float = DEFAULT_TOL.hermiticity):
     and positive, which makes repeated runs bit-identical.  For degenerate
     eigenvalues any orthonormal basis of the eigenspace may be returned.
     """
-    a = check_hermitian(m, tol).copy()
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return a.real.diagonal().copy(), v
-
-    scale = max(1.0, float(np.abs(a).max()))
-    off_target = 1e-14 * scale
-    for _ in range(60):
-        off = float(np.sqrt(np.sum(np.abs(np.triu(a, 1)) ** 2)))
-        if off <= off_target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                z = a[p, q]
-                mag = abs(z)
-                if mag <= 1e-300:
-                    continue
-                beta = np.angle(z)
-                theta = 0.5 * np.arctan2(2.0 * mag, a[p, p].real - a[q, q].real)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                phase = np.exp(1j * beta)
-                # Rotation on the (p, q) plane zeroing a[p, q].
-                block = np.array([[c * phase, -s * phase], [s, c]], dtype=complex)
-                idx = [p, q]
-                a[idx, :] = block.conj().T @ a[idx, :]
-                a[:, idx] = a[:, idx] @ block
-                v[:, idx] = v[:, idx] @ block
-
-    w = a.diagonal().real.copy()
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    for j in range(n):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > _PHASE_EPS)
-        if nz.size:
-            ref = col[nz[0]]
-            v[:, j] = col * (ref.conjugate() / abs(ref))
-    return w, v
+    w, v = np.linalg.eigh(check_hermitian(m, tol))
+    w, v = w[::-1], v[:, ::-1]
+    ref = v[np.argmax(np.abs(v) > _PHASE_EPS, axis=0), np.arange(v.shape[1])]
+    return w, v * (ref.conj() / np.abs(ref))
 
 
 def psd_sqrt(

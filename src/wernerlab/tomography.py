@@ -58,15 +58,8 @@ class _Estimator:
         return f"{type(self).__name__}({args})"
 
 
-def _pauli_basis():
-    ops = []
-    for a in PAULIS:
-        for b in PAULIS:
-            ops.append(kron(a, b) / 4.0)
-    return ops
-
-
-_PAULI_OPS = _pauli_basis()
+# The 16 two-photon Pauli products over 4, in the order of the Stokes vector.
+_PAULI_OPS = np.array([kron(a, b) for a in PAULIS for b in PAULIS]) / 4.0
 
 
 def _normalization(records) -> float:
@@ -133,12 +126,7 @@ class LinearInversion(_Estimator):
                 f"linear inversion needs exactly 16 settings, got {len(records)}"
             )
         n_total = _normalization(records)
-        design = np.array(
-            [
-                [float(np.trace(r.setting.projector() @ op).real) for op in _PAULI_OPS]
-                for r in records
-            ]
-        )
+        design = (_projector_stack(records) @ _PAULI_OPS.reshape(16, -1).T).real
         if np.linalg.cond(design) > self.cond_limit:
             raise SingularSystemError(
                 "the measurement settings are informationally incomplete"
@@ -146,7 +134,7 @@ class LinearInversion(_Estimator):
         counts = np.array([r.count for r in records], dtype=float)
         probs = (counts - _accidentals(records)) / n_total
         stokes = np.linalg.solve(design, probs)
-        rho = sum(s * op for s, op in zip(stokes, _PAULI_OPS))
+        rho = np.tensordot(stokes, _PAULI_OPS, 1)
         rho = 0.5 * (rho + rho.conj().T)
         w, _ = herm_eig(rho)
         self.stokes_ = stokes
@@ -384,15 +372,16 @@ def mle_reconstruct(records, seed_matrix: np.ndarray | None = None, **params) ->
 def single_qubit_reconstruct(records) -> np.ndarray:
     """Single-photon state from counts in the H, V, D and R settings.
 
-    The H and V counts fix the flux; the Stokes vector follows from the
-    normalized count ratios.  A Bloch vector up to 5 % outside the unit ball
-    is rescaled onto it, anything worse raises ``UnphysicalStateError``.
+    Each count is read less its expected accidentals.  The H and V counts fix
+    the flux; the Stokes vector follows from the normalized count ratios.  A
+    Bloch vector up to 5 % outside the unit ball is rescaled onto it, anything
+    worse raises ``UnphysicalStateError``.
     """
     by_label = {}
     for r in records:
         if r.setting.arm2 is not None:
             raise UnknownLabelError("single-photon records take one analyzer arm")
-        by_label[r.setting.arm1] = float(r.count)
+        by_label[r.setting.arm1] = float(r.count) - r.accidentals
     missing = {"H", "V", "D", "R"} - set(by_label)
     if missing:
         raise UnknownLabelError(
@@ -400,7 +389,7 @@ def single_qubit_reconstruct(records) -> np.ndarray:
         )
     n = by_label["H"] + by_label["V"]
     if n <= 0.0:
-        raise EmptyDataError("H and V counts sum to zero")
+        raise EmptyDataError("H and V counts do not exceed their expected accidentals")
     s = np.array(
         [
             2.0 * by_label["D"] / n - 1.0,

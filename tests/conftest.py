@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 
-def random_density(rng, dim=4):
-    """Draw a random full-rank density matrix (Ginibre construction)."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_density(rng, dim=4, rank=None):
+    """Draw a random density matrix (Ginibre construction), full rank unless
+    ``rank`` is given."""
+    shape = (dim, rank or dim)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 

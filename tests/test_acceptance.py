@@ -222,7 +222,7 @@ def test_acceptance_08_chsh_count_statistics():
     """Seeded CHSH trials against their propagated standard error.
 
     Accidentals are off here: the maximal-violation comparison is against
-    ideal statistics, and a 1/s floor biases S by several standard errors.
+    ideal pair-count statistics.
     """
     failures = []
     sched = chsh_schedule(angles_for_target("phi-minus"))

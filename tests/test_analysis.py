@@ -179,10 +179,12 @@ def test_chsh_schedule_layout():
     assert pair_heads == [(a, b), (ap, b), (a, bp), (ap, bp)]
 
 
-def test_chsh_from_counts_matches_exact_value():
+@pytest.mark.parametrize("accidental_rate", [0.0, 100.0])
+def test_chsh_from_counts_matches_exact_value(accidental_rate):
     rho = werner_phi_minus(0.801)
     sched = chsh_schedule(DEFAULT_ANGLES)
-    cfg = SourceConfig(pair_rate=30000.0, accidental_rate=0.0, duration=100.0, seed=0)
+    cfg = SourceConfig(pair_rate=30000.0, accidental_rate=accidental_rate,
+                       duration=100.0, seed=0)
     recs = simulate_counts(rho, sched, cfg, exact=True)
     est = chsh_from_counts(recs)
     assert est.s == pytest.approx(chsh_value(rho), abs=1e-4)
@@ -191,15 +193,18 @@ def test_chsh_from_counts_matches_exact_value():
 
 
 def test_chsh_sigma_equal_counts():
-    """With all 16 counts equal to c the propagated error is 1/sqrt(c)."""
+    """With all 16 counts equal to c, each holding a expected accidentals,
+    the propagated error is sqrt(c)/(c - a): 1/sqrt(c) without accidentals."""
     from wernerlab.polarimetry import AnalyzerSetting, CoincidenceRecord
 
     c = 400
     sched = chsh_schedule(DEFAULT_ANGLES)
-    recs = [CoincidenceRecord(s, 100.0, c) for s in sched]
-    est = chsh_from_counts(recs)
-    assert est.s == pytest.approx(0.0, abs=1e-12)
-    assert est.sigma == pytest.approx(1.0 / np.sqrt(c), rel=1e-12)
+    for accidental_rate in (0.0, 1.0):
+        a = 100.0 * accidental_rate
+        recs = [CoincidenceRecord(s, 100.0, c, accidental_rate) for s in sched]
+        est = chsh_from_counts(recs)
+        assert est.s == pytest.approx(0.0, abs=1e-12)
+        assert est.sigma == pytest.approx(np.sqrt(c) / (c - a), rel=1e-12)
 
 
 def test_chsh_from_counts_needs_16_records():

@@ -183,6 +183,12 @@ def test_exit_codes_for_bad_inputs(tmp_path):
                                  "records": [{"arm1": "H", "arm2": "V", "count": 3}]}))
     assert run(["reconstruct", floor, "--out", tmp_path / "o.json"]) == 2
 
+    for bad_duration in (None, float("nan")):
+        duration = tmp_path / "duration.json"
+        duration.write_text(json.dumps({"duration_s": bad_duration,
+                                        "records": [{"arm1": "H", "arm2": "V", "count": 3}]}))
+        assert run(["reconstruct", duration, "--out", tmp_path / "o.json"]) == 2
+
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"duration_s": 10.0, "records": []}))
     assert run(["reconstruct", empty, "--out", tmp_path / "o.json"]) == 3

@@ -192,6 +192,12 @@ def test_decoherence_curve_layout_and_anchors():
     assert curve[153, 1] == pytest.approx(0.0065920584291184, abs=1e-12)
 
 
+def test_decoherence_curve_rejects_bad_grids():
+    for grid in ([], [[0.0, 1.0]], [0.0, float("nan")], [float("inf")]):
+        with pytest.raises(OutOfRangeError):
+            decoherence_curve(DEFAULT_SPECTRUM, grid)
+
+
 def test_curve_to_csv_format():
     curve = decoherence_curve(DEFAULT_SPECTRUM, np.array([0.0, 153.0]))
     text = curve_to_csv(curve)
@@ -215,6 +221,14 @@ def test_single_photon_run_exact_recovers_gamma():
         assert run.rho.shape == (2, 2)
         assert len(run.records) == 4
         assert all(r.setting.arm2 is None for r in run.records)
+
+
+def test_single_photon_run_subtracts_accidental_floor():
+    cfg = SourceConfig(pair_rate=300.0, accidental_rate=1.0, duration=100.0, seed=0)
+    run = simulate_single_photon_experiment(
+        DEFAULT_SPECTRUM, BirefringentElement(0.0), cfg, exact=True
+    )
+    assert run.gamma_abs == pytest.approx(1.0, abs=1e-9)
 
 
 def test_single_photon_run_noisy_statistics():

@@ -251,6 +251,9 @@ def test_records_json_rejects_malformed():
         records_from_json({"duration_s": 10.0, "records": []})
     with pytest.raises(OutOfRangeError):
         records_from_json({"duration_s": -1.0, "records": [{"arm1": "H", "arm2": "V", "count": 3}]})
+    for bad_duration in (None, float("nan"), float("inf"), True, "10"):
+        with pytest.raises(ValueError):
+            records_from_json({**good, "duration_s": bad_duration})
     with pytest.raises(ValueError):
         records_from_json(
             {"duration_s": 10.0, "records": [{"arm1": ["H"], "arm2": "V", "count": 3}]}
