@@ -57,7 +57,7 @@ def test_mle_output_is_a_density_matrix(seed, rank):
     # the property holds for any evaluation budget; a small one keeps the
     # slow boundary-state searches short.
     rho = ginibre_state(seed, rank)
-    records = simulate_counts(rho, tomographic_settings(), SourceConfig(seed=seed % 1000))
+    records = simulate_counts(rho, tomographic_settings(), SourceConfig(seed=seed))
     out = mle_reconstruct(records, max_evals=2000).rho
     np.testing.assert_allclose(out, out.conj().T, atol=1e-15)
     assert abs(np.trace(out).real - 1.0) < 1e-12
