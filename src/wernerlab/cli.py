@@ -121,6 +121,8 @@ def _mle_report(result: tomography.MLEResult) -> dict:
         "cost": result.cost,
         "iterations": result.iterations,
         "converged": result.converged,
+        "path": result.path,
+        "n_evaluations": result.n_evaluations,
     }
 
 
@@ -188,6 +190,8 @@ def _cmd_reconstruct(args) -> int:
             "cost": None,
             "iterations": 0,
             "converged": True,
+            "path": "linear",
+            "n_evaluations": 0,
         }
         if result.min_eigenvalue < 0.0:
             print(
@@ -220,6 +224,7 @@ def _metrics_doc(rho, target, angles, counts_path, n_boot, seed):
     s_value = analysis.chsh_value(rho, angles)
     x_err = None
     sigma = None
+    nonconverged = None
     if counts_path is not None and n_boot:
         records = polarimetry.records_from_json(_read_json(counts_path))
         errs = tomography.bootstrap_errors(
@@ -227,6 +232,7 @@ def _metrics_doc(rho, target, angles, counts_path, n_boot, seed):
         )
         x_err = errs["x"]
         sigma = errs["chsh_s"]
+        nonconverged = errs["nonconverged"]
     return {
         "x": fit.x,
         "x_err": x_err,
@@ -238,6 +244,7 @@ def _metrics_doc(rho, target, angles, counts_path, n_boot, seed):
             "sigma": sigma,
             "angles_deg": list(angles.as_tuple()),
         },
+        "bootstrap_nonconverged": nonconverged,
     }
 
 

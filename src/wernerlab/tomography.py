@@ -89,13 +89,22 @@ def _accidentals(records) -> np.ndarray:
     return np.array([r.accidentals for r in records], dtype=float)
 
 
-def _projector_stack(records) -> np.ndarray:
+def _projector_stack(settings) -> np.ndarray:
+    """One row per two-photon setting, such that ``stack @ rho.ravel()`` is
+    the vector of ``tr(rho P)`` (complex, real up to round-off)."""
     rows = []
-    for r in records:
-        if r.setting.arm2 is None:
+    for s in settings:
+        if s.arm2 is None:
             raise UnknownLabelError("two-photon tomography needs both analyzer arms")
-        rows.append(r.setting.projector().T.ravel())
+        rows.append(s.projector().T.ravel())
     return np.array(rows)
+
+
+def _check_record_count(records) -> None:
+    if len(records) != _N_PARAMS:
+        raise SingularSystemError(
+            f"linear inversion needs exactly 16 settings, got {len(records)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -121,12 +130,13 @@ class LinearInversion(_Estimator):
         self.cond_limit = cond_limit
 
     def fit(self, records):
-        if len(records) != _N_PARAMS:
-            raise SingularSystemError(
-                f"linear inversion needs exactly 16 settings, got {len(records)}"
-            )
+        _check_record_count(records)
         n_total = _normalization(records)
-        design = (_projector_stack(records) @ _PAULI_OPS.reshape(16, -1).T).real
+        return self._fit(records, _projector_stack([r.setting for r in records]), n_total)
+
+    def _fit(self, records, proj, n_total):
+        """Fit 16 records given their projector stack and pair flux."""
+        design = (proj @ _PAULI_OPS.reshape(16, -1).T).real
         if np.linalg.cond(design) > self.cond_limit:
             raise SingularSystemError(
                 "the measurement settings are informationally incomplete"
@@ -144,8 +154,7 @@ class LinearInversion(_Estimator):
         return self
 
     def predict(self, settings) -> np.ndarray:
-        probs = [float(np.trace(self.matrix_ @ s.projector()).real) for s in settings]
-        return np.array(probs)
+        return (_projector_stack(settings) @ self.matrix_.ravel()).real
 
 
 def linear_reconstruct(records) -> LinearReconstruction:
@@ -263,12 +272,15 @@ def _nelder_mead(fun, x0, ftol, max_evals):
 
 @dataclass(frozen=True)
 class MLEResult:
-    """Maximum-likelihood reconstruction outcome."""
+    """Maximum-likelihood reconstruction outcome; ``path`` is ``"linear"``
+    when the physical linear inversion was returned, ``"search"`` otherwise."""
 
     rho: np.ndarray = field(repr=False)
     cost: float = 0.0
     iterations: int = 0
     converged: bool = False
+    path: str = "search"
+    n_evaluations: int = 0
 
 
 class MaximumLikelihood(_Estimator):
@@ -283,13 +295,23 @@ class MaximumLikelihood(_Estimator):
     over the settings, where ``N`` is the pair flux, ``a`` the record's
     expected accidental count and ``p`` floored at ``prob_floor``;
     ``objective="poisson"`` switches to the exact Poisson deviance of the
-    same mean.  The Nelder-Mead search is deterministic: fixed initial
-    simplex, convergence when a full parameter cycle improves the cost by
-    less than ``ftol``, a single restart from the best vertex, and a hard
-    cap of ``max_evals`` objective evaluations.
+    same mean.
+
+    A physical linear inversion (no negative eigenvalue) is returned without
+    a search: it reproduces every floor-corrected count, so ``mu = n`` on
+    every setting and both objectives, sums of non-negative terms, are zero
+    there.  Otherwise a deterministic Nelder-Mead search runs from
+    ``seed_matrix`` (default: the linear inversion): fixed initial simplex,
+    convergence when a full parameter cycle improves the cost by less than
+    ``ftol``, a single restart from the best vertex, and a hard cap of
+    ``max_evals`` objective evaluations.  ``seed_matrix`` is only the
+    search's starting point; records the linear inversion refuses (not 16
+    settings, or informationally incomplete) are searched from it.
 
     Attributes after ``fit``: ``rho_``, ``cost_``, ``iterations_``,
-    ``n_evaluations_``, ``converged_``, ``cost_history_``.
+    ``n_evaluations_``, ``converged_``, ``cost_history_`` and ``path_``
+    (``"linear"`` or ``"search"``); the linear path reports no iterations,
+    one evaluation and an empty history.
     """
 
     def __init__(
@@ -304,15 +326,14 @@ class MaximumLikelihood(_Estimator):
         self.ftol = ftol
         self.max_evals = max_evals
 
-    def _cost_function(self, records, n_total):
-        proj = _projector_stack(records)
+    def _cost_function(self, records, proj, n_total):
+        """The objective as a function of the density matrix."""
         counts = np.array([r.count for r in records], dtype=float)
         accidentals = _accidentals(records)
         floor = self.prob_floor
         if self.objective == "gaussian":
 
-            def cost(t):
-                rho, _ = _factor_to_rho(t)
+            def cost(rho):
                 p = np.maximum((proj @ rho.ravel()).real, floor)
                 mu = n_total * p + accidentals
                 resid = mu - counts
@@ -320,8 +341,7 @@ class MaximumLikelihood(_Estimator):
 
         elif self.objective == "poisson":
 
-            def cost(t):
-                rho, _ = _factor_to_rho(t)
+            def cost(rho):
                 p = np.maximum((proj @ rho.ravel()).real, floor)
                 mu = n_total * p + accidentals
                 dev = mu - counts
@@ -337,12 +357,29 @@ class MaximumLikelihood(_Estimator):
 
     def fit(self, records, seed_matrix: np.ndarray | None = None):
         n_total = _normalization(records)
+        proj = _projector_stack([r.setting for r in records])
+        cost = self._cost_function(records, proj, n_total)
+        linear = None
+        try:
+            _check_record_count(records)
+            linear = LinearInversion()._fit(records, proj, n_total)
+        except SingularSystemError:
+            if seed_matrix is None:
+                raise
+        if linear is not None and linear.min_eigenvalue_ >= 0.0:
+            self.rho_ = linear.matrix_
+            self.cost_ = cost(linear.matrix_)
+            self.iterations_ = 0
+            self.n_evaluations_ = 1
+            self.converged_ = True
+            self.cost_history_ = []
+            self.path_ = "linear"
+            return self
         if seed_matrix is None:
-            seed_matrix = LinearInversion().fit(records).matrix_
+            seed_matrix = linear.matrix_
         t0 = _rho_to_factor(np.asarray(seed_matrix, dtype=complex))
-        cost = self._cost_function(records, n_total)
         t, f, evals, iters, converged, history = _nelder_mead(
-            cost, t0, self.ftol, self.max_evals
+            lambda t: cost(_factor_to_rho(t)[0]), t0, self.ftol, self.max_evals
         )
         rho, _ = _factor_to_rho(t)
         self.rho_ = rho
@@ -351,21 +388,27 @@ class MaximumLikelihood(_Estimator):
         self.n_evaluations_ = evals
         self.converged_ = converged
         self.cost_history_ = history
+        self.path_ = "search"
         return self
 
     def predict(self, settings) -> np.ndarray:
-        probs = [float(np.trace(self.rho_ @ s.projector()).real) for s in settings]
-        return np.array(probs)
+        return (_projector_stack(settings) @ self.rho_.ravel()).real
 
 
 def mle_reconstruct(records, seed_matrix: np.ndarray | None = None, **params) -> MLEResult:
-    """Functional wrapper around :class:`MaximumLikelihood`."""
+    """Functional wrapper around :class:`MaximumLikelihood`.
+
+    A physical linear inversion is returned as it is (``path="linear"``);
+    ``seed_matrix`` only sets where the search starts when one runs.
+    """
     est = MaximumLikelihood(**params).fit(records, seed_matrix=seed_matrix)
     return MLEResult(
         rho=est.rho_,
         cost=est.cost_,
         iterations=est.iterations_,
         converged=est.converged_,
+        path=est.path_,
+        n_evaluations=est.n_evaluations_,
     )
 
 
@@ -426,7 +469,9 @@ def bootstrap_errors(
     identity to verify the plumbing), keeps every other record field such as
     the accidental rate, re-runs the maximum-likelihood reconstruction
     exactly as for the original data, and recomputes the metrics.  Returns
-    the sample standard deviation of each metric over the replicas.
+    the sample standard deviation of each metric over the replicas, and
+    under ``"nonconverged"`` the number of replicas whose maximum-likelihood
+    search did not converge (their metrics are still used).
     """
     if n_replicas < 2:
         raise OutOfRangeError("bootstrap needs at least 2 replicas")
@@ -436,15 +481,20 @@ def bootstrap_errors(
         resampler = lambda rng, count: polarimetry.poisson_sample(rng, float(count))
     rng = np.random.Generator(np.random.PCG64(seed))
     samples = {k: [] for k in ("x", "fidelity", "linear_entropy", "tangle", "chsh_s")}
+    nonconverged = 0
     for _ in range(n_replicas):
         redrawn = [
             replace(r, count=int(resampler(rng, r.count))) for r in records
         ]
-        rho = mle_reconstruct(redrawn).rho
+        result = mle_reconstruct(redrawn)
+        nonconverged += not result.converged
+        rho = result.rho
         fit = analysis.fit_werner(rho, target=target)
         samples["x"].append(fit.x)
         samples["fidelity"].append(fit.fidelity)
         samples["linear_entropy"].append(analysis.linear_entropy(rho))
         samples["tangle"].append(analysis.tangle(rho))
         samples["chsh_s"].append(analysis.chsh_value(rho, angles))
-    return {k: float(np.std(v, ddof=1)) for k, v in samples.items()}
+    stds = {k: float(np.std(v, ddof=1)) for k, v in samples.items()}
+    stds["nonconverged"] = nonconverged
+    return stds

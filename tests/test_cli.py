@@ -92,6 +92,33 @@ def test_reconstruct_linear_warns_when_unphysical(tmp_path, capsys):
     assert report["cost"] is None
 
 
+def test_reports_name_the_path_and_bootstrap_failures(tmp_path):
+    state = tmp_path / "state.json"
+    counts = tmp_path / "counts.json"
+    assert run(["gen-state", "werner-phi-minus", "0.801", "--out", state]) == 0
+    assert run(["simulate", state, "--seed", 0, "--out", counts]) == 0
+    reports = {}
+    for method in ("mle", "linear"):
+        out = tmp_path / f"{method}.json"
+        assert run(["reconstruct", counts, "--method", method, "--out", out]) == 0
+        reports[method] = read_json(tmp_path / f"{method}.json.report.json")
+    assert reports["mle"].keys() == reports["linear"].keys()
+    assert (reports["mle"]["path"], reports["mle"]["n_evaluations"]) == ("linear", 1)
+    assert (reports["linear"]["path"], reports["linear"]["n_evaluations"]) == ("linear", 0)
+
+    out_dir = tmp_path / "run"
+    assert run(["pipeline", "--mix", "1.0", "--seed", 0, "--out-dir", out_dir]) == 0
+    report = read_json(out_dir / "rho_mle.report.json")
+    assert report["path"] == "search"
+    assert report["n_evaluations"] > report["iterations"] > 0
+    assert read_json(out_dir / "metrics.json")["bootstrap_nonconverged"] is None
+
+    metrics = tmp_path / "metrics.json"
+    assert run(["metrics", tmp_path / "mle.json", "--counts", counts,
+                "--bootstrap", 3, "--out", metrics]) == 0
+    assert read_json(metrics)["bootstrap_nonconverged"] == 0
+
+
 def test_metrics_bootstrap_errors(tmp_path):
     state = tmp_path / "state.json"
     counts = tmp_path / "counts.json"

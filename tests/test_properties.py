@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from wernerlab.analysis import ChshAngles, chsh_value, concurrence, fidelity
 from wernerlab.polarimetry import SourceConfig, simulate_counts, tomographic_settings
 from wernerlab.qlinalg import herm_eig
-from wernerlab.tomography import mle_reconstruct
+from wernerlab.tomography import MaximumLikelihood, linear_reconstruct, mle_reconstruct
 
 from conftest import random_density, random_hermitian
 
@@ -62,6 +62,21 @@ def test_mle_output_is_a_density_matrix(seed, rank):
     np.testing.assert_allclose(out, out.conj().T, atol=1e-15)
     assert abs(np.trace(out).real - 1.0) < 1e-12
     assert np.linalg.eigvalsh(out).min() > -1e-12
+
+
+@settings(PROPERTY, max_examples=20)
+@given(seeds, ranks)
+def test_mle_returns_a_physical_linear_inversion(seed, rank):
+    records = simulate_counts(
+        ginibre_state(seed, rank), tomographic_settings(), SourceConfig(seed=seed)
+    )
+    linear = linear_reconstruct(records)
+    est = MaximumLikelihood(max_evals=2000).fit(records)
+    if linear.min_eigenvalue >= 0.0:
+        assert est.path_ == "linear"
+        assert np.array_equal(est.rho_, linear.matrix)
+    else:
+        assert est.path_ == "search"
 
 
 @PROPERTY

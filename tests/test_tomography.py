@@ -234,6 +234,71 @@ def test_mle_estimator_params_roundtrip():
     assert clone.get_params() == params
 
 
+# Round-off floor of each objective at a state that reproduces every count:
+# the Gaussian terms are squares of ~1e-12 residuals, while the Poisson
+# deviance adds ``n log(n / mu)`` terms whose rounding is about n * 2e-16.
+ZERO_COST = {"gaussian": 1e-20, "poisson": 1e-10}
+
+
+@pytest.mark.parametrize("objective", ["gaussian", "poisson"])
+def test_mle_returns_physical_linear_inversion(objective):
+    rho = werner_phi_minus(0.801)
+    for recs in (exact_records(rho), simulate_counts(rho, SCHEDULE, SourceConfig(seed=3))):
+        linear = linear_reconstruct(recs)
+        assert linear.min_eigenvalue >= 0.0
+        for seed_matrix in (None, rho):
+            est = MaximumLikelihood(objective=objective).fit(recs, seed_matrix=seed_matrix)
+            assert np.array_equal(est.rho_, linear.matrix)
+            assert est.path_ == "linear"
+            assert est.iterations_ == 0
+            assert est.n_evaluations_ == 1
+            assert est.converged_
+            assert est.cost_history_ == []
+            assert 0.0 <= est.cost_ < ZERO_COST[objective]
+            result = mle_reconstruct(recs, seed_matrix=seed_matrix, objective=objective)
+            assert np.array_equal(result.rho, linear.matrix)
+            assert (result.path, result.n_evaluations) == ("linear", 1)
+
+
+def test_mle_searches_when_linear_inversion_unphysical():
+    recs = simulate_counts(
+        pure_to_density(bell_state("phi-minus")), SCHEDULE, SourceConfig(seed=0)
+    )
+    est = MaximumLikelihood().fit(recs)
+    assert est.path_ == "search"
+    result = mle_reconstruct(recs)
+    assert result.path == "search"
+    assert result.n_evaluations == est.n_evaluations_ > est.iterations_ > 0
+
+
+def test_mle_searches_records_the_linear_inversion_refuses():
+    rho = werner_phi_minus(0.801)
+    labels = "HVDARL"
+    every_pair = [AnalyzerSetting(a, b) for a in labels for b in labels]
+    seeded = simulate_counts(rho, SCHEDULE, SourceConfig(seed=4))
+    all_36 = simulate_counts(rho, every_pair, SourceConfig(seed=4))
+    duplicated = list(seeded[:4]) + [seeded[4]] * 12
+    for recs in (seeded[:12], all_36, duplicated):
+        with pytest.raises(SingularSystemError):
+            mle_reconstruct(recs)
+        est = MaximumLikelihood().fit(recs, seed_matrix=rho)
+        assert est.path_ == "search"
+        assert est.converged_
+        assert est.n_evaluations_ > est.iterations_ > 0
+        assert min_eigenvalue(est.rho_) >= -1e-9
+
+
+def test_predict_matches_trace_loop():
+    recs = simulate_counts(
+        pure_to_density(bell_state("phi-minus")), SCHEDULE, SourceConfig(seed=0)
+    )
+    linear = LinearInversion().fit(recs)
+    search = MaximumLikelihood().fit(recs)
+    for est, rho in ((linear, linear.matrix_), (search, search.rho_)):
+        loop = [np.trace(rho @ s.projector()).real for s in SCHEDULE]
+        np.testing.assert_allclose(est.predict(SCHEDULE), loop, rtol=0.0, atol=1e-15)
+
+
 # ------------------------------------------------------------ single qubit
 
 def _single_records(counts, duration=1.0):
@@ -324,6 +389,21 @@ def test_bootstrap_errors_reasonable_scale():
     again = bootstrap_errors(recs, n_replicas=12, seed=1)
     assert errs == again
     assert bootstrap_errors(recs, n_replicas=12, seed=2) != errs
+
+
+def test_bootstrap_counts_nonconverged_replicas(monkeypatch):
+    recs = simulate_counts(
+        pure_to_density(bell_state("phi-minus")), SCHEDULE, SourceConfig(seed=0)
+    )
+    keep = lambda rng, c: c
+    assert bootstrap_errors(recs, n_replicas=2, resampler=keep)["nonconverged"] == 0
+    real = tomography.mle_reconstruct
+    monkeypatch.setattr(
+        tomography, "mle_reconstruct", lambda records: real(records, max_evals=50)
+    )
+    capped = bootstrap_errors(recs, n_replicas=3, resampler=keep)
+    assert type(capped["nonconverged"]) is int
+    assert capped["nonconverged"] == 3
 
 
 def test_bootstrap_needs_replicas():
