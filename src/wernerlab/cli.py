@@ -1,10 +1,10 @@
 """Command line front end.
 
 Every command writes its primary output plus a ``<output>.manifest.json``
-containing the fully resolved argument vector, so any run can be repeated
-byte-for-byte.  Exit codes: 0 on success, 2 for input or parameter errors,
-3 for numerical failures (singular systems, empty data, non-convergence
-under ``--strict``).
+containing the fully resolved argument vector; running ``argv[1:]`` again
+rewrites the same outputs byte for byte.  Exit codes: 0 on success, 2 for
+input or parameter errors, 3 for numerical failures (singular systems, empty
+data, non-convergence under ``--strict``).
 """
 
 from __future__ import annotations
@@ -26,22 +26,19 @@ from .errors import (
 )
 from .qlinalg import min_eigenvalue
 
-_INPUT_ERRORS = (
-    ValueError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
-)
+
+class _StrictFailure(WernerlabError):
+    """Raised when --strict is set and the reconstruction did not converge."""
+
+
 _NUMERICAL_ERRORS = (
+    _StrictFailure,
     SingularSystemError,
     EmptyDataError,
     UnphysicalStateError,
     DegenerateDiagonalError,
 )
-
-
-class _StrictFailure(WernerlabError):
-    """Raised when --strict is set and the reconstruction did not converge."""
+_INPUT_ERRORS = (WernerlabError, ValueError, KeyError, OSError)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -60,16 +57,32 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _write_manifest(command: str, argv: list, inputs: list, outputs: list) -> None:
+def _write_manifest(args, inputs: list, outputs: list, path: str | None = None) -> None:
+    """Write the manifest of a run, with the argv that reruns it derived from
+    ``args`` and its subcommand's parser (default path: next to ``outputs[0]``)."""
+    argv = ["wernerlab", args.command]
+    for action in args.parser._actions:
+        value = getattr(args, action.dest, None)
+        if value is None or value is False:
+            continue
+        if not action.option_strings:
+            argv.append(str(value))
+        elif value is True:
+            argv.append(action.option_strings[0])
+        else:
+            flag = action.option_strings[0]
+            text = _fmt(value) if isinstance(value, float) else str(value)
+            # argparse reads a separate value that starts with '-' as an option
+            argv += [f"{flag}={text}"] if text.startswith("-") else [flag, text]
     doc = {
         "tool": "wernerlab",
         "version": __version__,
-        "command": command,
-        "argv": [str(a) for a in argv],
+        "command": args.command,
+        "argv": argv,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
     }
-    _write_json(f"{outputs[0]}.manifest.json", doc)
+    _write_json(path or f"{outputs[0]}.manifest.json", doc)
 
 
 def _load_state(path: str) -> np.ndarray:
@@ -89,6 +102,8 @@ def _parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"--grid must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not np.all(np.isfinite([start, stop, step])):
+        raise ValueError(f"--grid needs finite start, stop and step, got {text!r}")
     if step <= 0.0 or stop < start:
         raise ValueError(f"--grid must satisfy stop >= start and step > 0, got {text!r}")
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -96,9 +111,14 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _angles_arg(args) -> analysis.ChshAngles:
+    """Resolve ``--angles`` (default: the optimum for ``--target``) and store
+    the resolved degrees on ``args`` for the manifest."""
     if args.angles is not None:
-        return _parse_angles(args.angles)
-    return analysis.angles_for_target(args.target)
+        angles = _parse_angles(args.angles)
+    else:
+        angles = analysis.angles_for_target(args.target)
+    args.angles = ",".join(_fmt(a) for a in angles.as_tuple())
+    return angles
 
 
 def _source_config(args) -> polarimetry.SourceConfig:
@@ -114,8 +134,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _mle_report(result: tomography.MLEResult) -> dict:
-    return {
+def _mle(records, strict: bool) -> tuple[np.ndarray, dict]:
+    """Maximum-likelihood state and its report; exit 3 under ``strict`` if
+    the search did not converge."""
+    result = tomography.mle_reconstruct(records)
+    if strict and not result.converged:
+        raise _StrictFailure(
+            "maximum-likelihood search did not converge within the evaluation budget"
+        )
+    return result.rho, {
         "method": "mle",
         "min_eigenvalue": min_eigenvalue(result.rho),
         "cost": result.cost,
@@ -132,22 +159,14 @@ def _mle_report(result: tomography.MLEResult) -> dict:
 def _cmd_gen_state(args) -> int:
     if args.kind == "bell":
         rho = states.pure_to_density(states.bell_state(args.value))
-        value = args.value
     elif args.kind == "werner-singlet":
-        value = float(args.value)
-        rho = states.werner_singlet(value)
+        rho = states.werner_singlet(float(args.value))
     elif args.kind == "werner-phi-minus":
-        value = float(args.value)
-        rho = states.werner_phi_minus(value)
+        rho = states.werner_phi_minus(float(args.value))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown state kind {args.kind!r}")
     _write_json(args.out, states.density_matrix_to_json(rho))
-    _write_manifest(
-        "gen-state",
-        ["wernerlab", "gen-state", args.kind, str(value), "--out", args.out],
-        [],
-        [args.out],
-    )
+    _write_manifest(args, [], [args.out])
     return 0
 
 
@@ -161,26 +180,13 @@ def _cmd_simulate(args) -> int:
     config = _source_config(args)
     records = polarimetry.simulate_counts(rho, settings, config, exact=args.exact)
     _write_json(args.out, polarimetry.records_to_json(records))
-    argv = [
-        "wernerlab", "simulate", args.state,
-        "--schedule", args.schedule,
-        "--rate", _fmt(args.rate),
-        "--accidentals", _fmt(args.accidentals),
-        "--duration", _fmt(args.duration),
-        "--seed", str(args.seed),
-    ]
-    if args.schedule == "chsh":
-        argv += ["--angles", ",".join(_fmt(a) for a in angles.as_tuple())]
-    if args.exact:
-        argv.append("--exact")
-    argv += ["--out", args.out]
-    _write_manifest("simulate", argv, [args.state], [args.out])
+    _write_manifest(args, [args.state], [args.out])
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
     records = polarimetry.records_from_json(_read_json(args.counts))
-    report_path = args.report or f"{args.out}.report.json"
+    args.report = args.report or f"{args.out}.report.json"
     if args.method == "linear":
         result = tomography.linear_reconstruct(records)
         rho = result.matrix
@@ -201,32 +207,21 @@ def _cmd_reconstruct(args) -> int:
                 file=sys.stderr,
             )
     else:
-        result = tomography.mle_reconstruct(records)
-        if args.strict and not result.converged:
-            raise _StrictFailure(
-                "maximum-likelihood search did not converge within the "
-                "evaluation budget"
-            )
-        rho = result.rho
-        report = _mle_report(result)
+        rho, report = _mle(records, args.strict)
     _write_json(args.out, states.density_matrix_to_json(rho))
-    _write_json(report_path, report)
-    argv = ["wernerlab", "reconstruct", args.counts, "--method", args.method]
-    if args.strict:
-        argv.append("--strict")
-    argv += ["--out", args.out, "--report", report_path]
-    _write_manifest("reconstruct", argv, [args.counts], [args.out, report_path])
+    _write_json(args.report, report)
+    _write_manifest(args, [args.counts], [args.out, args.report])
     return 0
 
 
-def _metrics_doc(rho, target, angles, counts_path, n_boot, seed):
+def _metrics_doc(rho, target, angles, records, n_boot, seed):
+    """Metrics of ``rho``; bootstrap errors need the counts ``records``."""
     fit = analysis.fit_werner(rho, target=target)
     s_value = analysis.chsh_value(rho, angles)
     x_err = None
     sigma = None
     nonconverged = None
-    if counts_path is not None and n_boot:
-        records = polarimetry.records_from_json(_read_json(counts_path))
+    if records is not None and n_boot:
         errs = tomography.bootstrap_errors(
             records, n_replicas=n_boot, seed=seed, target=target, angles=angles
         )
@@ -251,17 +246,14 @@ def _metrics_doc(rho, target, angles, counts_path, n_boot, seed):
 def _cmd_metrics(args) -> int:
     rho = _load_state(args.state)
     angles = _angles_arg(args)
-    doc = _metrics_doc(rho, args.target, angles, args.counts, args.bootstrap, args.seed)
-    _write_json(args.out, doc)
-    argv = ["wernerlab", "metrics", args.state, "--target", args.target,
-            "--angles", ",".join(_fmt(a) for a in angles.as_tuple())]
     inputs = [args.state]
+    records = None
     if args.counts:
-        argv += ["--counts", args.counts, "--bootstrap", str(args.bootstrap),
-                 "--seed", str(args.seed)]
+        records = polarimetry.records_from_json(_read_json(args.counts))
         inputs.append(args.counts)
-    argv += ["--out", args.out]
-    _write_manifest("metrics", argv, inputs, [args.out])
+    doc = _metrics_doc(rho, args.target, angles, records, args.bootstrap, args.seed)
+    _write_json(args.out, doc)
+    _write_manifest(args, inputs, [args.out])
     return 0
 
 
@@ -285,7 +277,6 @@ def _cmd_chsh(args) -> int:
             "correlations": list(estimate.correlations),
         }
         inputs = [args.counts]
-        argv = ["wernerlab", "chsh", "--counts", args.counts, "--out", args.out]
     else:
         rho = _load_state(args.state)
         angles = _angles_arg(args)
@@ -295,11 +286,8 @@ def _cmd_chsh(args) -> int:
             "angles_deg": list(angles.as_tuple()),
         }
         inputs = [args.state]
-        argv = ["wernerlab", "chsh", "--state", args.state,
-                "--angles", ",".join(_fmt(a) for a in angles.as_tuple()),
-                "--out", args.out]
     _write_json(args.out, doc)
-    _write_manifest("chsh", argv, inputs, [args.out])
+    _write_manifest(args, inputs, [args.out])
     return 0
 
 
@@ -307,13 +295,7 @@ def _cmd_fit_werner(args) -> int:
     rho = _load_state(args.state)
     fit = analysis.fit_werner(rho, target=args.target)
     _write_json(args.out, {"x": fit.x, "fidelity": fit.fidelity, "target": fit.target})
-    _write_manifest(
-        "fit-werner",
-        ["wernerlab", "fit-werner", args.state, "--target", args.target,
-         "--out", args.out],
-        [args.state],
-        [args.out],
-    )
+    _write_manifest(args, [args.state], [args.out])
     return 0
 
 
@@ -322,72 +304,36 @@ def _cmd_decohere_curve(args) -> int:
     grid = _parse_grid(args.grid)
     curve = decoherence.decoherence_curve(spectrum, grid)
     _write_text(args.out, decoherence.curve_to_csv(curve))
-    _write_manifest(
-        "decohere-curve",
-        ["wernerlab", "decohere-curve", "--lambda0", _fmt(args.lambda0),
-         "--fwhm", _fmt(args.fwhm), "--grid", args.grid, "--out", args.out],
-        [],
-        [args.out],
-    )
+    _write_manifest(args, [], [args.out])
     return 0
 
 
 def _cmd_pipeline(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
+    # every stage runs before the first file is written, so a failed run
+    # leaves nothing behind
     angles = _angles_arg(args)
+    rho = states.source_state(args.mix)
+    records = polarimetry.simulate_counts(
+        rho, polarimetry.tomographic_settings(), _source_config(args)
+    )
+    rho_mle, report = _mle(records, args.strict)
+    metrics = _metrics_doc(rho_mle, args.target, angles, records, args.bootstrap, args.seed)
+
     paths = {
         name: os.path.join(args.out_dir, f"{name}.json")
         for name in ("state", "counts", "rho_mle", "metrics")
     }
     report_path = os.path.join(args.out_dir, "rho_mle.report.json")
-
-    rho = states.source_state(args.mix)
+    os.makedirs(args.out_dir, exist_ok=True)
     _write_json(paths["state"], states.density_matrix_to_json(rho))
-
-    config = _source_config(args)
-    records = polarimetry.simulate_counts(
-        rho, polarimetry.tomographic_settings(), config
-    )
     _write_json(paths["counts"], polarimetry.records_to_json(records))
-
-    result = tomography.mle_reconstruct(records)
-    if args.strict and not result.converged:
-        raise _StrictFailure(
-            "maximum-likelihood search did not converge within the evaluation budget"
-        )
-    _write_json(paths["rho_mle"], states.density_matrix_to_json(result.rho))
-    _write_json(report_path, _mle_report(result))
-
-    doc = _metrics_doc(
-        result.rho, args.target, angles,
-        paths["counts"] if args.bootstrap else None,
-        args.bootstrap, args.seed,
+    _write_json(paths["rho_mle"], states.density_matrix_to_json(rho_mle))
+    _write_json(report_path, report)
+    _write_json(paths["metrics"], metrics)
+    _write_manifest(
+        args, [], [*paths.values(), report_path],
+        os.path.join(args.out_dir, "pipeline.manifest.json"),
     )
-    _write_json(paths["metrics"], doc)
-
-    argv = [
-        "wernerlab", "pipeline",
-        "--mix", _fmt(args.mix),
-        "--rate", _fmt(args.rate),
-        "--accidentals", _fmt(args.accidentals),
-        "--duration", _fmt(args.duration),
-        "--seed", str(args.seed),
-        "--target", args.target,
-        "--angles", ",".join(_fmt(a) for a in angles.as_tuple()),
-        "--bootstrap", str(args.bootstrap),
-    ]
-    if args.strict:
-        argv.append("--strict")
-    argv += ["--out-dir", args.out_dir]
-    doc = {
-        "tool": "wernerlab",
-        "version": __version__,
-        "command": "pipeline",
-        "argv": [str(a) for a in argv],
-        "inputs": [],
-        "outputs": list(paths.values()) + [report_path],
-    }
-    _write_json(os.path.join(args.out_dir, "pipeline.manifest.json"), doc)
     return 0
 
 
@@ -487,6 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_pipeline)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -495,15 +443,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _StrictFailure as exc:
-        print(f"wernerlab: numerical failure: {exc}", file=sys.stderr)
-        return 3
     except _NUMERICAL_ERRORS as exc:
         print(f"wernerlab: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except WernerlabError as exc:
-        print(f"wernerlab: error: {exc}", file=sys.stderr)
-        return 2
     except _INPUT_ERRORS as exc:
         print(f"wernerlab: error: {exc}", file=sys.stderr)
         return 2

@@ -110,12 +110,12 @@ class SourceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pair_rate < 0.0:
-            raise OutOfRangeError("pair rate must be non-negative")
-        if self.accidental_rate < 0.0:
-            raise OutOfRangeError("accidental rate must be non-negative")
-        if self.duration <= 0.0:
-            raise OutOfRangeError("integration time must be positive")
+        if not 0.0 <= self.pair_rate < math.inf:
+            raise OutOfRangeError("pair rate must be finite and non-negative")
+        if not 0.0 <= self.accidental_rate < math.inf:
+            raise OutOfRangeError("accidental rate must be finite and non-negative")
+        if not 0.0 < self.duration < math.inf:
+            raise OutOfRangeError("integration time must be finite and positive")
 
 
 @dataclass(frozen=True)

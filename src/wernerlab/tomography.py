@@ -344,9 +344,11 @@ class MaximumLikelihood(_Estimator):
             def cost(rho):
                 p = np.maximum((proj @ rho.ravel()).real, floor)
                 mu = n_total * p + accidentals
+                # mu - n + n log(n/mu) = d - n log1p(d/n) with d = mu - n,
+                # which does not cancel near an exact fit
                 dev = mu - counts
                 nz = counts > 0
-                dev[nz] += counts[nz] * np.log(counts[nz] / mu[nz])
+                dev[nz] -= counts[nz] * np.log1p(dev[nz] / counts[nz])
                 return float(np.sum(dev))
 
         else:

@@ -219,7 +219,20 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"duration_s": 10.0, "records": []}))
     assert run(["reconstruct", empty, "--out", tmp_path / "o.json"]) == 3
+
+    state = tmp_path / "state.json"
+    assert run(["gen-state", "werner-phi-minus", "0.801", "--out", state]) == 0
+    assert run(["simulate", state, "--rate", "inf", "--exact", "--out", tmp_path / "o.json"]) == 2
+    assert run(["decohere-curve", "--grid", "0:inf:1", "--out", tmp_path / "o.json"]) == 2
     assert not (tmp_path / "o.json").exists()
+
+
+def test_failed_pipeline_writes_nothing(tmp_path):
+    out_dir = tmp_path / "p"
+    assert run(["pipeline", "--mix", 0.8, "--duration", 1e-300, "--out-dir", out_dir]) == 3
+    assert not out_dir.exists()
+    assert run(["pipeline", "--mix", "nan", "--out-dir", out_dir]) == 2
+    assert not out_dir.exists()
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -230,3 +243,66 @@ def test_byte_identical_reruns(tmp_path):
     for out in (a, b):
         assert run(["simulate", state, "--seed", 7, "--out", out]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# One run per subcommand: (argv, inputs, outputs) with paths relative to the
+# test directory; the manifest is ``<outputs[0]>.manifest.json`` except for
+# the pipeline's ``pipeline.manifest.json``.
+REPLAY_CASES = {
+    "gen-state": (["gen-state", "werner-phi-minus", "0.801", "--out", "w.json"],
+                  [], ["w.json"]),
+    "simulate-tomo": (["simulate", "state.json", "--seed", 3, "--out", "c.json"],
+                      ["state.json"], ["c.json"]),
+    "simulate-chsh": (["simulate", "state.json", "--schedule", "chsh", "--exact",
+                       "--accidentals", 0, "--out", "c.json"],
+                      ["state.json"], ["c.json"]),
+    "reconstruct-mle": (["reconstruct", "counts.json", "--strict", "--out", "r.json"],
+                        ["counts.json"], ["r.json", "r.json.report.json"]),
+    "reconstruct-linear": (["reconstruct", "counts.json", "--method", "linear",
+                            "--out", "r.json", "--report", "lin.json"],
+                           ["counts.json"], ["r.json", "lin.json"]),
+    "metrics": (["metrics", "state.json", "--target", "psi-minus", "--out", "m.json"],
+                ["state.json"], ["m.json"]),
+    "metrics-bootstrap": (["metrics", "state.json", "--counts", "counts.json",
+                           "--bootstrap", 3, "--seed", 5, "--out", "m.json"],
+                          ["state.json", "counts.json"], ["m.json"]),
+    "chsh-state": (["chsh", "--state", "state.json", "--angles", "0,45,22.5,67.5",
+                    "--out", "s.json"],
+                   ["state.json"], ["s.json"]),
+    "chsh-counts": (["chsh", "--counts", "chsh_counts.json", "--out", "s.json"],
+                    ["chsh_counts.json"], ["s.json"]),
+    "fit-werner": (["fit-werner", "state.json", "--out", "f.json"],
+                   ["state.json"], ["f.json"]),
+    "decohere-curve": (["decohere-curve", "--fwhm", 9, "--grid", "0:40:0.5",
+                        "--out", "curve.csv"],
+                       [], ["curve.csv"]),
+    "pipeline": (["pipeline", "--mix", 0.801, "--bootstrap", 2, "--seed", 4,
+                  "--out-dir", "run"],
+                 [], ["run/state.json", "run/counts.json", "run/rho_mle.json",
+                      "run/metrics.json", "run/rho_mle.report.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_manifest_argv_replays_the_run(tmp_path, monkeypatch, case):
+    """Rerunning a manifest's ``argv[1:]`` rewrites its outputs byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen-state", "werner-phi-minus", "0.801", "--out", "state.json"]) == 0
+    assert run(["simulate", "state.json", "--seed", 1, "--out", "counts.json"]) == 0
+    assert run(["simulate", "state.json", "--schedule", "chsh", "--seed", 2,
+                "--out", "chsh_counts.json"]) == 0
+    argv, inputs, outputs = REPLAY_CASES[case]
+    assert run(argv) == 0
+    manifest_path = ("run/pipeline.manifest.json" if argv[0] == "pipeline"
+                     else f"{outputs[0]}.manifest.json")
+    manifest = read_json(manifest_path)
+    assert manifest["argv"][:2] == ["wernerlab", argv[0]]
+    assert manifest["command"] == argv[0]
+    assert (manifest["inputs"], manifest["outputs"]) == (inputs, outputs)
+
+    first = {path: (tmp_path / path).read_bytes() for path in outputs}
+    for path in [*outputs, manifest_path]:
+        (tmp_path / path).unlink()
+    assert main(manifest["argv"][1:]) == 0
+    assert {path: (tmp_path / path).read_bytes() for path in outputs} == first
+    assert read_json(manifest_path) == manifest

@@ -127,6 +127,10 @@ def test_source_config_validation():
         SourceConfig(duration=0.0)
     with pytest.raises(OutOfRangeError):
         SourceConfig(accidental_rate=-0.5)
+    for bad in (float("inf"), float("nan")):
+        for field in ("pair_rate", "accidental_rate", "duration"):
+            with pytest.raises(OutOfRangeError):
+                SourceConfig(**{field: bad})
 
 
 def test_poisson_sample_statistics():

@@ -235,9 +235,8 @@ def test_mle_estimator_params_roundtrip():
 
 
 # Round-off floor of each objective at a state that reproduces every count:
-# the Gaussian terms are squares of ~1e-12 residuals, while the Poisson
-# deviance adds ``n log(n / mu)`` terms whose rounding is about n * 2e-16.
-ZERO_COST = {"gaussian": 1e-20, "poisson": 1e-10}
+# both are sums of terms quadratic in the ~1e-12 residuals.
+ZERO_COST = {"gaussian": 1e-20, "poisson": 1e-20}
 
 
 @pytest.mark.parametrize("objective", ["gaussian", "poisson"])
