@@ -265,15 +265,14 @@ def _cmd_chsh(args) -> int:
         estimate = analysis.chsh_from_counts(records)
         arms = [records[0].setting.arm1, records[4].setting.arm1,
                 records[0].setting.arm2, records[8].setting.arm2]
-        angles_deg = (
-            [float(a) for a in arms]
-            if all(isinstance(a, (int, float)) for a in arms)
-            else None
-        )
+        if not all(isinstance(a, float) for a in arms):
+            raise ValueError("CHSH counts need polarizer angles on both arms")
+        if [r.setting for r in records] != analysis.chsh_schedule(analysis.ChshAngles(*arms)):
+            raise ValueError("counts do not follow the CHSH schedule of their angles")
         doc = {
             "S": estimate.s,
             "sigma": estimate.sigma,
-            "angles_deg": angles_deg,
+            "angles_deg": arms,
             "correlations": list(estimate.correlations),
         }
         inputs = [args.counts]

@@ -2,8 +2,8 @@
 
 Two reconstruction routes are provided with a scikit-learn flavoured
 estimator interface: a direct linear (Stokes) inversion of the 16-setting
-schedule, and a maximum-likelihood fit over a Cholesky-style factorization
-that is positive semidefinite by construction.
+schedule, and a maximum-likelihood fit by accelerated projected gradient
+over the density matrices.
 """
 
 from __future__ import annotations
@@ -25,11 +25,6 @@ from .qlinalg import herm_eig, kron
 from .states import PAULIS
 
 _N_PARAMS = 16
-# Row-major order of the strictly-lower-triangular entries of the 4x4 factor.
-_TRI_ROWS = np.array([1, 2, 2, 3, 3, 3])
-_TRI_COLS = np.array([0, 0, 1, 0, 1, 2])
-
-_EIG_FLOOR = 1e-9
 
 
 class _Estimator:
@@ -163,111 +158,69 @@ def linear_reconstruct(records) -> LinearReconstruction:
     return LinearReconstruction(matrix=est.matrix_, min_eigenvalue=est.min_eigenvalue_)
 
 
-def _factor_to_rho(t: np.ndarray):
-    tri = np.zeros((4, 4), dtype=complex)
-    tri[np.diag_indices(4)] = t[:4]
-    tri[_TRI_ROWS, _TRI_COLS] = t[4::2] + 1j * t[5::2]
-    rho = tri @ tri.conj().T
-    trace = rho.trace().real
-    return rho / trace, trace
+def _project_to_states(m: np.ndarray) -> np.ndarray:
+    """The density matrix nearest to the Hermitian part of ``m``.
 
-
-def _rho_to_factor(rho: np.ndarray) -> np.ndarray:
-    w, v = herm_eig(rho)
-    w = np.clip(w, _EIG_FLOOR, None)
-    made = v @ np.diag(w) @ v.conj().T
-    made /= made.trace().real
-    try:
-        tri = np.linalg.cholesky(made)
-    except np.linalg.LinAlgError:
-        made = made + 4.0 * _EIG_FLOOR * np.eye(4)
-        tri = np.linalg.cholesky(made / made.trace().real)
-    t = np.empty(_N_PARAMS)
-    t[:4] = tri.diagonal().real
-    t[4::2] = tri[_TRI_ROWS, _TRI_COLS].real
-    t[5::2] = tri[_TRI_ROWS, _TRI_COLS].imag
-    return t
-
-
-def _nelder_mead(fun, x0, ftol, max_evals):
-    """Deterministic Nelder-Mead minimizer.
-
-    The initial simplex perturbs each coordinate by 5 % (0.00025 when zero).
-    Convergence is declared when a full cycle of ``dim + 1`` iterations
-    improves the best value by less than ``ftol`` and the simplex values have
-    collapsed to within the same tolerance (the spread condition keeps a
-    temporarily stalled simplex searching); the search restarts once from the
-    best vertex before reporting.  Returns ``(x, f, evals, iterations,
-    converged, history)`` with ``history`` the best value after each accepted
-    iteration.
+    Its eigenvalues are projected onto the probability simplex (Smolin,
+    Gambetta & Smith, PRL 108, 070502 (2012)) and clipped at 0 against
+    round-off.
     """
-    n = x0.size
-    evals = 0
-    iterations = 0
-    history = []
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    descending = w[::-1]
+    css = np.cumsum(descending) - 1.0
+    k = np.arange(1, w.size + 1)
+    r = np.flatnonzero(descending > css / k)[-1]
+    w = np.maximum(w - css[r] / k[r], 0.0)
+    rho = (v * w) @ v.conj().T
+    return rho / rho.trace().real
 
-    def run(start, budget):
-        nonlocal evals, iterations
-        sim = np.tile(start, (n + 1, 1))
-        for i in range(n):
-            if sim[i + 1, i] != 0.0:
-                sim[i + 1, i] *= 1.05
-            else:
-                sim[i + 1, i] = 0.00025
-        fsim = np.array([fun(v) for v in sim])
-        evals += n + 1
-        cycle = n + 1
-        since_check = 0
-        order = np.argsort(fsim, kind="stable")
-        sim, fsim = sim[order], fsim[order]
-        best_at_check = fsim[0]
-        converged = False
-        while evals < budget:
-            centroid = sim[:-1].mean(axis=0)
-            xr = centroid + (centroid - sim[-1])
-            fr = fun(xr)
+
+def _projected_gradient(cost, rho, ftol, max_evals):
+    """Accelerated projected gradient (FISTA) over density matrices.
+
+    ``cost(rho)`` returns the objective and its gradient as a Hermitian
+    matrix.  The step is halved until the quadratic model bounds the cost
+    (backtracking), and tried 25 % longer on the next iteration; the
+    momentum restarts from the best state when the cost rises.  Convergence
+    is declared when an accepted iteration improves the cost by less than
+    ``ftol`` (relative once the cost exceeds 1).  At most ``max_evals`` cost
+    evaluations are made.  Returns ``(rho, f, evals, iterations, converged,
+    history)`` with ``history`` the best cost after each accepted iteration.
+    """
+    f, grad = cost(rho)
+    evals, iterations, history = 1, 0, []
+    y, fy, gy = rho, f, grad
+    t, step = 1.0, 1.0
+    while evals < max_evals:
+        z = _project_to_states(y - step * gy)
+        fz, gz = cost(z)
+        evals += 1
+        d = z - y
+        if fz > fy + np.vdot(gy, d).real + np.vdot(d, d).real / (2.0 * step):
+            step *= 0.5
+            continue
+        if fz >= f:
+            if y is rho:
+                return rho, f, evals, iterations, True, history
+            y, fy, gy, t = rho, f, grad, 1.0
+            continue
+        iterations += 1
+        gain = f - fz
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        previous = rho
+        rho, f, grad, t = z, fz, gz, t_next
+        history.append(f)
+        if gain < ftol * max(1.0, abs(f)):
+            return rho, f, evals, iterations, True, history
+        step *= 1.25
+        if beta == 0.0:
+            y, fy, gy = rho, f, grad
+        elif evals < max_evals:
+            y = rho + beta * (rho - previous)
+            fy, gy = cost(y)
             evals += 1
-            if fr < fsim[0]:
-                xe = centroid + 2.0 * (centroid - sim[-1])
-                fe = fun(xe)
-                evals += 1
-                if fe < fr:
-                    sim[-1], fsim[-1] = xe, fe
-                else:
-                    sim[-1], fsim[-1] = xr, fr
-            elif fr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fr
-            else:
-                if fr < fsim[-1]:
-                    xc = centroid + 0.5 * (centroid - sim[-1])
-                else:
-                    xc = centroid - 0.5 * (centroid - sim[-1])
-                fc = fun(xc)
-                evals += 1
-                if fc < min(fr, fsim[-1]):
-                    sim[-1], fsim[-1] = xc, fc
-                else:
-                    sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-                    fsim[1:] = [fun(v) for v in sim[1:]]
-                    evals += n
-            order = np.argsort(fsim, kind="stable")
-            sim, fsim = sim[order], fsim[order]
-            iterations += 1
-            history.append(float(fsim[0]))
-            since_check += 1
-            if since_check >= cycle:
-                since_check = 0
-                spread = fsim[-1] - fsim[0]
-                scale = max(1.0, abs(fsim[0]))
-                if best_at_check - fsim[0] < ftol * scale and spread < ftol * scale:
-                    converged = True
-                    break
-                best_at_check = fsim[0]
-        return sim[0].copy(), float(fsim[0]), converged
-
-    x_best, f_best, _ = run(np.asarray(x0, dtype=float), max_evals)
-    x_best, f_best, converged = run(x_best, max_evals)
-    return x_best, f_best, evals, iterations, converged, history
+    return rho, f, evals, iterations, False, history
 
 
 @dataclass(frozen=True)
@@ -284,11 +237,9 @@ class MLEResult:
 
 
 class MaximumLikelihood(_Estimator):
-    """Maximum-likelihood tomography over a positive-by-construction factor.
+    """Maximum-likelihood tomography over the density matrices.
 
-    The state is parameterized as ``rho = T T^dag / tr(T T^dag)`` with ``T``
-    lower triangular (16 real parameters), so every candidate is a valid
-    density matrix.  The default objective is the Gaussian statistic
+    The default objective is the Gaussian statistic
 
         ``sum((mu - n)**2 / (2 mu))`` with ``mu = N p + a``
 
@@ -300,13 +251,16 @@ class MaximumLikelihood(_Estimator):
     A physical linear inversion (no negative eigenvalue) is returned without
     a search: it reproduces every floor-corrected count, so ``mu = n`` on
     every setting and both objectives, sums of non-negative terms, are zero
-    there.  Otherwise a deterministic Nelder-Mead search runs from
-    ``seed_matrix`` (default: the linear inversion): fixed initial simplex,
-    convergence when a full parameter cycle improves the cost by less than
-    ``ftol``, a single restart from the best vertex, and a hard cap of
-    ``max_evals`` objective evaluations.  ``seed_matrix`` is only the
-    search's starting point; records the linear inversion refuses (not 16
-    settings, or informationally incomplete) are searched from it.
+    there.  Otherwise a deterministic accelerated projected-gradient search
+    runs on ``rho`` itself (Shang, Zhang & Ng, PRA 95, 062336 (2017)) from
+    the density matrix nearest to ``seed_matrix`` (default: the linear
+    inversion): FISTA steps projected onto the density matrices, with
+    backtracking on the step size and a momentum restart when the cost
+    rises; convergence when an iteration improves the cost by less than
+    ``ftol``, and a hard cap of ``max_evals`` objective evaluations.
+    ``seed_matrix`` is only the search's starting point; records the linear
+    inversion refuses (not 16 settings, or informationally incomplete) are
+    searched from it.
 
     Attributes after ``fit``: ``rho_``, ``cost_``, ``iterations_``,
     ``n_evaluations_``, ``converged_``, ``cost_history_`` and ``path_``
@@ -327,34 +281,38 @@ class MaximumLikelihood(_Estimator):
         self.max_evals = max_evals
 
     def _cost_function(self, records, proj, n_total):
-        """The objective as a function of the density matrix."""
+        """The objective and its gradient as functions of the density
+        matrix: ``cost(rho)`` returns ``(f, sum_i N g_i P_i)`` with ``g_i``
+        the derivative of the setting's term by its mean.  Where the
+        probability sits at the floor, ``g_i`` is taken at the floored mean:
+        a state's probabilities only rise from 0, and with accidentals the
+        cost can rise with them."""
         counts = np.array([r.count for r in records], dtype=float)
         accidentals = _accidentals(records)
         floor = self.prob_floor
-        if self.objective == "gaussian":
-
-            def cost(rho):
-                p = np.maximum((proj @ rho.ravel()).real, floor)
-                mu = n_total * p + accidentals
-                resid = mu - counts
-                return float(np.sum(resid * resid / (2.0 * mu)))
-
-        elif self.objective == "poisson":
-
-            def cost(rho):
-                p = np.maximum((proj @ rho.ravel()).real, floor)
-                mu = n_total * p + accidentals
-                # mu - n + n log(n/mu) = d - n log1p(d/n) with d = mu - n,
-                # which does not cancel near an exact fit
-                dev = mu - counts
-                nz = counts > 0
-                dev[nz] -= counts[nz] * np.log1p(dev[nz] / counts[nz])
-                return float(np.sum(dev))
-
-        else:
+        if self.objective not in ("gaussian", "poisson"):
             raise UnknownLabelError(
                 f"unknown objective {self.objective!r}; use 'gaussian' or 'poisson'"
             )
+        gaussian = self.objective == "gaussian"
+        nz = counts > 0
+
+        def cost(rho):
+            p = (proj @ rho.ravel()).real
+            mu = n_total * np.maximum(p, floor) + accidentals
+            resid = mu - counts
+            if gaussian:
+                f = np.sum(resid * resid / (2.0 * mu))
+                g = (mu * mu - counts * counts) / (2.0 * mu * mu)
+            else:
+                # mu - n + n log(n/mu) = d - n log1p(d/n) with d = mu - n,
+                # which does not cancel near an exact fit
+                dev = resid.copy()
+                dev[nz] -= counts[nz] * np.log1p(resid[nz] / counts[nz])
+                f = np.sum(dev)
+                g = resid / mu
+            return float(f), ((n_total * g) @ proj).reshape(4, 4).conj()
+
         return cost
 
     def fit(self, records, seed_matrix: np.ndarray | None = None):
@@ -370,7 +328,7 @@ class MaximumLikelihood(_Estimator):
                 raise
         if linear is not None and linear.min_eigenvalue_ >= 0.0:
             self.rho_ = linear.matrix_
-            self.cost_ = cost(linear.matrix_)
+            self.cost_ = cost(linear.matrix_)[0]
             self.iterations_ = 0
             self.n_evaluations_ = 1
             self.converged_ = True
@@ -379,11 +337,10 @@ class MaximumLikelihood(_Estimator):
             return self
         if seed_matrix is None:
             seed_matrix = linear.matrix_
-        t0 = _rho_to_factor(np.asarray(seed_matrix, dtype=complex))
-        t, f, evals, iters, converged, history = _nelder_mead(
-            lambda t: cost(_factor_to_rho(t)[0]), t0, self.ftol, self.max_evals
+        start = _project_to_states(np.asarray(seed_matrix, dtype=complex))
+        rho, f, evals, iters, converged, history = _projected_gradient(
+            cost, start, self.ftol, self.max_evals
         )
-        rho, _ = _factor_to_rho(t)
         self.rho_ = rho
         self.cost_ = f
         self.iterations_ = iters

@@ -224,6 +224,19 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     assert run(["gen-state", "werner-phi-minus", "0.801", "--out", state]) == 0
     assert run(["simulate", state, "--rate", "inf", "--exact", "--out", tmp_path / "o.json"]) == 2
     assert run(["decohere-curve", "--grid", "0:inf:1", "--out", tmp_path / "o.json"]) == 2
+
+    # chsh --counts takes only records in the order chsh_schedule gives
+    tomo_counts = tmp_path / "tomo_counts.json"
+    assert run(["simulate", state, "--seed", 0, "--out", tomo_counts]) == 0
+    assert run(["chsh", "--counts", tomo_counts, "--out", tmp_path / "o.json"]) == 2
+    chsh_counts = tmp_path / "chsh_counts.json"
+    assert run(["simulate", state, "--schedule", "chsh", "--seed", 2,
+                "--out", chsh_counts]) == 0
+    assert run(["chsh", "--counts", chsh_counts, "--out", tmp_path / "s.json"]) == 0
+    doc = read_json(chsh_counts)
+    doc["records"][5]["arm2"]["deg"] += 1.0
+    chsh_counts.write_text(json.dumps(doc))
+    assert run(["chsh", "--counts", chsh_counts, "--out", tmp_path / "o.json"]) == 2
     assert not (tmp_path / "o.json").exists()
 
 

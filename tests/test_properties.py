@@ -53,9 +53,9 @@ def test_herm_eig_of_states_is_a_spectrum(seed, rank):
 @settings(PROPERTY, max_examples=8)
 @given(seeds, ranks)
 def test_mle_output_is_a_density_matrix(seed, rank):
-    # The factor parametrization makes every candidate a density matrix, so
+    # Every iterate of the search is projected onto the density matrices, so
     # the property holds for any evaluation budget; a small one keeps the
-    # slow boundary-state searches short.
+    # boundary-state searches short.
     rho = ginibre_state(seed, rank)
     records = simulate_counts(rho, tomographic_settings(), SourceConfig(seed=seed))
     out = mle_reconstruct(records, max_evals=2000).rho
@@ -72,6 +72,7 @@ def test_mle_returns_a_physical_linear_inversion(seed, rank):
     )
     linear = linear_reconstruct(records)
     est = MaximumLikelihood(max_evals=2000).fit(records)
+    assert est.n_evaluations_ <= 2000
     if linear.min_eigenvalue >= 0.0:
         assert est.path_ == "linear"
         assert np.array_equal(est.rho_, linear.matrix)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wernerlab import tomography
+from wernerlab import fixtures, tomography
 from wernerlab.analysis import fidelity
 from wernerlab.errors import (
     EmptyDataError,
@@ -268,6 +268,49 @@ def test_mle_searches_when_linear_inversion_unphysical():
     result = mle_reconstruct(recs)
     assert result.path == "search"
     assert result.n_evaluations == est.n_evaluations_ > est.iterations_ > 0
+
+
+@pytest.mark.parametrize("max_evals", [50, 2000])
+def test_mle_max_evals_is_a_hard_cap(max_evals):
+    recs = simulate_counts(
+        pure_to_density(bell_state("phi-minus")), SCHEDULE, SourceConfig(seed=0)
+    )
+    est = MaximumLikelihood(max_evals=max_evals).fit(recs)
+    assert est.path_ == "search"
+    assert est.n_evaluations_ <= max_evals
+    # 50 evaluations stop the search early; 2000 let it converge
+    assert est.converged_ == (est.n_evaluations_ < max_evals) == (max_evals == 2000)
+
+
+# Nelder-Mead's cost on unphysical count sets (300 pairs/s, 1/s accidentals,
+# 100 s per setting), seeded with the linear inversion or with the source
+# state, before the search became a projected gradient.  The pure x = 1.0
+# source puts four settings at probability 0, where the cost still rises
+# with the probability.
+NELDER_MEAD_COST = {
+    ("x=1.0", 0, "linear"): 7.657421879064969,
+    ("x=1.0", 9, "linear"): 4.609818673082942,
+    ("rho1", 0, "linear"): 3.5518433646327043,
+    ("rho1", 19, "linear"): 1.7420036803284167,
+    ("x=1.0", 0, "source"): 7.657386560735803,
+}
+
+
+@pytest.mark.parametrize("source, seed, start", list(NELDER_MEAD_COST))
+def test_mle_search_reaches_nelder_mead_optimum(source, seed, start):
+    rho = werner_phi_minus(1.0) if source == "x=1.0" else fixtures.load("rho1")
+    recs = simulate_counts(
+        rho, SCHEDULE,
+        SourceConfig(pair_rate=300.0, accidental_rate=1.0, duration=100.0, seed=seed),
+    )
+    seed_matrix = linear_reconstruct(recs).matrix if start == "linear" else rho
+    est = MaximumLikelihood().fit(recs, seed_matrix=seed_matrix)
+    assert est.path_ == "search"
+    assert est.converged_
+    assert est.cost_ <= NELDER_MEAD_COST[source, seed, start] * (1 + 1e-6)
+    # an exact zero eigenvalue reads as +-1e-16 through eigh
+    assert min_eigenvalue(est.rho_) >= -1e-15
+    assert abs(est.rho_.trace() - 1.0) <= 1e-12
 
 
 def test_mle_searches_records_the_linear_inversion_refuses():
