@@ -5,8 +5,9 @@ Usage, from the root of a clean checkout:
     python3 bench/record.py --n 6
 
 It runs ``perfbench/run.py`` (tracing off) on each of the four workloads at
-the fixed seeds, one run after another, and writes ``BENCH_<n>.json`` at the
-repository root.  For every workload the file holds the median and quartiles
+the fixed seeds, one run after another, each for the ``run_seconds`` that
+``BENCHMARK.json`` sets, and writes ``BENCH_<n>.json`` at the repository
+root.  For every workload the file holds the median and quartiles
 (and the values of every run) of each gated metric and the failed units
 against those attempted; it also records the Python and numpy versions,
 ``nproc``, the commit measured and the ``src/wernerlab/*.py`` line count.
@@ -26,13 +27,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("tomo-interior", "tomo-boundary", "cli-bootstrap", "chsh-decohere")
 SEEDS = (1001, 1002, 1003, 1004, 1005)
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
-def run_once(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(workload: str, seed: int) -> tuple[dict, dict]:
     """(metadata, result line) of one benchmark run."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, check=True,
     )
     lines = proc.stdout.splitlines()
@@ -48,7 +50,6 @@ def spread(values: list[float]) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="Write BENCH_<n>.json from benchmark runs.")
     p.add_argument("--n", type=int, required=True, help="number in the file name")
-    p.add_argument("--seconds", type=float, default=25.0, help="length of each run")
     args = p.parse_args(argv)
     dirty = subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"],
                            cwd=ROOT, capture_output=True, text=True, check=True).stdout
@@ -58,7 +59,7 @@ def main(argv=None) -> int:
 
     workloads = {}
     for workload in WORKLOADS:
-        runs = [run_once(workload, seed, args.seconds) for seed in SEEDS]
+        runs = [run_once(workload, seed) for seed in SEEDS]
         meta = runs[0][0]
         results = [result for _, result in runs]
         workloads[workload] = {
@@ -76,7 +77,7 @@ def main(argv=None) -> int:
         "numpy": meta["numpy"],
         "nproc": meta["nproc"],
         "src_lines": meta["src_lines"],
-        "seconds": args.seconds,
+        "seconds": SECONDS,
         "seeds": list(SEEDS),
         "workloads": workloads,
     }

@@ -181,13 +181,25 @@ def _projected_gradient(cost, rho, ftol, max_evals):
     ``cost(rho)`` returns the objective and its gradient as a Hermitian
     matrix.  The step is halved until the quadratic model bounds the cost
     (backtracking), and tried 25 % longer on the next iteration; the
-    momentum restarts from the best state when the cost rises.  Convergence
-    is declared when an accepted iteration improves the cost by less than
-    ``ftol`` (relative once the cost exceeds 1).  At most ``max_evals`` cost
-    evaluations are made.  Returns ``(rho, f, evals, iterations, converged,
-    history)`` with ``history`` the best cost after each accepted iteration.
+    momentum restarts from the best state when the cost rises.  The search
+    converges when an accepted iteration improves the cost by less than
+    ``ftol`` (relative once the cost exceeds 1) at a stationary state: one
+    whose projected gradient is below ``sqrt(ftol)`` of the gradient at the
+    start.  A small gain alone is no test, since a step that backtracking
+    has cut to nothing gains nothing anywhere.  The search also stops,
+    converged only if stationary, when a step from the best state no longer
+    lowers the cost.  At most ``max_evals`` cost evaluations are made.
+    Returns ``(rho, f, evals, iterations, converged, history)`` with
+    ``history`` the best cost after each accepted iteration.
     """
     f, grad = cost(rho)
+    scale = np.linalg.norm(grad) or 1.0
+
+    def stationary(rho, grad):
+        # the projected move of a step 1 / scale is the projected gradient / scale
+        moved = _project_to_states(rho - grad / scale) - rho
+        return np.linalg.norm(moved) <= np.sqrt(ftol)
+
     evals, iterations, history = 1, 0, []
     y, fy, gy = rho, f, grad
     t, step = 1.0, 1.0
@@ -201,7 +213,7 @@ def _projected_gradient(cost, rho, ftol, max_evals):
             continue
         if fz >= f:
             if y is rho:
-                return rho, f, evals, iterations, True, history
+                return rho, f, evals, iterations, stationary(rho, grad), history
             y, fy, gy, t = rho, f, grad, 1.0
             continue
         iterations += 1
@@ -211,7 +223,7 @@ def _projected_gradient(cost, rho, ftol, max_evals):
         previous = rho
         rho, f, grad, t = z, fz, gz, t_next
         history.append(f)
-        if gain < ftol * max(1.0, abs(f)):
+        if gain < ftol * max(1.0, abs(f)) and stationary(rho, grad):
             return rho, f, evals, iterations, True, history
         step *= 1.25
         if beta == 0.0:
@@ -257,7 +269,8 @@ class MaximumLikelihood(_Estimator):
     inversion): FISTA steps projected onto the density matrices, with
     backtracking on the step size and a momentum restart when the cost
     rises; convergence when an iteration improves the cost by less than
-    ``ftol``, and a hard cap of ``max_evals`` objective evaluations.
+    ``ftol`` at a stationary state, and a hard cap of ``max_evals``
+    objective evaluations.
     ``seed_matrix`` is only the search's starting point; records the linear
     inversion refuses (not 16 settings, or informationally incomplete) are
     searched from it.

@@ -282,6 +282,31 @@ def test_mle_max_evals_is_a_hard_cap(max_evals):
     assert est.converged_ == (est.n_evaluations_ < max_evals) == (max_evals == 2000)
 
 
+def test_mle_collapsed_step_is_not_convergence(monkeypatch):
+    # An uphill gradient fails the quadratic bound at every step until
+    # backtracking has cut the step to nothing; the cost then stops falling
+    # at a state that is not stationary.
+    cost_function = MaximumLikelihood._cost_function
+
+    def uphill(self, records, proj, n_total):
+        cost = cost_function(self, records, proj, n_total)
+
+        def flipped(rho):
+            f, grad = cost(rho)
+            return f, -grad
+
+        return flipped
+
+    monkeypatch.setattr(MaximumLikelihood, "_cost_function", uphill)
+    recs = simulate_counts(
+        pure_to_density(bell_state("phi-minus")), SCHEDULE, SourceConfig(seed=0)
+    )
+    est = MaximumLikelihood(max_evals=500).fit(recs)
+    assert est.path_ == "search"
+    assert est.n_evaluations_ <= 500
+    assert not est.converged_
+
+
 # Nelder-Mead's cost on unphysical count sets (300 pairs/s, 1/s accidentals,
 # 100 s per setting), seeded with the linear inversion or with the source
 # state, before the search became a projected gradient.  The pure x = 1.0
