@@ -9,7 +9,7 @@ import numpy as np
 
 from . import polarimetry
 from .errors import EmptyDataError, NotPSDError, OutOfRangeError
-from .qlinalg import DEFAULT_TOL, check_hermitian, herm_eig, kron, psd_sqrt
+from .qlinalg import _PSD_CLAMP, check_hermitian, herm_eig, kron, psd_sqrt
 from .states import BELL_KINDS, SIGMA_Y, bell_state, pure_to_density
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -32,7 +32,7 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     a = check_hermitian(a)
     sb = psd_sqrt(b)
     w, _ = herm_eig(sb @ a @ sb)
-    if w[-1] < -DEFAULT_TOL.psd_clamp:
+    if w[-1] < -_PSD_CLAMP:
         raise NotPSDError(f"fidelity argument has eigenvalue {w[-1]:.3e}")
     val = float(np.sum(_sqrt_spectrum(w)) ** 2)
     return min(val, 1.0)
@@ -99,7 +99,7 @@ def fit_werner(rho: np.ndarray, target: str = "phi-minus") -> WernerFit:
     """
     rho = check_hermitian(rho)
     w_rho, _ = herm_eig(rho)
-    if w_rho[-1] < -DEFAULT_TOL.psd_clamp:
+    if w_rho[-1] < -_PSD_CLAMP:
         raise NotPSDError(f"state has eigenvalue {w_rho[-1]:.3e}")
     if target not in BELL_KINDS:
         # bell_state raises the canonical UnknownLabelError message

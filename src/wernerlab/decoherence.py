@@ -18,11 +18,8 @@ from .errors import (
     NonHermitianError,
     OutOfRangeError,
     UnknownLabelError,
-    UnsupportedShapeError,
 )
 from .qlinalg import check_hermitian
-
-SUPPORTED_SHAPES = frozenset({"rectangular"})
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -33,15 +30,12 @@ class Spectrum:
 
     center_nm: float
     fwhm_nm: float
-    shape: str = "rectangular"
 
     def __post_init__(self):
-        if self.shape not in SUPPORTED_SHAPES:
-            raise UnsupportedShapeError(f"unsupported spectral shape {self.shape!r}")
-        if self.center_nm <= 0.0:
-            raise OutOfRangeError("center wavelength must be positive")
-        if self.fwhm_nm < 0.0:
-            raise OutOfRangeError("spectral width must be non-negative")
+        if not 0.0 < self.center_nm < np.inf:
+            raise OutOfRangeError("center wavelength must be finite and positive")
+        if not 0.0 <= self.fwhm_nm < np.inf:
+            raise OutOfRangeError("spectral width must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,6 @@ DEFAULT_SPECTRUM = Spectrum(center_nm=702.2, fwhm_nm=4.62)
 def _envelope(spectrum: Spectrum, opd_nm):
     """``|gamma|`` envelope ``sinc(L*dl/l0**2)`` of a path difference or an
     array of them."""
-    if spectrum.shape not in SUPPORTED_SHAPES:
-        raise UnsupportedShapeError(f"unsupported spectral shape {spectrum.shape!r}")
     l0 = spectrum.center_nm
     return np.sinc(opd_nm * spectrum.fwhm_nm / (l0 * l0))
 

@@ -43,7 +43,3 @@ class UnphysicalStateError(WernerlabError):
 
 class DegenerateDiagonalError(WernerlabError):
     """A coherence magnitude cannot be extracted because a diagonal vanishes."""
-
-
-class UnsupportedShapeError(WernerlabError):
-    """A spectral shape other than the supported ones was requested."""

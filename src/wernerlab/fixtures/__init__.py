@@ -22,12 +22,3 @@ def load(name: str) -> np.ndarray:
     text = resources.files(__package__).joinpath(f"{name}.json").read_text()
     return density_matrix_from_json(json.loads(text))
 
-
-def describe(name: str) -> str:
-    """One-line description of a bundled fixture."""
-    if name not in FIXTURE_NAMES:
-        raise UnknownLabelError(
-            f"unknown fixture {name!r}; expected one of {', '.join(FIXTURE_NAMES)}"
-        )
-    text = resources.files(__package__).joinpath(f"{name}.json").read_text()
-    return json.loads(text)["description"]

@@ -9,6 +9,7 @@ uniform accidental-coincidence floor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,7 +201,7 @@ def _arm_from_json(value):
     if value is None or isinstance(value, str):
         return value
     if isinstance(value, dict) and set(value) == {"deg"}:
-        return float(value["deg"])
+        return _finite_number(value, "deg")
     raise ValueError(f"malformed analyzer arm {value!r}")
 
 
@@ -231,15 +232,21 @@ def records_to_json(records: list[CoincidenceRecord]) -> dict:
     return doc
 
 
+def _is_finite_real(value) -> bool:
+    """Whether ``value`` is an int or float that a finite float can hold."""
+    # the comparison is False for nan and inf, and exact for any int
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 def _finite_number(doc: dict, key: str, default=None) -> float:
     """``doc[key]`` as a float; null, bool, non-numeric and non-finite values
     raise ``ValueError``."""
     value = doc.get(key, default)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-    ):
+    if not _is_finite_real(value):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
@@ -257,9 +264,11 @@ def records_from_json(doc: dict) -> list[CoincidenceRecord]:
     accidental_rate = _finite_number(doc, "accidentals_per_s", default=0.0)
     if accidental_rate < 0.0:
         raise ValueError(f"accidentals_per_s must be non-negative, got {accidental_rate!r}")
+    if not isinstance(doc["records"], list):
+        raise ValueError(f"records must be a list, got {doc['records']!r}")
     records = []
     for item in doc["records"]:
-        if not isinstance(item, dict) or "arm1" not in item or "count" not in item:
+        if not isinstance(item, dict) or item.get("arm1") is None or "count" not in item:
             raise ValueError(f"malformed count record {item!r}")
         count = item["count"]
         if isinstance(count, bool) or not isinstance(count, int) or count < 0:

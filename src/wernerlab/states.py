@@ -13,7 +13,8 @@ from .errors import (
     OutOfRangeError,
     UnknownLabelError,
 )
-from .qlinalg import DEFAULT_TOL, check_hermitian, herm_eig, kron
+from .polarimetry import _is_finite_real
+from .qlinalg import _HERMITICITY_TOL, _PSD_CLAMP, check_hermitian, herm_eig, kron
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -75,12 +76,12 @@ def werner_phi_minus(x: float) -> np.ndarray:
     return x * proj + (1.0 - x) / 4.0 * np.eye(4, dtype=complex)
 
 
-def check_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.hermiticity) -> np.ndarray:
+def check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NotUnitaryError(f"expected a square matrix, got shape {u.shape}")
     dev = float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
-    if dev > tol:
+    if dev > _HERMITICITY_TOL:
         raise NotUnitaryError(f"matrix deviates from unitarity by {dev:.3e}")
     return u
 
@@ -118,22 +119,18 @@ def source_state(mix_x: float) -> np.ndarray:
     return mix(entangled, scrambled, mix_x)
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    hermiticity: float = DEFAULT_TOL.hermiticity,
-    psd_clamp: float = DEFAULT_TOL.psd_clamp,
-) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, positive semidefinite.
 
     Returns the matrix as a complex array; raises ``NonHermitianError``,
     ``OutOfRangeError`` (trace) or ``NotPSDError``.
     """
-    rho = check_hermitian(rho, hermiticity)
+    rho = check_hermitian(rho)
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > hermiticity:
+    if abs(tr - 1.0) > _HERMITICITY_TOL:
         raise OutOfRangeError(f"trace is {tr.real:.10f}, expected 1")
-    w, _ = herm_eig(rho, hermiticity)
-    if w[-1] < -psd_clamp:
+    w, _ = herm_eig(rho)
+    if w[-1] < -_PSD_CLAMP:
         raise NotPSDError(f"state has eigenvalue {w[-1]:.3e}")
     return rho
 
@@ -150,18 +147,28 @@ def density_matrix_to_json(rho: np.ndarray) -> dict:
 
 
 def density_matrix_from_json(doc: dict) -> np.ndarray:
-    """Parse the JSON form produced by :func:`density_matrix_to_json`."""
+    """Parse the JSON form produced by :func:`density_matrix_to_json`.
+
+    A wrong basis or shape raises ``UnknownLabelError``; an entry that is not
+    ``[re, im]`` of two finite numbers raises ``ValueError``.
+    """
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise UnknownLabelError("density-matrix document must contain a 'matrix' key")
     basis = doc.get("basis", list(BASIS_LABELS))
-    if list(basis) != list(BASIS_LABELS):
+    if not isinstance(basis, (list, tuple)) or list(basis) != list(BASIS_LABELS):
         raise UnknownLabelError(f"unsupported basis order {basis!r}")
     mat = doc["matrix"]
-    if len(mat) != 4 or any(len(row) != 4 for row in mat):
+    if not isinstance(mat, list) or len(mat) != 4 or any(
+        not isinstance(row, list) or len(row) != 4 for row in mat
+    ):
         raise UnknownLabelError("matrix must be 4x4 with [re, im] entries")
     out = np.empty((4, 4), dtype=complex)
     for i, row in enumerate(mat):
         for j, entry in enumerate(row):
+            if not isinstance(entry, list) or len(entry) != 2 or not all(
+                _is_finite_real(x) for x in entry
+            ):
+                raise ValueError(f"matrix entry {entry!r} is not [re, im] of finite numbers")
             re, im = entry
             out[i, j] = complex(float(re), float(im))
     return out

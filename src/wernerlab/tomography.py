@@ -1,14 +1,12 @@
 """Two-photon state reconstruction from coincidence counts.
 
-Two reconstruction routes are provided with a scikit-learn flavoured
-estimator interface: a direct linear (Stokes) inversion of the 16-setting
-schedule, and a maximum-likelihood fit by accelerated projected gradient
-over the density matrices.
+Two estimators with ``fit`` and ``predict`` are provided: a direct linear
+(Stokes) inversion of the 16-setting schedule, and a maximum-likelihood fit
+by accelerated projected gradient over the density matrices.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,32 +23,9 @@ from .qlinalg import herm_eig, kron
 from .states import PAULIS
 
 _N_PARAMS = 16
-
-
-class _Estimator:
-    """Minimal parameter-introspection base in the scikit-learn style."""
-
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(
-                    f"invalid parameter {name!r} for {type(self).__name__}"
-                )
-            setattr(self, name, value)
-        return self
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
+_COND_LIMIT = 1e10  # largest condition number of an invertible design
+_PROB_FLOOR = 1e-12  # floor of a setting's probability in the likelihood
+_FTOL = 1e-9  # cost gain at which a stationary search stops
 
 
 # The 16 two-photon Pauli products over 4, in the order of the Stokes vector.
@@ -110,7 +85,7 @@ class LinearReconstruction:
     min_eigenvalue: float = 0.0
 
 
-class LinearInversion(_Estimator):
+class LinearInversion:
     """Linear (Stokes) tomography over the 16-setting schedule.
 
     Solves the 16x16 system mapping two-photon Stokes parameters to setting
@@ -121,9 +96,6 @@ class LinearInversion(_Estimator):
     Attributes after ``fit``: ``matrix_``, ``min_eigenvalue_``, ``stokes_``.
     """
 
-    def __init__(self, cond_limit: float = 1e10):
-        self.cond_limit = cond_limit
-
     def fit(self, records):
         _check_record_count(records)
         n_total = _normalization(records)
@@ -132,7 +104,7 @@ class LinearInversion(_Estimator):
     def _fit(self, records, proj, n_total):
         """Fit 16 records given their projector stack and pair flux."""
         design = (proj @ _PAULI_OPS.reshape(16, -1).T).real
-        if np.linalg.cond(design) > self.cond_limit:
+        if np.linalg.cond(design) > _COND_LIMIT:
             raise SingularSystemError(
                 "the measurement settings are informationally incomplete"
             )
@@ -175,7 +147,7 @@ def _project_to_states(m: np.ndarray) -> np.ndarray:
     return rho / rho.trace().real
 
 
-def _projected_gradient(cost, rho, ftol, max_evals):
+def _projected_gradient(cost, rho, max_evals):
     """Accelerated projected gradient (FISTA) over density matrices.
 
     ``cost(rho)`` returns the objective and its gradient as a Hermitian
@@ -183,8 +155,8 @@ def _projected_gradient(cost, rho, ftol, max_evals):
     (backtracking), and tried 25 % longer on the next iteration; the
     momentum restarts from the best state when the cost rises.  The search
     converges when an accepted iteration improves the cost by less than
-    ``ftol`` (relative once the cost exceeds 1) at a stationary state: one
-    whose projected gradient is below ``sqrt(ftol)`` of the gradient at the
+    ``_FTOL`` (relative once the cost exceeds 1) at a stationary state: one
+    whose projected gradient is below ``sqrt(_FTOL)`` of the gradient at the
     start.  A small gain alone is no test, since a step that backtracking
     has cut to nothing gains nothing anywhere.  The search also stops,
     converged only if stationary, when a step from the best state no longer
@@ -198,7 +170,7 @@ def _projected_gradient(cost, rho, ftol, max_evals):
     def stationary(rho, grad):
         # the projected move of a step 1 / scale is the projected gradient / scale
         moved = _project_to_states(rho - grad / scale) - rho
-        return np.linalg.norm(moved) <= np.sqrt(ftol)
+        return np.linalg.norm(moved) <= np.sqrt(_FTOL)
 
     evals, iterations, history = 1, 0, []
     y, fy, gy = rho, f, grad
@@ -223,7 +195,7 @@ def _projected_gradient(cost, rho, ftol, max_evals):
         previous = rho
         rho, f, grad, t = z, fz, gz, t_next
         history.append(f)
-        if gain < ftol * max(1.0, abs(f)) and stationary(rho, grad):
+        if gain < _FTOL * max(1.0, abs(f)) and stationary(rho, grad):
             return rho, f, evals, iterations, True, history
         step *= 1.25
         if beta == 0.0:
@@ -248,29 +220,28 @@ class MLEResult:
     n_evaluations: int = 0
 
 
-class MaximumLikelihood(_Estimator):
+class MaximumLikelihood:
     """Maximum-likelihood tomography over the density matrices.
 
-    The default objective is the Gaussian statistic
+    The objective is the Gaussian statistic of James, Kwiat, Munro & White,
+    PRA 64, 052312 (2001),
 
         ``sum((mu - n)**2 / (2 mu))`` with ``mu = N p + a``
 
     over the settings, where ``N`` is the pair flux, ``a`` the record's
-    expected accidental count and ``p`` floored at ``prob_floor``;
-    ``objective="poisson"`` switches to the exact Poisson deviance of the
-    same mean.
+    expected accidental count and ``p`` floored at ``1e-12``.
 
     A physical linear inversion (no negative eigenvalue) is returned without
     a search: it reproduces every floor-corrected count, so ``mu = n`` on
-    every setting and both objectives, sums of non-negative terms, are zero
+    every setting and the objective, a sum of non-negative terms, is zero
     there.  Otherwise a deterministic accelerated projected-gradient search
     runs on ``rho`` itself (Shang, Zhang & Ng, PRA 95, 062336 (2017)) from
     the density matrix nearest to ``seed_matrix`` (default: the linear
     inversion): FISTA steps projected onto the density matrices, with
     backtracking on the step size and a momentum restart when the cost
     rises; convergence when an iteration improves the cost by less than
-    ``ftol`` at a stationary state, and a hard cap of ``max_evals``
-    objective evaluations.
+    ``1e-9`` at a stationary state, and a hard cap of ``max_evals``
+    objective evaluations (at least 1).
     ``seed_matrix`` is only the search's starting point; records the linear
     inversion refuses (not 16 settings, or informationally incomplete) are
     searched from it.
@@ -281,16 +252,9 @@ class MaximumLikelihood(_Estimator):
     one evaluation and an empty history.
     """
 
-    def __init__(
-        self,
-        objective: str = "gaussian",
-        prob_floor: float = 1e-12,
-        ftol: float = 1e-9,
-        max_evals: int = 100_000,
-    ):
-        self.objective = objective
-        self.prob_floor = prob_floor
-        self.ftol = ftol
+    def __init__(self, max_evals: int = 100_000):
+        if max_evals < 1:
+            raise OutOfRangeError(f"max_evals must be at least 1, got {max_evals!r}")
         self.max_evals = max_evals
 
     def _cost_function(self, records, proj, n_total):
@@ -302,28 +266,13 @@ class MaximumLikelihood(_Estimator):
         cost can rise with them."""
         counts = np.array([r.count for r in records], dtype=float)
         accidentals = _accidentals(records)
-        floor = self.prob_floor
-        if self.objective not in ("gaussian", "poisson"):
-            raise UnknownLabelError(
-                f"unknown objective {self.objective!r}; use 'gaussian' or 'poisson'"
-            )
-        gaussian = self.objective == "gaussian"
-        nz = counts > 0
 
         def cost(rho):
             p = (proj @ rho.ravel()).real
-            mu = n_total * np.maximum(p, floor) + accidentals
+            mu = n_total * np.maximum(p, _PROB_FLOOR) + accidentals
             resid = mu - counts
-            if gaussian:
-                f = np.sum(resid * resid / (2.0 * mu))
-                g = (mu * mu - counts * counts) / (2.0 * mu * mu)
-            else:
-                # mu - n + n log(n/mu) = d - n log1p(d/n) with d = mu - n,
-                # which does not cancel near an exact fit
-                dev = resid.copy()
-                dev[nz] -= counts[nz] * np.log1p(resid[nz] / counts[nz])
-                f = np.sum(dev)
-                g = resid / mu
+            f = np.sum(resid * resid / (2.0 * mu))
+            g = (mu * mu - counts * counts) / (2.0 * mu * mu)
             return float(f), ((n_total * g) @ proj).reshape(4, 4).conj()
 
         return cost
@@ -352,7 +301,7 @@ class MaximumLikelihood(_Estimator):
             seed_matrix = linear.matrix_
         start = _project_to_states(np.asarray(seed_matrix, dtype=complex))
         rho, f, evals, iters, converged, history = _projected_gradient(
-            cost, start, self.ftol, self.max_evals
+            cost, start, self.max_evals
         )
         self.rho_ = rho
         self.cost_ = f
@@ -432,13 +381,11 @@ def bootstrap_errors(
     seed: int = 0,
     target: str = "phi-minus",
     angles: analysis.ChshAngles | None = None,
-    resampler=None,
 ) -> dict:
     """Bootstrap uncertainties of the derived state metrics.
 
-    Each replica redraws every count as Poisson with the observed count as
-    mean (``resampler(rng, count)`` overrides the redraw, e.g. with the
-    identity to verify the plumbing), keeps every other record field such as
+    Each replica redraws every count with :func:`polarimetry.poisson_sample`
+    at the observed count as mean, keeps every other record field such as
     the accidental rate, re-runs the maximum-likelihood reconstruction
     exactly as for the original data, and recomputes the metrics.  Returns
     the sample standard deviation of each metric over the replicas, and
@@ -449,14 +396,13 @@ def bootstrap_errors(
         raise OutOfRangeError("bootstrap needs at least 2 replicas")
     if angles is None:
         angles = analysis.angles_for_target(target)
-    if resampler is None:
-        resampler = lambda rng, count: polarimetry.poisson_sample(rng, float(count))
     rng = np.random.Generator(np.random.PCG64(seed))
     samples = {k: [] for k in ("x", "fidelity", "linear_entropy", "tangle", "chsh_s")}
     nonconverged = 0
     for _ in range(n_replicas):
         redrawn = [
-            replace(r, count=int(resampler(rng, r.count))) for r in records
+            replace(r, count=polarimetry.poisson_sample(rng, float(r.count)))
+            for r in records
         ]
         result = mle_reconstruct(redrawn)
         nonconverged += not result.converged

@@ -216,14 +216,29 @@ def test_exit_codes_for_bad_inputs(tmp_path):
                                         "records": [{"arm1": "H", "arm2": "V", "count": 3}]}))
         assert run(["reconstruct", duration, "--out", tmp_path / "o.json"]) == 2
 
+    for bad_records in (None, 5):
+        records = tmp_path / "records.json"
+        records.write_text(json.dumps({"duration_s": 10.0, "records": bad_records}))
+        assert run(["reconstruct", records, "--out", tmp_path / "o.json"]) == 2
+
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"duration_s": 10.0, "records": []}))
     assert run(["reconstruct", empty, "--out", tmp_path / "o.json"]) == 3
 
     state = tmp_path / "state.json"
     assert run(["gen-state", "werner-phi-minus", "0.801", "--out", state]) == 0
+    good = read_json(state)
+    bad_states = [{**good, "matrix": m} for m in (5, None, [1, 0, 0, 0])]
+    bad_states += [{**good, "matrix": [[e] * 4] * 4} for e in (None, 1, float("nan"))]
+    bad_states.append({**good, "basis": None})
+    for bad_state in bad_states:
+        broken = tmp_path / "broken_state.json"
+        broken.write_text(json.dumps(bad_state))
+        assert run(["fit-werner", broken, "--out", tmp_path / "o.json"]) == 2
     assert run(["simulate", state, "--rate", "inf", "--exact", "--out", tmp_path / "o.json"]) == 2
     assert run(["decohere-curve", "--grid", "0:inf:1", "--out", tmp_path / "o.json"]) == 2
+    for bad_spectrum in (["--fwhm", "nan"], ["--fwhm", "inf"], ["--lambda0", "nan"]):
+        assert run(["decohere-curve", *bad_spectrum, "--out", tmp_path / "o.json"]) == 2
 
     # chsh --counts takes only records in the order chsh_schedule gives
     tomo_counts = tmp_path / "tomo_counts.json"

@@ -17,7 +17,6 @@ from wernerlab.errors import (
     DegenerateDiagonalError,
     OutOfRangeError,
     UnknownLabelError,
-    UnsupportedShapeError,
 )
 from wernerlab.polarimetry import SourceConfig
 from wernerlab.states import bell_state, pure_to_density
@@ -45,16 +44,15 @@ def numeric_gamma(spectrum, opd_nm, n=20001):
 
 def test_spectrum_defaults_and_validation():
     assert DEFAULT_SPECTRUM == Spectrum(LAM0, FWHM)
-    assert DEFAULT_SPECTRUM.shape == "rectangular"
-    with pytest.raises(OutOfRangeError):
-        Spectrum(-1.0, FWHM)
-    with pytest.raises(OutOfRangeError):
-        Spectrum(LAM0, -0.1)
+    for bad_center in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(OutOfRangeError):
+            Spectrum(bad_center, FWHM)
+    for bad_width in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(OutOfRangeError):
+            Spectrum(LAM0, bad_width)
     # a zero-width band is the monochromatic limit and stays coherent
     mono = Spectrum(LAM0, 0.0)
     assert abs(gamma(mono, BirefringentElement(500 * LAM0))) == pytest.approx(1.0)
-    with pytest.raises(UnsupportedShapeError):
-        Spectrum(LAM0, FWHM, shape="lorentzian")
     with pytest.raises(OutOfRangeError):
         BirefringentElement(float("inf"))
 

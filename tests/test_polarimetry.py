@@ -255,10 +255,18 @@ def test_records_json_rejects_malformed():
         records_from_json({"duration_s": 10.0, "records": []})
     with pytest.raises(OutOfRangeError):
         records_from_json({"duration_s": -1.0, "records": [{"arm1": "H", "arm2": "V", "count": 3}]})
-    for bad_duration in (None, float("nan"), float("inf"), True, "10"):
+    for bad_duration in (None, float("nan"), float("inf"), True, "10", 10**400):
         with pytest.raises(ValueError):
             records_from_json({**good, "duration_s": bad_duration})
     with pytest.raises(ValueError):
         records_from_json(
             {"duration_s": 10.0, "records": [{"arm1": ["H"], "arm2": "V", "count": 3}]}
         )
+    for bad_records in (None, 5, "HV"):
+        with pytest.raises(ValueError):
+            records_from_json({**good, "records": bad_records})
+    for bad_arm in (None, {"deg": None}, {"deg": "22.5"}, {"deg": float("nan")}):
+        with pytest.raises(ValueError):
+            records_from_json(
+                {"duration_s": 10.0, "records": [{"arm1": bad_arm, "arm2": "V", "count": 3}]}
+            )

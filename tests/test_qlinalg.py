@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from wernerlab.errors import NonHermitianError, NotPSDError
+from wernerlab import qlinalg
 from wernerlab.qlinalg import (
-    DEFAULT_TOL,
-    Tolerances,
     check_hermitian,
     check_square,
     herm_eig,
@@ -130,6 +129,11 @@ def test_min_eigenvalue():
 
 
 def test_tolerance_defaults():
-    assert DEFAULT_TOL == Tolerances()
-    assert DEFAULT_TOL.hermiticity == 1e-8
-    assert DEFAULT_TOL.psd_clamp == 1e-9
+    assert qlinalg._HERMITICITY_TOL == 1e-8
+    assert qlinalg._PSD_CLAMP == 1e-9
+    check_hermitian(np.array([[0.0, 1.0], [1.0 + 5e-9, 0.0]]))
+    with pytest.raises(NonHermitianError):
+        check_hermitian(np.array([[0.0, 1.0], [1.0 + 5e-8, 0.0]]))
+    psd_sqrt(np.diag([1.0, -5e-10]).astype(complex))
+    with pytest.raises(NotPSDError):
+        psd_sqrt(np.diag([1.0, -5e-9]).astype(complex))

@@ -162,3 +162,12 @@ def test_density_matrix_json_rejects_malformed():
     swapped["basis"] = ["VV", "VH", "HV", "HH"]
     with pytest.raises(UnknownLabelError):
         density_matrix_from_json(swapped)
+    for matrix in (5, None, [1, 0, 0, 0]):
+        with pytest.raises(UnknownLabelError):
+            density_matrix_from_json({**doc, "matrix": matrix})
+    with pytest.raises(UnknownLabelError):
+        density_matrix_from_json({**doc, "basis": None})
+    for entry in (None, 1.0, [1.0], [float("nan"), 0.0], [0.0, float("inf")], ["1", "0"],
+                  [10**400, 0]):
+        with pytest.raises(ValueError):
+            density_matrix_from_json({**doc, "matrix": [[entry] * 4] * 4})

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wernerlab import fixtures, tomography
+from wernerlab import fixtures, polarimetry, tomography
 from wernerlab.analysis import fidelity
 from wernerlab.errors import (
     EmptyDataError,
@@ -119,16 +119,6 @@ def test_normalization_block_below_accidentals_is_empty():
         LinearInversion().fit(recs)
 
 
-def test_linear_estimator_params():
-    est = LinearInversion(cond_limit=5e9)
-    assert est.get_params() == {"cond_limit": 5e9}
-    est.set_params(cond_limit=1e10)
-    assert est.cond_limit == 1e10
-    with pytest.raises(ValueError):
-        est.set_params(bogus=1)
-    assert "LinearInversion" in repr(est)
-
-
 # --------------------------------------------------------------- MLE path
 
 def test_mle_exact_data_recovers_state():
@@ -187,21 +177,9 @@ def test_mle_count_scaling_invariance():
 def test_mle_models_accidentals():
     rho = werner_phi_minus(1.0)
     recs = exact_records(rho, accidentals=1e4)
-    for objective in ("gaussian", "poisson"):
-        result = mle_reconstruct(recs, objective=objective)
-        assert fidelity(result.rho, rho) > 1 - 1e-5
-        np.testing.assert_allclose(result.rho, rho, atol=1e-4)
-
-
-def test_mle_poisson_objective():
-    rho = werner_phi_minus(0.801)
-    recs = simulate_counts(rho, SCHEDULE, SourceConfig(seed=2))
-    gauss = mle_reconstruct(recs)
-    pois = mle_reconstruct(recs, objective="poisson")
-    assert min_eigenvalue(pois.rho) >= -1e-9
-    assert fidelity(gauss.rho, pois.rho) > 0.999
-    with pytest.raises(UnknownLabelError):
-        mle_reconstruct(recs, objective="huber")
+    result = mle_reconstruct(recs)
+    assert fidelity(result.rho, rho) > 1 - 1e-5
+    np.testing.assert_allclose(result.rho, rho, atol=1e-4)
 
 
 def test_mle_seed_matrix_accepted():
@@ -225,36 +203,26 @@ def test_mle_deterministic():
     assert a.cost == b.cost
 
 
-def test_mle_estimator_params_roundtrip():
-    est = MaximumLikelihood(objective="poisson", ftol=1e-8)
-    params = est.get_params()
-    assert params["objective"] == "poisson"
-    assert params["ftol"] == 1e-8
-    clone = MaximumLikelihood(**params)
-    assert clone.get_params() == params
+# Round-off floor of the objective at a state that reproduces every count:
+# a sum of terms quadratic in the ~1e-12 residuals.
+ZERO_COST = 1e-20
 
 
-# Round-off floor of each objective at a state that reproduces every count:
-# both are sums of terms quadratic in the ~1e-12 residuals.
-ZERO_COST = {"gaussian": 1e-20, "poisson": 1e-20}
-
-
-@pytest.mark.parametrize("objective", ["gaussian", "poisson"])
-def test_mle_returns_physical_linear_inversion(objective):
+def test_mle_returns_physical_linear_inversion():
     rho = werner_phi_minus(0.801)
     for recs in (exact_records(rho), simulate_counts(rho, SCHEDULE, SourceConfig(seed=3))):
         linear = linear_reconstruct(recs)
         assert linear.min_eigenvalue >= 0.0
         for seed_matrix in (None, rho):
-            est = MaximumLikelihood(objective=objective).fit(recs, seed_matrix=seed_matrix)
+            est = MaximumLikelihood().fit(recs, seed_matrix=seed_matrix)
             assert np.array_equal(est.rho_, linear.matrix)
             assert est.path_ == "linear"
             assert est.iterations_ == 0
             assert est.n_evaluations_ == 1
             assert est.converged_
             assert est.cost_history_ == []
-            assert 0.0 <= est.cost_ < ZERO_COST[objective]
-            result = mle_reconstruct(recs, seed_matrix=seed_matrix, objective=objective)
+            assert 0.0 <= est.cost_ < ZERO_COST
+            result = mle_reconstruct(recs, seed_matrix=seed_matrix)
             assert np.array_equal(result.rho, linear.matrix)
             assert (result.path, result.n_evaluations) == ("linear", 1)
 
@@ -280,6 +248,17 @@ def test_mle_max_evals_is_a_hard_cap(max_evals):
     assert est.n_evaluations_ <= max_evals
     # 50 evaluations stop the search early; 2000 let it converge
     assert est.converged_ == (est.n_evaluations_ < max_evals) == (max_evals == 2000)
+
+
+@pytest.mark.parametrize("max_evals", [0, -5])
+def test_mle_rejects_a_budget_below_one_evaluation(max_evals):
+    recs = simulate_counts(
+        pure_to_density(bell_state("phi-minus")), SCHEDULE, SourceConfig(seed=0)
+    )
+    with pytest.raises(OutOfRangeError):
+        MaximumLikelihood(max_evals=max_evals).fit(recs)
+    with pytest.raises(OutOfRangeError):
+        mle_reconstruct(recs, max_evals=max_evals)
 
 
 def test_mle_collapsed_step_is_not_convergence(monkeypatch):
@@ -419,11 +398,17 @@ def test_single_qubit_reconstruct_error_paths():
 
 # ---------------------------------------------------------------- bootstrap
 
-def test_bootstrap_identity_resampler_gives_zero_spread():
+def keep_counts(monkeypatch):
+    """Make every bootstrap redraw return its mean, the observed count."""
+    monkeypatch.setattr(polarimetry, "poisson_sample", lambda rng, mean: int(mean))
+
+
+def test_bootstrap_identity_resampler_gives_zero_spread(monkeypatch):
     recs = simulate_counts(
         werner_phi_minus(0.801), SCHEDULE, SourceConfig(seed=0)
     )
-    errs = bootstrap_errors(recs, n_replicas=3, resampler=lambda rng, c: c)
+    keep_counts(monkeypatch)
+    errs = bootstrap_errors(recs, n_replicas=3)
     for key in ("x", "fidelity", "linear_entropy", "tangle", "chsh_s"):
         assert errs[key] == pytest.approx(0.0, abs=1e-12)
 
@@ -438,7 +423,8 @@ def test_bootstrap_replicas_keep_accidental_rate(monkeypatch):
         return real(records, **params)
 
     monkeypatch.setattr(tomography, "mle_reconstruct", spy)
-    bootstrap_errors(recs, n_replicas=2, resampler=lambda rng, c: c)
+    keep_counts(monkeypatch)
+    bootstrap_errors(recs, n_replicas=2)
     assert len(replicas) == 2
     for redrawn in replicas:
         assert redrawn == recs
@@ -462,13 +448,13 @@ def test_bootstrap_counts_nonconverged_replicas(monkeypatch):
     recs = simulate_counts(
         pure_to_density(bell_state("phi-minus")), SCHEDULE, SourceConfig(seed=0)
     )
-    keep = lambda rng, c: c
-    assert bootstrap_errors(recs, n_replicas=2, resampler=keep)["nonconverged"] == 0
+    keep_counts(monkeypatch)
+    assert bootstrap_errors(recs, n_replicas=2)["nonconverged"] == 0
     real = tomography.mle_reconstruct
     monkeypatch.setattr(
         tomography, "mle_reconstruct", lambda records: real(records, max_evals=50)
     )
-    capped = bootstrap_errors(recs, n_replicas=3, resampler=keep)
+    capped = bootstrap_errors(recs, n_replicas=3)
     assert type(capped["nonconverged"]) is int
     assert capped["nonconverged"] == 3
 
