@@ -244,6 +244,8 @@ def _metrics_doc(rho, target, angles, records, n_boot, seed):
 
 
 def _cmd_metrics(args) -> int:
+    if args.bootstrap and not args.counts:
+        raise ValueError("--bootstrap resamples counts and needs --counts")
     rho = _load_state(args.state)
     angles = _angles_arg(args)
     inputs = [args.state]

@@ -20,7 +20,7 @@ from .errors import (
     UnphysicalStateError,
 )
 from .qlinalg import herm_eig, kron
-from .states import PAULIS
+from .states import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _N_PARAMS = 16
 _COND_LIMIT = 1e10  # largest condition number of an invertible design
@@ -366,13 +366,12 @@ def single_qubit_reconstruct(records) -> np.ndarray:
         raise UnphysicalStateError(f"Bloch vector norm {norm:.4f} exceeds 1.05")
     if norm > 1.0:
         s /= norm
-    rho = 0.5 * (
+    return 0.5 * (
         np.eye(2, dtype=complex)
-        + s[0] * np.array([[0, 1], [1, 0]], dtype=complex)
-        + s[1] * np.array([[0, -1j], [1j, 0]], dtype=complex)
-        + s[2] * np.array([[1, 0], [0, -1]], dtype=complex)
+        + s[0] * SIGMA_X
+        + s[1] * SIGMA_Y
+        + s[2] * SIGMA_Z
     )
-    return rho
 
 
 def bootstrap_errors(

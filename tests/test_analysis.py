@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wernerlab import analysis
 from wernerlab.analysis import (
     DEFAULT_ANGLES,
     ChshAngles,
@@ -105,7 +106,7 @@ def test_singlet_concurrence_threshold():
 # ------------------------------------------------------------- werner fits
 
 def test_fit_werner_recovers_parameter():
-    for x in (0.0, 0.1, 0.405, 0.801, 1.0):
+    for x in (-1.0 / 3.0, 0.0, 0.1, 0.405, 0.801, 1.0):
         fit = fit_werner(werner_phi_minus(x))
         assert fit.x == pytest.approx(x, abs=1e-4)
         # near the x = 1 boundary the fidelity is linear in the offset, so
@@ -127,12 +128,35 @@ def test_fit_werner_other_targets():
         fit_werner(rho, target="octet")
 
 
-def test_fit_werner_fidelity_is_maximum(rng):
-    """No grid value of x should beat the reported optimum."""
-    rho = random_density(rng)
-    fit = fit_werner(rho)
+@pytest.mark.parametrize("target", BELL_KINDS)
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_fit_werner_fidelity_is_maximum(rng, rank, target):
+    """No grid value of x should beat the reported optimum.
+
+    Below full rank the optimum sits at or near an end of the interval, where
+    the fidelity is steep in x, so the search tolerance of 1e-5 in x shows up
+    in the fidelity (worst gap seen on 300 such states: 2.1e-6).
+    """
+    rho = random_density(rng, rank=rank)
+    fit = fit_werner(rho, target=target)
+    proj = pure_to_density(bell_state(target))
+    slack = 1e-7 if rank == 4 else 1e-5
     for x in np.linspace(-1 / 3, 1.0, 200):
-        assert fidelity(rho, werner_phi_minus(x)) <= fit.fidelity + 1e-7
+        assert fidelity(rho, x * proj + (1 - x) / 4 * np.eye(4)) <= fit.fidelity + slack
+
+
+def test_fit_werner_makes_at_most_30_fidelity_evaluations(monkeypatch, rng):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return fidelity(a, b)
+
+    monkeypatch.setattr(analysis, "fidelity", counted)
+    for rho in (random_density(rng), werner_phi_minus(1.0)):
+        calls.clear()
+        fit_werner(rho)
+        assert 0 < len(calls) <= 30
 
 
 def test_fit_werner_rejects_unphysical():

@@ -236,6 +236,9 @@ def test_exit_codes_for_bad_inputs(tmp_path):
         broken.write_text(json.dumps(bad_state))
         assert run(["fit-werner", broken, "--out", tmp_path / "o.json"]) == 2
     assert run(["simulate", state, "--rate", "inf", "--exact", "--out", tmp_path / "o.json"]) == 2
+    # bootstrap replicas resample counts, so --bootstrap needs --counts
+    for n_boot in (5, -2):
+        assert run(["metrics", state, "--bootstrap", n_boot, "--out", tmp_path / "o.json"]) == 2
     assert run(["decohere-curve", "--grid", "0:inf:1", "--out", tmp_path / "o.json"]) == 2
     for bad_spectrum in (["--fwhm", "nan"], ["--fwhm", "inf"], ["--lambda0", "nan"]):
         assert run(["decohere-curve", *bad_spectrum, "--out", tmp_path / "o.json"]) == 2
