@@ -9,7 +9,7 @@ import numpy as np
 
 from . import polarimetry
 from .errors import EmptyDataError, NotPSDError, OutOfRangeError
-from .qlinalg import _PSD_CLAMP, check_hermitian, herm_eig, kron, psd_sqrt
+from .qlinalg import _PSD_CLAMP, _scalar, check_hermitian, herm_eig, kron, psd_sqrt
 from .states import SIGMA_Y, bell_state, pure_to_density
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -20,35 +20,42 @@ _X_HI = 1.0
 
 def _root_spectrum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Descending square roots of the spectrum of ``sqrt(b) a sqrt(b)``, the
-    kernel of both the fidelity and the concurrence."""
+    kernel of both the fidelity and the concurrence; ``a`` and ``b`` may be
+    stacks that broadcast against each other."""
     sb = psd_sqrt(b)
-    w, _ = herm_eig(sb @ a @ sb)
-    if w[-1] < -_PSD_CLAMP:
-        raise NotPSDError(f"fidelity argument has eigenvalue {w[-1]:.3e}")
+    # The descending eigenvalues herm_eig would give, without its check and
+    # eigenvector phase fix: ``a`` and ``b`` are checked, and only the
+    # spectrum is used.
+    w = np.linalg.eigh(sb @ a @ sb)[0][..., ::-1]
+    lowest = w[..., -1].min()
+    if lowest < -_PSD_CLAMP:
+        raise NotPSDError(f"fidelity argument has eigenvalue {lowest:.3e}")
     # Eigenvalues at round-off scale are exact zeros; taking their square
     # root would inflate the noise from 1e-16 to 1e-8, so they are dropped.
     w = np.clip(w, 0.0, None)
-    w[w < 1e-14 * max(1.0, float(w.max(initial=0.0)))] = 0.0
+    w[w < 1e-14 * np.maximum(1.0, w.max(axis=-1, keepdims=True))] = 0.0
     return np.sqrt(w)
 
 
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Uhlmann fidelity ``(tr sqrt(sqrt(b) a sqrt(b)))**2`` of two states."""
+def fidelity(a: np.ndarray, b: np.ndarray):
+    """Uhlmann fidelity ``(tr sqrt(sqrt(b) a sqrt(b)))**2`` of two states, or
+    the array of fidelities of two ``(..., 4, 4)`` stacks that broadcast."""
     a = check_hermitian(a)
-    val = float(np.sum(_root_spectrum(a, b)) ** 2)
-    return min(val, 1.0)
+    return _scalar(np.minimum(np.square(np.sum(_root_spectrum(a, b), axis=-1)), 1.0))
 
 
-def linear_entropy(rho: np.ndarray) -> float:
+def linear_entropy(rho: np.ndarray):
     """Normalized linear entropy ``4/3 * (1 - tr(rho**2))`` of a two-photon
-    state; 0 for pure states, 1 for the maximally mixed state."""
+    state (or of each state of a stack); 0 for pure states, 1 for the
+    maximally mixed state."""
     rho = check_hermitian(rho)
-    purity = float(np.trace(rho @ rho).real)
-    return 4.0 / 3.0 * (1.0 - purity)
+    purity = np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    return _scalar(4.0 / 3.0 * (1.0 - purity))
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Concurrence of a two-photon state via the spin-flipped spectrum.
+def concurrence(rho: np.ndarray):
+    """Concurrence of a two-photon state (or of each state of a stack) via
+    the spin-flipped spectrum.
 
     Uses the Hermitian form: the ordered square roots of the eigenvalues of
     ``sqrt(rho) rho_tilde sqrt(rho)`` with ``rho_tilde = (sy x sy) rho*
@@ -57,10 +64,10 @@ def concurrence(rho: np.ndarray) -> float:
     rho = check_hermitian(rho)
     flip = kron(SIGMA_Y, SIGMA_Y)
     lam = _root_spectrum(flip @ rho.conj() @ flip, rho)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return _scalar(np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]))
 
 
-def tangle(rho: np.ndarray) -> float:
+def tangle(rho: np.ndarray):
     """Tangle, the squared concurrence."""
     c = concurrence(rho)
     return c * c
@@ -68,7 +75,8 @@ def tangle(rho: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class WernerFit:
-    """Best Werner-form approximation ``x*|target><target| + (1-x)/4 * I``."""
+    """Best Werner-form approximation ``x*|target><target| + (1-x)/4 * I``;
+    ``x`` and ``fidelity`` are arrays for a stack of states."""
 
     x: float
     fidelity: float
@@ -85,32 +93,50 @@ def fit_werner(rho: np.ndarray, target: str = "phi-minus") -> WernerFit:
     root fidelity ``sqrt(F(rho, sigma))`` is concave in ``sigma`` (Uhlmann),
     so ``F`` along the family has a single maximum on the interval (or a
     flat top of equal values).
+
+    A ``(..., 4, 4)`` stack runs the sections of all its states in lockstep,
+    with one stacked fidelity evaluation per step.  Each section follows its
+    own comparisons and stops at its own width, so every state gets the
+    values it gets alone.
     """
     rho = check_hermitian(rho)
     w_rho, _ = herm_eig(rho)
-    if w_rho[-1] < -_PSD_CLAMP:
-        raise NotPSDError(f"state has eigenvalue {w_rho[-1]:.3e}")
+    lowest = w_rho[..., -1].min()
+    if lowest < -_PSD_CLAMP:
+        raise NotPSDError(f"state has eigenvalue {lowest:.3e}")
     proj = pure_to_density(bell_state(target))
     eye = np.eye(4)
 
-    def fid(x: float) -> float:
+    def fid(x: np.ndarray):
+        x = x[..., None, None]
         return fidelity(rho, x * proj + (1.0 - x) / 4.0 * eye)
 
-    a, b = _X_LO, _X_HI
+    a = np.full(rho.shape[:-2], _X_LO)
+    b = np.full(rho.shape[:-2], _X_HI)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fid(c), fid(d)
-    while b - a > 1e-5:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fid(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fid(d)
+    while True:
+        active = b - a > 1e-5
+        if not active.any():
+            break
+        # Where fc >= fd the maximum lies in [a, d]: d becomes the upper end,
+        # c the upper inner point, and a new lower inner point is probed.
+        # Elsewhere the same happens mirrored on [c, b].
+        left = active & (fc >= fd)
+        right = active & ~left
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, fc, d, fd = (
+            np.where(right, d, c), np.where(right, fd, fc),
+            np.where(left, c, d), np.where(left, fc, fd),
+        )
+        step = _GOLDEN * (b - a)
+        probe = np.where(left, b - step, a + step)
+        f = fid(probe)
+        c, fc = np.where(left, probe, c), np.where(left, f, fc)
+        d, fd = np.where(right, probe, d), np.where(right, f, fd)
     x_best = 0.5 * (a + b)
-    return WernerFit(x=float(x_best), fidelity=fid(x_best), target=target)
+    return WernerFit(x=_scalar(x_best), fidelity=fid(x_best), target=target)
 
 
 @dataclass(frozen=True)
@@ -150,17 +176,17 @@ def _analyzer_operator(theta_deg: float) -> np.ndarray:
     return polarimetry.projector(theta_deg) - polarimetry.projector(theta_deg + 90.0)
 
 
-def chsh_value(rho: np.ndarray, angles: ChshAngles = DEFAULT_ANGLES) -> float:
+def chsh_value(rho: np.ndarray, angles: ChshAngles = DEFAULT_ANGLES):
     """CHSH combination ``S = E(t1,t2) + E(t1',t2) + E(t1,t2') - E(t1',t2')``
-    evaluated exactly on a two-photon state."""
+    evaluated exactly on a two-photon state, or on each state of a stack."""
     rho = check_hermitian(rho)
     t1, t1p, t2, t2p = angles.as_tuple()
 
     def corr(a, b):
         op = kron(_analyzer_operator(a), _analyzer_operator(b))
-        return float(np.trace(rho @ op).real)
+        return np.trace(rho @ op, axis1=-2, axis2=-1).real
 
-    return corr(t1, t2) + corr(t1p, t2) + corr(t1, t2p) - corr(t1p, t2p)
+    return _scalar(corr(t1, t2) + corr(t1p, t2) + corr(t1, t2p) - corr(t1p, t2p))
 
 
 def chsh_schedule(angles: ChshAngles = DEFAULT_ANGLES) -> list:

@@ -137,11 +137,15 @@ class CoincidenceRecord:
         return self.accidental_rate * self.duration
 
 
-def poisson_sample(rng: np.random.Generator, mean: float) -> int:
-    """One Poisson draw of the given mean."""
-    if mean < 0.0:
-        raise OutOfRangeError(f"Poisson mean {mean} is negative")
-    return int(rng.poisson(mean))
+def poisson_sample(rng: np.random.Generator, mean):
+    """One Poisson draw of the given mean, or an integer array of draws of an
+    array of means.  An array is drawn in C order with one generator call, so
+    it holds the values that scalar draws of its means, one after another,
+    would give."""
+    try:
+        return rng.poisson(mean)  # an int for a scalar mean
+    except ValueError as exc:  # a negative, NaN or too large mean
+        raise OutOfRangeError(f"Poisson mean out of range: {exc}") from None
 
 
 def simulate_counts(

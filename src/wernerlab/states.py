@@ -126,6 +126,8 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     ``OutOfRangeError`` (trace) or ``NotPSDError``.
     """
     rho = check_hermitian(rho)
+    if rho.ndim != 2:
+        raise NonHermitianError(f"expected one matrix, got shape {rho.shape}")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > _HERMITICITY_TOL:
         raise OutOfRangeError(f"trace is {tr.real:.10f}, expected 1")

@@ -7,6 +7,7 @@ by accelerated projected gradient over the density matrices.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import (
     UnknownLabelError,
     UnphysicalStateError,
 )
-from .qlinalg import herm_eig, kron
+from .qlinalg import _scalar, herm_eig, kron
 from .states import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _N_PARAMS = 16
@@ -32,26 +33,25 @@ _FTOL = 1e-9  # cost gain at which a stationary search stops
 _PAULI_OPS = np.array([kron(a, b) for a in PAULIS for b in PAULIS]) / 4.0
 
 
-def _normalization(records) -> float:
+def _normalization(records, counts=None):
     """Total pair flux: the summed counts of the (HH, HV, VV, VH) block less
-    their expected accidentals."""
-    totals = {pair: None for pair in polarimetry.NORMALIZATION_BLOCK}
-    accidentals = 0.0
-    for r in records:
-        key = (r.setting.arm1, r.setting.arm2)
-        if key in totals:
-            totals[key] = (totals[key] or 0) + r.count
-            accidentals += r.accidentals
-    if any(v is None for v in totals.values()):
+    their expected accidentals.  ``counts`` replaces the records' counts; an
+    ``(R, n)`` stack of counts of the ``n`` records gives one flux per row."""
+    if counts is None:
+        counts = [r.count for r in records]
+    keys = [(r.setting.arm1, r.setting.arm2) for r in records]
+    if not set(polarimetry.NORMALIZATION_BLOCK) <= set(keys):
         raise EmptyDataError(
             "records do not contain the HH/HV/VV/VH normalization block"
         )
-    n = float(sum(totals.values())) - accidentals
-    if n <= 0.0:
+    block = [key in polarimetry.NORMALIZATION_BLOCK for key in keys]
+    accidentals = sum(r.accidentals for r, in_block in zip(records, block) if in_block)
+    n = np.asarray(counts)[..., block].sum(axis=-1) - accidentals
+    if (n <= 0.0).any():
         raise EmptyDataError(
             "normalization block counts do not exceed their expected accidentals"
         )
-    return n
+    return _scalar(n)
 
 
 def _accidentals(records) -> np.ndarray:
@@ -75,6 +75,33 @@ def _check_record_count(records) -> None:
         raise SingularSystemError(
             f"linear inversion needs exactly 16 settings, got {len(records)}"
         )
+
+
+def _design(proj) -> np.ndarray:
+    """The real 16x16 matrix mapping Stokes parameters to the probabilities
+    of the settings of ``proj``; raises if it is not invertible."""
+    design = (proj @ _PAULI_OPS.reshape(16, -1).T).real
+    if np.linalg.cond(design) > _COND_LIMIT:
+        raise SingularSystemError(
+            "the measurement settings are informationally incomplete"
+        )
+    return design
+
+
+def _invert(design, probs):
+    """Linear inversion of a vector of setting probabilities, or of each row
+    of an ``(R, 16)`` stack: ``(stokes, rho, lowest eigenvalue)``.
+
+    The stack takes one solve, with the rows as right-hand sides, and one
+    stacked eigendecomposition; each row gives the values it gives alone.
+    """
+    stokes = np.linalg.solve(design, probs.T).T
+    # matmul, not tensordot, so a stack gives the same values as one vector
+    rho = np.matmul(stokes[..., None, :], _PAULI_OPS.reshape(16, -1))
+    rho = rho.reshape(*stokes.shape[:-1], 4, 4)
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    w, _ = herm_eig(rho)
+    return stokes, rho, w[..., -1]
 
 
 @dataclass(frozen=True)
@@ -103,20 +130,10 @@ class LinearInversion:
 
     def _fit(self, records, proj, n_total):
         """Fit 16 records given their projector stack and pair flux."""
-        design = (proj @ _PAULI_OPS.reshape(16, -1).T).real
-        if np.linalg.cond(design) > _COND_LIMIT:
-            raise SingularSystemError(
-                "the measurement settings are informationally incomplete"
-            )
         counts = np.array([r.count for r in records], dtype=float)
         probs = (counts - _accidentals(records)) / n_total
-        stokes = np.linalg.solve(design, probs)
-        rho = np.tensordot(stokes, _PAULI_OPS, 1)
-        rho = 0.5 * (rho + rho.conj().T)
-        w, _ = herm_eig(rho)
-        self.stokes_ = stokes
-        self.matrix_ = rho
-        self.min_eigenvalue_ = float(w[-1])
+        self.stokes_, self.matrix_, lowest = _invert(_design(proj), probs)
+        self.min_eigenvalue_ = float(lowest)
         self.n_total_ = n_total
         return self
 
@@ -381,37 +398,50 @@ def bootstrap_errors(
     target: str = "phi-minus",
     angles: analysis.ChshAngles | None = None,
 ) -> dict:
-    """Bootstrap uncertainties of the derived state metrics.
+    """Bootstrap uncertainties of the derived state metrics, in one stacked
+    pass over the replicas.
 
-    Each replica redraws every count with :func:`polarimetry.poisson_sample`
-    at the observed count as mean, keeps every other record field such as
-    the accidental rate, re-runs the maximum-likelihood reconstruction
-    exactly as for the original data, and recomputes the metrics.  Returns
-    the sample standard deviation of each metric over the replicas, and
-    under ``"nonconverged"`` the number of replicas whose maximum-likelihood
-    search did not converge (their metrics are still used).
+    One :func:`polarimetry.poisson_sample` call redraws every count of every
+    replica at the observed count as mean, with the values that drawing
+    replica after replica would give; every other record field, such as the
+    accidental rate, is kept.  Each replica is reconstructed as
+    :func:`mle_reconstruct` reconstructs the original data: one linear solve
+    inverts all replicas, a physical inversion is the maximum-likelihood
+    state as it stands, and only the replicas with a negative eigenvalue run
+    the maximum-likelihood search.  The metrics of all replicas are computed
+    on the stack.  Returns the sample standard deviation of each metric over
+    the replicas, and under ``"nonconverged"`` the number of replicas whose
+    maximum-likelihood search did not converge (their metrics are still
+    used).
     """
+    if isinstance(n_replicas, bool) or not isinstance(n_replicas, numbers.Integral):
+        raise OutOfRangeError(f"bootstrap replicas must be an integer, got {n_replicas!r}")
     if n_replicas < 2:
         raise OutOfRangeError("bootstrap needs at least 2 replicas")
     if angles is None:
         angles = analysis.angles_for_target(target)
     rng = np.random.Generator(np.random.PCG64(seed))
-    samples = {k: [] for k in ("x", "fidelity", "linear_entropy", "tangle", "chsh_s")}
+    observed = np.array([float(r.count) for r in records])
+    counts = polarimetry.poisson_sample(rng, np.broadcast_to(observed, (n_replicas, observed.size)))
+    n_total = _normalization(records, counts)
+    proj = _projector_stack([r.setting for r in records])
+    _check_record_count(records)
+    probs = (counts - _accidentals(records)) / n_total[:, None]
+    _, rho, lowest = _invert(_design(proj), probs)
     nonconverged = 0
-    for _ in range(n_replicas):
-        redrawn = [
-            replace(r, count=polarimetry.poisson_sample(rng, float(r.count)))
-            for r in records
-        ]
+    for i in np.flatnonzero(lowest < 0.0):
+        redrawn = [replace(r, count=int(c)) for r, c in zip(records, counts[i])]
         result = mle_reconstruct(redrawn)
+        rho[i] = result.rho
         nonconverged += not result.converged
-        rho = result.rho
-        fit = analysis.fit_werner(rho, target=target)
-        samples["x"].append(fit.x)
-        samples["fidelity"].append(fit.fidelity)
-        samples["linear_entropy"].append(analysis.linear_entropy(rho))
-        samples["tangle"].append(analysis.tangle(rho))
-        samples["chsh_s"].append(analysis.chsh_value(rho, angles))
+    fit = analysis.fit_werner(rho, target=target)
+    samples = {
+        "x": fit.x,
+        "fidelity": fit.fidelity,
+        "linear_entropy": analysis.linear_entropy(rho),
+        "tangle": analysis.tangle(rho),
+        "chsh_s": analysis.chsh_value(rho, angles),
+    }
     stds = {k: float(np.std(v, ddof=1)) for k, v in samples.items()}
     stds["nonconverged"] = nonconverged
     return stds

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wernerlab.errors import NonHermitianError, NotPSDError
-from wernerlab import qlinalg
+from wernerlab import analysis, qlinalg
 from wernerlab.qlinalg import (
     check_hermitian,
     check_square,
@@ -137,3 +137,43 @@ def test_tolerance_defaults():
     psd_sqrt(np.diag([1.0, -5e-10]).astype(complex))
     with pytest.raises(NotPSDError):
         psd_sqrt(np.diag([1.0, -5e-9]).astype(complex))
+
+
+def _nan_matrix():
+    return np.full((4, 4), np.nan)
+
+
+def _inf_entry():
+    m = np.eye(4) / 4.0
+    m[1, 2] = m[2, 1] = np.inf
+    return m
+
+
+def _nan_imaginary_part():
+    m = (np.eye(4) / 4.0).astype(complex)
+    m[3, 3] = complex(0.25, np.nan)
+    return m
+
+
+# inf - inf in the Hermiticity check makes numpy warn before the refusal
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [_nan_matrix, _inf_entry, _nan_imaginary_part])
+@pytest.mark.parametrize(
+    "func",
+    [
+        check_hermitian,
+        herm_eig,
+        lambda m: analysis.fidelity(m, np.eye(4) / 4.0),
+        lambda m: analysis.fidelity(np.eye(4) / 4.0, m),
+        analysis.fit_werner,
+        analysis.linear_entropy,
+        analysis.chsh_value,
+    ],
+    ids=["check_hermitian", "herm_eig", "fidelity", "fidelity-second",
+         "fit_werner", "linear_entropy", "chsh_value"],
+)
+def test_non_finite_entries_are_refused(func, bad):
+    with pytest.raises(NonHermitianError, match="non-finite"):
+        func(bad())
+    with pytest.raises(NonHermitianError, match="non-finite"):
+        func(np.stack([np.eye(4) / 4.0, bad()]))

@@ -138,6 +138,8 @@ def test_check_density_matrix_rejects_bad_inputs():
         check_density_matrix(np.eye(4))  # trace 4
     with pytest.raises(NotPSDError):
         check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+    with pytest.raises(NonHermitianError):  # one state, not a stack
+        check_density_matrix(np.stack([np.eye(4) / 4.0] * 2))
 
 
 def test_density_matrix_json_roundtrip(rng):

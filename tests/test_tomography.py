@@ -400,7 +400,9 @@ def test_single_qubit_reconstruct_error_paths():
 
 def keep_counts(monkeypatch):
     """Make every bootstrap redraw return its mean, the observed count."""
-    monkeypatch.setattr(polarimetry, "poisson_sample", lambda rng, mean: int(mean))
+    monkeypatch.setattr(
+        polarimetry, "poisson_sample", lambda rng, mean: np.asarray(mean, dtype=int)
+    )
 
 
 def test_bootstrap_identity_resampler_gives_zero_spread(monkeypatch):
@@ -414,20 +416,28 @@ def test_bootstrap_identity_resampler_gives_zero_spread(monkeypatch):
 
 
 def test_bootstrap_replicas_keep_accidental_rate(monkeypatch):
+    # Replicas are reconstructed on the stack, so the property is checked on
+    # the reconstructed states: with the counts kept, every replica must be
+    # the maximum-likelihood state of the original records, accidental rate
+    # included, and not that of the same counts without accidentals.
     recs = simulate_counts(werner_phi_minus(0.801), SCHEDULE, SourceConfig(seed=0))
     replicas = []
-    real = tomography.mle_reconstruct
+    real = tomography.analysis.linear_entropy
 
-    def spy(records, **params):
-        replicas.append(records)
-        return real(records, **params)
+    def spy(rho):
+        replicas.append(rho)
+        return real(rho)
 
-    monkeypatch.setattr(tomography, "mle_reconstruct", spy)
+    monkeypatch.setattr(tomography.analysis, "linear_entropy", spy)
     keep_counts(monkeypatch)
     bootstrap_errors(recs, n_replicas=2)
-    assert len(replicas) == 2
-    for redrawn in replicas:
-        assert redrawn == recs
+    expected = mle_reconstruct(recs).rho
+    no_accidentals = [dataclasses.replace(r, accidental_rate=0.0) for r in recs]
+    assert not np.allclose(mle_reconstruct(no_accidentals).rho, expected, atol=1e-6)
+    (stack,) = replicas
+    assert len(stack) == 2
+    for rho in stack:
+        assert np.array_equal(rho, expected)
 
 
 def test_bootstrap_errors_reasonable_scale():
@@ -465,3 +475,12 @@ def test_bootstrap_needs_replicas():
     )
     with pytest.raises(OutOfRangeError):
         bootstrap_errors(recs, n_replicas=1)
+
+
+@pytest.mark.parametrize("n_replicas", [3.0, True, "3", None])
+def test_bootstrap_refuses_a_replica_count_that_is_not_an_integer(n_replicas):
+    recs = simulate_counts(
+        werner_phi_minus(0.801), SCHEDULE, SourceConfig(seed=0)
+    )
+    with pytest.raises(OutOfRangeError):
+        bootstrap_errors(recs, n_replicas=n_replicas)
