@@ -96,8 +96,9 @@ def fit_werner(rho: np.ndarray, target: str = "phi-minus") -> WernerFit:
 
     A ``(..., 4, 4)`` stack runs the sections of all its states in lockstep,
     with one stacked fidelity evaluation per step.  Each section follows its
-    own comparisons and stops at its own width, so every state gets the
-    values it gets alone.
+    own comparisons; every section starts on the same interval and shrinks
+    by the same factor, so all of them reach the width 1e-5 on the same step
+    (the 25th), and every state gets the values it gets alone.
     """
     rho = check_hermitian(rho)
     w_rho, _ = herm_eig(rho)
@@ -116,25 +117,18 @@ def fit_werner(rho: np.ndarray, target: str = "phi-minus") -> WernerFit:
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fid(c), fid(d)
-    while True:
-        active = b - a > 1e-5
-        if not active.any():
-            break
+    while (b - a > 1e-5).any():
         # Where fc >= fd the maximum lies in [a, d]: d becomes the upper end,
         # c the upper inner point, and a new lower inner point is probed.
         # Elsewhere the same happens mirrored on [c, b].
-        left = active & (fc >= fd)
-        right = active & ~left
-        a, b = np.where(right, c, a), np.where(left, d, b)
-        c, fc, d, fd = (
-            np.where(right, d, c), np.where(right, fd, fc),
-            np.where(left, c, d), np.where(left, fc, fd),
-        )
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
         step = _GOLDEN * (b - a)
         probe = np.where(left, b - step, a + step)
         f = fid(probe)
-        c, fc = np.where(left, probe, c), np.where(left, f, fc)
-        d, fd = np.where(right, probe, d), np.where(right, f, fd)
+        c, fc = np.where(left, probe, kept), np.where(left, f, f_kept)
+        d, fd = np.where(left, kept, probe), np.where(left, f_kept, f)
     x_best = 0.5 * (a + b)
     return WernerFit(x=_scalar(x_best), fidelity=fid(x_best), target=target)
 

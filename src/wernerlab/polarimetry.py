@@ -65,21 +65,31 @@ class AnalyzerSetting:
         return kron(projector(self.arm1), projector(self.arm2))
 
 
+def _projector_stack(settings) -> np.ndarray:
+    """Rows ``settings[i].projector().T.ravel()`` of all one- or all two-photon
+    settings: ``stack @ rho.ravel()`` is each ``tr(rho P)`` (complex)."""
+    return np.array([s.projector().T.ravel() for s in settings])
+
+
+def _born_probabilities(rho: np.ndarray, settings) -> np.ndarray:
+    """Detection probability of each setting on a one- or two-photon state,
+    read from the projector stack."""
+    rho = check_hermitian(rho)
+    if rho.shape not in ((2, 2), (4, 4)):
+        raise OutOfRangeError(f"expected a 2x2 or 4x4 state, got shape {rho.shape}")
+    if any((s.arm2 is None) == (rho.shape == (4, 4)) for s in settings):
+        raise UnknownLabelError("a setting needs one analyzer arm per photon of the state")
+    # the reshape gives an empty schedule its (0, n) shape
+    p = (_projector_stack(settings).reshape(-1, rho.size) @ rho.ravel()).real
+    bad = p[(p < -1e-8) | (p > 1.0 + 1e-8)]
+    if bad.size:
+        raise OutOfRangeError(f"Born probability {bad[0]:.3e} outside [0, 1]")
+    return np.clip(p, 0.0, 1.0)
+
+
 def born_probability(rho: np.ndarray, setting: AnalyzerSetting) -> float:
     """Detection probability of a setting on a one- or two-photon state."""
-    rho = check_hermitian(rho)
-    if rho.shape == (4, 4):
-        if setting.arm2 is None:
-            raise UnknownLabelError("a two-photon state needs both analyzer arms")
-    elif rho.shape == (2, 2):
-        if setting.arm2 is not None:
-            raise UnknownLabelError("a one-photon state takes a single analyzer arm")
-    else:
-        raise OutOfRangeError(f"expected a 2x2 or 4x4 state, got shape {rho.shape}")
-    p = float(np.trace(rho @ setting.projector()).real)
-    if p < -1e-8 or p > 1.0 + 1e-8:
-        raise OutOfRangeError(f"Born probability {p:.3e} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
+    return float(_born_probabilities(rho, [setting])[0])
 
 
 def tomographic_settings() -> list[AnalyzerSetting]:
@@ -157,21 +167,20 @@ def simulate_counts(
     """Simulate coincidence counts for each setting.
 
     Each count is Poisson with mean ``pair_rate * duration * p + accidental_rate
-    * duration`` where ``p`` is the Born probability.  With ``exact=True`` the
-    rounded mean is returned instead of a random draw.  Every record carries
-    the configured accidental rate.
+    * duration`` where ``p`` is the Born probability, read for the whole
+    schedule from one projector-stack product; one :func:`poisson_sample`
+    call draws all counts.  With ``exact=True`` the mean rounded half to even
+    is returned instead.  Every record carries the configured accidental rate.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     floor = config.accidental_rate * config.duration
     flux = config.pair_rate * config.duration
-    records = []
-    for setting in settings:
-        mean = flux * born_probability(rho, setting) + floor
-        count = int(round(mean)) if exact else poisson_sample(rng, mean)
-        records.append(
-            CoincidenceRecord(setting, config.duration, count, config.accidental_rate)
-        )
-    return records
+    means = flux * _born_probabilities(rho, settings) + floor
+    counts = np.rint(means) if exact else poisson_sample(rng, means)
+    return [
+        CoincidenceRecord(setting, config.duration, int(count), config.accidental_rate)
+        for setting, count in zip(settings, counts)
+    ]
 
 
 def correlation_E(quad: list[CoincidenceRecord]) -> float:

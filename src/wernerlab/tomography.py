@@ -27,6 +27,7 @@ _N_PARAMS = 16
 _COND_LIMIT = 1e10  # largest condition number of an invertible design
 _PROB_FLOOR = 1e-12  # floor of a setting's probability in the likelihood
 _FTOL = 1e-9  # cost gain at which a stationary search stops
+_MAX_EVALS = 100_000  # cost evaluations after which a search stops unconverged
 
 
 # The 16 two-photon Pauli products over 4, in the order of the Stokes vector.
@@ -59,15 +60,11 @@ def _accidentals(records) -> np.ndarray:
     return np.array([r.accidentals for r in records], dtype=float)
 
 
-def _projector_stack(settings) -> np.ndarray:
-    """One row per two-photon setting, such that ``stack @ rho.ravel()`` is
-    the vector of ``tr(rho P)`` (complex, real up to round-off)."""
-    rows = []
-    for s in settings:
-        if s.arm2 is None:
-            raise UnknownLabelError("two-photon tomography needs both analyzer arms")
-        rows.append(s.projector().T.ravel())
-    return np.array(rows)
+def _two_photon_stack(settings) -> np.ndarray:
+    """The projector stack of two-photon settings; a one-photon one raises."""
+    if any(s.arm2 is None for s in settings):
+        raise UnknownLabelError("two-photon tomography needs both analyzer arms")
+    return polarimetry._projector_stack(settings)
 
 
 def _check_record_count(records) -> None:
@@ -126,7 +123,7 @@ class LinearInversion:
     def fit(self, records):
         _check_record_count(records)
         n_total = _normalization(records)
-        return self._fit(records, _projector_stack([r.setting for r in records]), n_total)
+        return self._fit(records, _two_photon_stack([r.setting for r in records]), n_total)
 
     def _fit(self, records, proj, n_total):
         """Fit 16 records given their projector stack and pair flux."""
@@ -138,7 +135,7 @@ class LinearInversion:
         return self
 
     def predict(self, settings) -> np.ndarray:
-        return (_projector_stack(settings) @ self.matrix_.ravel()).real
+        return (_two_photon_stack(settings) @ self.matrix_.ravel()).real
 
 
 def linear_reconstruct(records) -> LinearReconstruction:
@@ -164,7 +161,7 @@ def _project_to_states(m: np.ndarray) -> np.ndarray:
     return rho / rho.trace().real
 
 
-def _projected_gradient(cost, rho, max_evals):
+def _projected_gradient(cost, rho):
     """Accelerated projected gradient (FISTA) over density matrices.
 
     ``cost(rho)`` returns the objective and its gradient as a Hermitian
@@ -177,7 +174,7 @@ def _projected_gradient(cost, rho, max_evals):
     start.  A small gain alone is no test, since a step that backtracking
     has cut to nothing gains nothing anywhere.  The search also stops,
     converged only if stationary, when a step from the best state no longer
-    lowers the cost.  At most ``max_evals`` cost evaluations are made.
+    lowers the cost.  At most ``_MAX_EVALS`` cost evaluations are made.
     Returns ``(rho, f, evals, iterations, converged, history)`` with
     ``history`` the best cost after each accepted iteration.
     """
@@ -192,7 +189,7 @@ def _projected_gradient(cost, rho, max_evals):
     evals, iterations, history = 1, 0, []
     y, fy, gy = rho, f, grad
     t, step = 1.0, 1.0
-    while evals < max_evals:
+    while evals < _MAX_EVALS:
         z = _project_to_states(y - step * gy)
         fz, gz = cost(z)
         evals += 1
@@ -217,7 +214,7 @@ def _projected_gradient(cost, rho, max_evals):
         step *= 1.25
         if beta == 0.0:
             y, fy, gy = rho, f, grad
-        elif evals < max_evals:
+        elif evals < _MAX_EVALS:
             y = rho + beta * (rho - previous)
             fy, gy = cost(y)
             evals += 1
@@ -257,8 +254,8 @@ class MaximumLikelihood:
     inversion): FISTA steps projected onto the density matrices, with
     backtracking on the step size and a momentum restart when the cost
     rises; convergence when an iteration improves the cost by less than
-    ``1e-9`` at a stationary state, and a hard cap of ``max_evals``
-    objective evaluations (at least 1).
+    ``1e-9`` at a stationary state, and a hard cap of 100,000 objective
+    evaluations.  The estimator takes no options.
     ``seed_matrix`` is only the search's starting point; records the linear
     inversion refuses (not 16 settings, or informationally incomplete) are
     searched from it.
@@ -268,11 +265,6 @@ class MaximumLikelihood:
     (``"linear"`` or ``"search"``); the linear path reports no iterations,
     one evaluation and an empty history.
     """
-
-    def __init__(self, max_evals: int = 100_000):
-        if max_evals < 1:
-            raise OutOfRangeError(f"max_evals must be at least 1, got {max_evals!r}")
-        self.max_evals = max_evals
 
     def _cost_function(self, records, proj, n_total):
         """The objective and its gradient as functions of the density
@@ -296,7 +288,7 @@ class MaximumLikelihood:
 
     def fit(self, records, seed_matrix: np.ndarray | None = None):
         n_total = _normalization(records)
-        proj = _projector_stack([r.setting for r in records])
+        proj = _two_photon_stack([r.setting for r in records])
         cost = self._cost_function(records, proj, n_total)
         linear = None
         try:
@@ -317,9 +309,7 @@ class MaximumLikelihood:
         if seed_matrix is None:
             seed_matrix = linear.matrix_
         start = _project_to_states(np.asarray(seed_matrix, dtype=complex))
-        rho, f, evals, iters, converged, history = _projected_gradient(
-            cost, start, self.max_evals
-        )
+        rho, f, evals, iters, converged, history = _projected_gradient(cost, start)
         self.rho_ = rho
         self.cost_ = f
         self.iterations_ = iters
@@ -330,16 +320,17 @@ class MaximumLikelihood:
         return self
 
     def predict(self, settings) -> np.ndarray:
-        return (_projector_stack(settings) @ self.rho_.ravel()).real
+        return (_two_photon_stack(settings) @ self.rho_.ravel()).real
 
 
-def mle_reconstruct(records, seed_matrix: np.ndarray | None = None, **params) -> MLEResult:
-    """Functional wrapper around :class:`MaximumLikelihood`.
+def mle_reconstruct(records, seed_matrix: np.ndarray | None = None) -> MLEResult:
+    """Functional wrapper around :class:`MaximumLikelihood`, which takes no
+    options.
 
     A physical linear inversion is returned as it is (``path="linear"``);
     ``seed_matrix`` only sets where the search starts when one runs.
     """
-    est = MaximumLikelihood(**params).fit(records, seed_matrix=seed_matrix)
+    est = MaximumLikelihood().fit(records, seed_matrix=seed_matrix)
     return MLEResult(
         rho=est.rho_,
         cost=est.cost_,
@@ -424,7 +415,7 @@ def bootstrap_errors(
     observed = np.array([float(r.count) for r in records])
     counts = polarimetry.poisson_sample(rng, np.broadcast_to(observed, (n_replicas, observed.size)))
     n_total = _normalization(records, counts)
-    proj = _projector_stack([r.setting for r in records])
+    proj = _two_photon_stack([r.setting for r in records])
     _check_record_count(records)
     probs = (counts - _accidentals(records)) / n_total[:, None]
     _, rho, lowest = _invert(_design(proj), probs)

@@ -247,6 +247,12 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     tomo_counts = tmp_path / "tomo_counts.json"
     assert run(["simulate", state, "--seed", 0, "--out", tomo_counts]) == 0
     assert run(["chsh", "--counts", tomo_counts, "--out", tmp_path / "o.json"]) == 2
+    # the schedule is checked before the counts: zero counts cannot turn a
+    # file that is not a CHSH run into a numerical failure (exit 3)
+    zeros = tmp_path / "zeros.json"
+    zeros.write_text(json.dumps({"duration_s": 10,
+                                 "records": [{"arm1": "H", "arm2": "V", "count": 0}] * 16}))
+    assert run(["chsh", "--counts", zeros, "--out", tmp_path / "o.json"]) == 2
     chsh_counts = tmp_path / "chsh_counts.json"
     assert run(["simulate", state, "--schedule", "chsh", "--seed", 2,
                 "--out", chsh_counts]) == 0

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from wernerlab import fixtures
+from wernerlab.analysis import chsh_schedule
 from wernerlab.errors import EmptyDataError, OutOfRangeError, UnknownLabelError
 from wernerlab.polarimetry import (
     NORMALIZATION_BLOCK,
@@ -177,6 +179,65 @@ def test_simulate_counts_scales_with_duration():
     long = simulate_counts(rho, tomographic_settings(), SourceConfig(duration=400.0, seed=0), exact=True)
     short = simulate_counts(rho, tomographic_settings(), SourceConfig(duration=100.0, seed=0), exact=True)
     assert sum(r.count for r in long) == 4 * sum(r.count for r in short)
+
+
+def _reference_counts(rho, settings, config, exact):
+    """The per-setting Born rule: ``N tr(rho P) + floor`` for each setting,
+    rounded, or drawn with one scalar Poisson draw per setting."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    flux = config.pair_rate * config.duration
+    floor = config.accidental_rate * config.duration
+    counts = []
+    for s in settings:
+        mean = flux * np.trace(rho @ s.projector()).real + floor
+        counts.append(int(round(mean)) if exact else poisson_sample(rng, mean))
+    return counts
+
+
+def _two_photon_states():
+    rng = np.random.default_rng(20240817)
+    states = [pytest.param(werner_phi_minus(x), id=f"werner-{x}") for x in (0.0, 0.405, 0.801, 1.0)]
+    states += [pytest.param(fixtures.load(name), id=name) for name in fixtures.FIXTURE_NAMES]
+    states += [
+        pytest.param(random_density(rng, rank=r), id=f"ginibre-rank-{r}") for r in (1, 2, 3, 4)
+    ]
+    return states
+
+
+def _reduced(rho):
+    """The one-photon state of the first arm."""
+    return np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("rho", _two_photon_states())
+def test_simulate_counts_equals_the_per_setting_born_rule(rho, exact):
+    # one projector-stack product and one Poisson draw per schedule give the
+    # counts of one trace and one draw per setting, bit for bit
+    schedules = [
+        (rho, tomographic_settings()),
+        (rho, chsh_schedule()),
+        (_reduced(rho), [AnalyzerSetting(label) for label in "HVDR"]),
+    ]
+    for seed in range(10):
+        config = SourceConfig(seed=seed)
+        for state, settings in schedules:
+            records = simulate_counts(state, settings, config, exact=exact)
+            assert [r.setting for r in records] == settings
+            counts = [r.count for r in records]
+            assert all(type(c) is int for c in counts)
+            assert counts == _reference_counts(state, settings, config, exact)
+
+
+def test_simulate_counts_empty_and_mixed_schedules():
+    rho = werner_phi_minus(0.801)
+    assert simulate_counts(rho, [], SourceConfig()) == []
+    assert simulate_counts(rho, [], SourceConfig(), exact=True) == []
+    mixed = tomographic_settings()[:4] + [AnalyzerSetting("H")]
+    with pytest.raises(UnknownLabelError):
+        simulate_counts(rho, mixed, SourceConfig())
+    with pytest.raises(UnknownLabelError):
+        simulate_counts(_reduced(rho), mixed[::-1], SourceConfig())
 
 
 def test_correlation_from_counts():

@@ -5,10 +5,13 @@ Each example draws a seed and a rank; the state is ``G G^dag / tr`` with
 states with exact zero eigenvalues.
 """
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wernerlab import tomography
 from wernerlab.analysis import ChshAngles, chsh_value, concurrence, fidelity
 from wernerlab.polarimetry import SourceConfig, simulate_counts, tomographic_settings
 from wernerlab.qlinalg import herm_eig
@@ -58,7 +61,8 @@ def test_mle_output_is_a_density_matrix(seed, rank):
     # boundary-state searches short.
     rho = ginibre_state(seed, rank)
     records = simulate_counts(rho, tomographic_settings(), SourceConfig(seed=seed))
-    out = mle_reconstruct(records, max_evals=2000).rho
+    with patch.object(tomography, "_MAX_EVALS", 2000):
+        out = mle_reconstruct(records).rho
     np.testing.assert_allclose(out, out.conj().T, atol=1e-15)
     assert abs(np.trace(out).real - 1.0) < 1e-12
     assert np.linalg.eigvalsh(out).min() > -1e-12
@@ -71,7 +75,8 @@ def test_mle_returns_a_physical_linear_inversion(seed, rank):
         ginibre_state(seed, rank), tomographic_settings(), SourceConfig(seed=seed)
     )
     linear = linear_reconstruct(records)
-    est = MaximumLikelihood(max_evals=2000).fit(records)
+    with patch.object(tomography, "_MAX_EVALS", 2000):
+        est = MaximumLikelihood().fit(records)
     assert est.n_evaluations_ <= 2000
     if linear.min_eigenvalue >= 0.0:
         assert est.path_ == "linear"

@@ -86,6 +86,24 @@ def test_linear_inversion_missing_normalization_block():
         LinearInversion().fit(broken)
 
 
+def test_estimators_refuse_one_photon_records():
+    # the normalization block and twelve one-photon records: 16 records with
+    # a valid flux, which only the two-photon check refuses
+    block = exact_records(werner_phi_minus(0.5))[:4]
+    singles = [
+        CoincidenceRecord(AnalyzerSetting(label), 1.0, 1000)
+        for label in ("H", "V", "D", "A", "R", "L") * 2
+    ]
+    recs = block + singles
+    assert len(recs) == 16
+    with pytest.raises(UnknownLabelError):
+        linear_reconstruct(recs)
+    with pytest.raises(UnknownLabelError):
+        mle_reconstruct(recs)
+    with pytest.raises(UnknownLabelError):
+        bootstrap_errors(recs, n_replicas=3)
+
+
 def test_linear_inversion_duplicate_settings_singular():
     recs = exact_records(werner_phi_minus(0.5))
     dup = list(recs[:4]) + [recs[4]] * 12
@@ -239,26 +257,16 @@ def test_mle_searches_when_linear_inversion_unphysical():
 
 
 @pytest.mark.parametrize("max_evals", [50, 2000])
-def test_mle_max_evals_is_a_hard_cap(max_evals):
+def test_mle_max_evals_is_a_hard_cap(max_evals, monkeypatch):
     recs = simulate_counts(
         pure_to_density(bell_state("phi-minus")), SCHEDULE, SourceConfig(seed=0)
     )
-    est = MaximumLikelihood(max_evals=max_evals).fit(recs)
+    monkeypatch.setattr(tomography, "_MAX_EVALS", max_evals)
+    est = MaximumLikelihood().fit(recs)
     assert est.path_ == "search"
     assert est.n_evaluations_ <= max_evals
     # 50 evaluations stop the search early; 2000 let it converge
     assert est.converged_ == (est.n_evaluations_ < max_evals) == (max_evals == 2000)
-
-
-@pytest.mark.parametrize("max_evals", [0, -5])
-def test_mle_rejects_a_budget_below_one_evaluation(max_evals):
-    recs = simulate_counts(
-        pure_to_density(bell_state("phi-minus")), SCHEDULE, SourceConfig(seed=0)
-    )
-    with pytest.raises(OutOfRangeError):
-        MaximumLikelihood(max_evals=max_evals).fit(recs)
-    with pytest.raises(OutOfRangeError):
-        mle_reconstruct(recs, max_evals=max_evals)
 
 
 def test_mle_collapsed_step_is_not_convergence(monkeypatch):
@@ -280,7 +288,8 @@ def test_mle_collapsed_step_is_not_convergence(monkeypatch):
     recs = simulate_counts(
         pure_to_density(bell_state("phi-minus")), SCHEDULE, SourceConfig(seed=0)
     )
-    est = MaximumLikelihood(max_evals=500).fit(recs)
+    monkeypatch.setattr(tomography, "_MAX_EVALS", 500)
+    est = MaximumLikelihood().fit(recs)
     assert est.path_ == "search"
     assert est.n_evaluations_ <= 500
     assert not est.converged_
@@ -460,10 +469,7 @@ def test_bootstrap_counts_nonconverged_replicas(monkeypatch):
     )
     keep_counts(monkeypatch)
     assert bootstrap_errors(recs, n_replicas=2)["nonconverged"] == 0
-    real = tomography.mle_reconstruct
-    monkeypatch.setattr(
-        tomography, "mle_reconstruct", lambda records: real(records, max_evals=50)
-    )
+    monkeypatch.setattr(tomography, "_MAX_EVALS", 50)
     capped = bootstrap_errors(recs, n_replicas=3)
     assert type(capped["nonconverged"]) is int
     assert capped["nonconverged"] == 3
