@@ -9,7 +9,7 @@ import numpy as np
 
 from . import polarimetry
 from .errors import EmptyDataError, NotPSDError, OutOfRangeError
-from .qlinalg import _PSD_CLAMP, _scalar, check_hermitian, herm_eig, kron, psd_sqrt
+from .qlinalg import _PSD_CLAMP, _scalar, check_hermitian, kron, psd_sqrt
 from .states import SIGMA_Y, bell_state, pure_to_density
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -18,15 +18,14 @@ _X_LO = -1.0 / 3.0
 _X_HI = 1.0
 
 
-def _root_spectrum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Descending square roots of the spectrum of ``sqrt(b) a sqrt(b)``, the
-    kernel of both the fidelity and the concurrence; ``a`` and ``b`` may be
-    stacks that broadcast against each other."""
-    sb = psd_sqrt(b)
+def _root_spectrum(a: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Descending square roots of the spectrum of ``root a root``, the kernel
+    of both the fidelity and the concurrence; ``root`` is the square root of
+    a state, and ``a`` and ``root`` may be stacks that broadcast."""
     # The descending eigenvalues herm_eig would give, without its check and
-    # eigenvector phase fix: ``a`` and ``b`` are checked, and only the
+    # eigenvector phase fix: ``a`` and ``root`` are checked, and only the
     # spectrum is used.
-    w = np.linalg.eigh(sb @ a @ sb)[0][..., ::-1]
+    w = np.linalg.eigh(root @ a @ root)[0][..., ::-1]
     lowest = w[..., -1].min()
     if lowest < -_PSD_CLAMP:
         raise NotPSDError(f"fidelity argument has eigenvalue {lowest:.3e}")
@@ -37,11 +36,15 @@ def _root_spectrum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(w)
 
 
+def _fidelity(a: np.ndarray, root: np.ndarray):
+    """Fidelity of ``a`` and the state whose square root is ``root``."""
+    return _scalar(np.minimum(np.square(np.sum(_root_spectrum(a, root), axis=-1)), 1.0))
+
+
 def fidelity(a: np.ndarray, b: np.ndarray):
     """Uhlmann fidelity ``(tr sqrt(sqrt(b) a sqrt(b)))**2`` of two states, or
     the array of fidelities of two ``(..., 4, 4)`` stacks that broadcast."""
-    a = check_hermitian(a)
-    return _scalar(np.minimum(np.square(np.sum(_root_spectrum(a, b), axis=-1)), 1.0))
+    return _fidelity(check_hermitian(a), psd_sqrt(b))
 
 
 def linear_entropy(rho: np.ndarray):
@@ -63,7 +66,7 @@ def concurrence(rho: np.ndarray):
     """
     rho = check_hermitian(rho)
     flip = kron(SIGMA_Y, SIGMA_Y)
-    lam = _root_spectrum(flip @ rho.conj() @ flip, rho)
+    lam = _root_spectrum(flip @ rho.conj() @ flip, psd_sqrt(rho))
     return _scalar(np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]))
 
 
@@ -92,7 +95,10 @@ def fit_werner(rho: np.ndarray, target: str = "phi-minus") -> WernerFit:
     family ``sigma(x) = x*|t><t| + (1-x)/4 * I`` is affine in ``x``, and the
     root fidelity ``sqrt(F(rho, sigma))`` is concave in ``sigma`` (Uhlmann),
     so ``F`` along the family has a single maximum on the interval (or a
-    flat top of equal values).
+    flat top of equal values).  The fidelity is symmetric (Jozsa, J. Mod.
+    Opt. 41, 2315 (1994)), so each step evaluates ``F(sigma(x), rho)`` on
+    the one square root of ``rho`` taken before the search; a state with an
+    eigenvalue below ``-1e-9`` raises :class:`NotPSDError` there.
 
     A ``(..., 4, 4)`` stack runs the sections of all its states in lockstep,
     with one stacked fidelity evaluation per step.  Each section follows its
@@ -100,20 +106,16 @@ def fit_werner(rho: np.ndarray, target: str = "phi-minus") -> WernerFit:
     by the same factor, so all of them reach the width 1e-5 on the same step
     (the 25th), and every state gets the values it gets alone.
     """
-    rho = check_hermitian(rho)
-    w_rho, _ = herm_eig(rho)
-    lowest = w_rho[..., -1].min()
-    if lowest < -_PSD_CLAMP:
-        raise NotPSDError(f"state has eigenvalue {lowest:.3e}")
+    root = psd_sqrt(rho)
     proj = pure_to_density(bell_state(target))
     eye = np.eye(4)
 
     def fid(x: np.ndarray):
         x = x[..., None, None]
-        return fidelity(rho, x * proj + (1.0 - x) / 4.0 * eye)
+        return _fidelity(x * proj + (1.0 - x) / 4.0 * eye, root)
 
-    a = np.full(rho.shape[:-2], _X_LO)
-    b = np.full(rho.shape[:-2], _X_HI)
+    a = np.full(root.shape[:-2], _X_LO)
+    b = np.full(root.shape[:-2], _X_HI)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fid(c), fid(d)

@@ -39,6 +39,7 @@ _NUMERICAL_ERRORS = (
     DegenerateDiagonalError,
 )
 _INPUT_ERRORS = (WernerlabError, ValueError, KeyError, OSError)
+_MAX_GRID_POINTS = 10**6  # largest decohere-curve grid, about 20 MB of CSV
 
 
 def _write_text(path: str, text: str) -> None:
@@ -106,8 +107,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"--grid needs finite start, stop and step, got {text!r}")
     if step <= 0.0 or stop < start:
         raise ValueError(f"--grid must satisfy stop >= start and step > 0, got {text!r}")
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(n)
+    n = np.floor((stop - start) / step + 1e-9) + 1
+    if not n <= _MAX_GRID_POINTS:  # also refuses an infinite count
+        raise ValueError(f"--grid has {n:,.0f} points, more than {_MAX_GRID_POINTS:,}")
+    return start + step * np.arange(int(n))
 
 
 def _angles_arg(args) -> analysis.ChshAngles:

@@ -1,6 +1,6 @@
 """Two-photon state reconstruction from coincidence counts.
 
-Two estimators with ``fit`` and ``predict`` are provided: a direct linear
+Two estimators with a ``fit`` method are provided: a direct linear
 (Stokes) inversion of the 16-setting schedule, and a maximum-likelihood fit
 by accelerated projected gradient over the density matrices.
 """
@@ -87,7 +87,7 @@ def _design(proj) -> np.ndarray:
 
 def _invert(design, probs):
     """Linear inversion of a vector of setting probabilities, or of each row
-    of an ``(R, 16)`` stack: ``(stokes, rho, lowest eigenvalue)``.
+    of an ``(R, 16)`` stack: ``(rho, lowest eigenvalue)``.
 
     The stack takes one solve, with the rows as right-hand sides, and one
     stacked eigendecomposition; each row gives the values it gives alone.
@@ -98,7 +98,7 @@ def _invert(design, probs):
     rho = rho.reshape(*stokes.shape[:-1], 4, 4)
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     w, _ = herm_eig(rho)
-    return stokes, rho, w[..., -1]
+    return rho, w[..., -1]
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class LinearInversion:
     over the pair flux.  The fitted matrix is Hermitian with unit trace but
     can be unphysical (negative eigenvalues) at finite counts.
 
-    Attributes after ``fit``: ``matrix_``, ``min_eigenvalue_``, ``stokes_``.
+    Attributes after ``fit``: ``matrix_``, ``min_eigenvalue_``.
     """
 
     def fit(self, records):
@@ -129,13 +129,10 @@ class LinearInversion:
         """Fit 16 records given their projector stack and pair flux."""
         counts = np.array([r.count for r in records], dtype=float)
         probs = (counts - _accidentals(records)) / n_total
-        self.stokes_, self.matrix_, lowest = _invert(_design(proj), probs)
+        self.matrix_, lowest = _invert(_design(proj), probs)
         self.min_eigenvalue_ = float(lowest)
         self.n_total_ = n_total
         return self
-
-    def predict(self, settings) -> np.ndarray:
-        return (_two_photon_stack(settings) @ self.matrix_.ravel()).real
 
 
 def linear_reconstruct(records) -> LinearReconstruction:
@@ -319,9 +316,6 @@ class MaximumLikelihood:
         self.path_ = "search"
         return self
 
-    def predict(self, settings) -> np.ndarray:
-        return (_two_photon_stack(settings) @ self.rho_.ravel()).real
-
 
 def mle_reconstruct(records, seed_matrix: np.ndarray | None = None) -> MLEResult:
     """Functional wrapper around :class:`MaximumLikelihood`, which takes no
@@ -418,7 +412,7 @@ def bootstrap_errors(
     proj = _two_photon_stack([r.setting for r in records])
     _check_record_count(records)
     probs = (counts - _accidentals(records)) / n_total[:, None]
-    _, rho, lowest = _invert(_design(proj), probs)
+    rho, lowest = _invert(_design(proj), probs)
     nonconverged = 0
     for i in np.flatnonzero(lowest < 0.0):
         redrawn = [replace(r, count=int(c)) for r, c in zip(records, counts[i])]

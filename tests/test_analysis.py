@@ -143,20 +143,33 @@ def test_fit_werner_fidelity_is_maximum(rng, rank, target):
     slack = 1e-7 if rank == 4 else 1e-5
     for x in np.linspace(-1 / 3, 1.0, 200):
         assert fidelity(rho, x * proj + (1 - x) / 4 * np.eye(4)) <= fit.fidelity + slack
+    # the fit evaluates the symmetric form F(sigma(x), rho) on one root of rho
+    sigma = fit.x * proj + (1 - fit.x) / 4 * np.eye(4)
+    assert fit.fidelity == pytest.approx(fidelity(rho, sigma), abs=1e-13)
 
 
 def test_fit_werner_makes_at_most_30_fidelity_evaluations(monkeypatch, rng):
-    calls = []
+    """Each fidelity evaluation is one call of the spectrum kernel, and the
+    whole fit takes one square root of the state, also for a stack."""
+    calls = {"_root_spectrum": 0, "psd_sqrt": 0}
 
-    def counted(a, b):
-        calls.append(1)
-        return fidelity(a, b)
+    def counted(name):
+        original = getattr(analysis, name)
 
-    monkeypatch.setattr(analysis, "fidelity", counted)
-    for rho in (random_density(rng), werner_phi_minus(1.0)):
-        calls.clear()
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(analysis, name, counted(name))
+    stack = np.array([random_density(rng, rank=r) for r in (1, 2, 3, 4)])
+    for rho in (random_density(rng), werner_phi_minus(1.0), stack):
+        calls.update({name: 0 for name in calls})
         fit_werner(rho)
-        assert 0 < len(calls) <= 30
+        assert 0 < calls["_root_spectrum"] <= 30
+        assert calls["psd_sqrt"] == 1
 
 
 def test_fit_werner_rejects_unphysical():

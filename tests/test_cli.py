@@ -239,7 +239,9 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     # bootstrap replicas resample counts, so --bootstrap needs --counts
     for n_boot in (5, -2):
         assert run(["metrics", state, "--bootstrap", n_boot, "--out", tmp_path / "o.json"]) == 2
-    assert run(["decohere-curve", "--grid", "0:inf:1", "--out", tmp_path / "o.json"]) == 2
+    # a grid too long to allocate, or whose point count overflows
+    for bad_grid in ("0:inf:1", "0:1e15:1", "0:1e300:1e-300"):
+        assert run(["decohere-curve", "--grid", bad_grid, "--out", tmp_path / "o.json"]) == 2
     for bad_spectrum in (["--fwhm", "nan"], ["--fwhm", "inf"], ["--lambda0", "nan"]):
         assert run(["decohere-curve", *bad_spectrum, "--out", tmp_path / "o.json"]) == 2
 

