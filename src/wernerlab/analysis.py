@@ -18,14 +18,11 @@ _X_LO = -1.0 / 3.0
 _X_HI = 1.0
 
 
-def _root_spectrum(a: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """Descending square roots of the spectrum of ``root a root``, the kernel
-    of both the fidelity and the concurrence; ``root`` is the square root of
-    a state, and ``a`` and ``root`` may be stacks that broadcast."""
-    # The descending eigenvalues herm_eig would give, without its check and
-    # eigenvector phase fix: ``a`` and ``root`` are checked, and only the
-    # spectrum is used.
-    w = np.linalg.eigh(root @ a @ root)[0][..., ::-1]
+def _root_spectrum(m: np.ndarray) -> np.ndarray:
+    """Descending square roots of the spectrum of ``m``, the inner matrix of
+    the fidelity or the concurrence (or a stack of them); only eigenvalues
+    are used, so ``np.linalg.eigvalsh`` reads them without eigenvectors."""
+    w = np.linalg.eigvalsh(m)[..., ::-1]
     lowest = w[..., -1].min()
     if lowest < -_PSD_CLAMP:
         raise NotPSDError(f"fidelity argument has eigenvalue {lowest:.3e}")
@@ -36,15 +33,17 @@ def _root_spectrum(a: np.ndarray, root: np.ndarray) -> np.ndarray:
     return np.sqrt(w)
 
 
-def _fidelity(a: np.ndarray, root: np.ndarray):
-    """Fidelity of ``a`` and the state whose square root is ``root``."""
-    return _scalar(np.minimum(np.square(np.sum(_root_spectrum(a, root), axis=-1)), 1.0))
+def _fidelity(m: np.ndarray):
+    """Fidelity ``(tr sqrt(m))**2`` read from the inner matrix ``m``."""
+    return _scalar(np.minimum(np.square(np.sum(_root_spectrum(m), axis=-1)), 1.0))
 
 
 def fidelity(a: np.ndarray, b: np.ndarray):
-    """Uhlmann fidelity ``(tr sqrt(sqrt(b) a sqrt(b)))**2`` of two states, or
-    the array of fidelities of two ``(..., 4, 4)`` stacks that broadcast."""
-    return _fidelity(check_hermitian(a), psd_sqrt(b))
+    """Uhlmann fidelity ``(tr sqrt(m))**2``, ``m = sqrt(b) a sqrt(b)``, of two
+    states, or the array of fidelities of two ``(..., 4, 4)`` stacks that
+    broadcast; one square root of ``b`` forms ``m``, read by its spectrum."""
+    root = psd_sqrt(b)
+    return _fidelity(root @ check_hermitian(a) @ root)
 
 
 def linear_entropy(rho: np.ndarray):
@@ -66,7 +65,8 @@ def concurrence(rho: np.ndarray):
     """
     rho = check_hermitian(rho)
     flip = kron(SIGMA_Y, SIGMA_Y)
-    lam = _root_spectrum(flip @ rho.conj() @ flip, psd_sqrt(rho))
+    root = psd_sqrt(rho)
+    lam = _root_spectrum(root @ (flip @ rho.conj() @ flip) @ root)
     return _scalar(np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]))
 
 
@@ -98,7 +98,10 @@ def fit_werner(rho: np.ndarray, target: str = "phi-minus") -> WernerFit:
     flat top of equal values).  The fidelity is symmetric (Jozsa, J. Mod.
     Opt. 41, 2315 (1994)), so each step evaluates ``F(sigma(x), rho)`` on
     the one square root of ``rho`` taken before the search; a state with an
-    eigenvalue below ``-1e-9`` raises :class:`NotPSDError` there.
+    eigenvalue below ``-1e-9`` raises :class:`NotPSDError` there.  The inner
+    matrix ``sqrt(rho) sigma(x) sqrt(rho)`` is affine in ``x`` too, so it is
+    formed at each step as ``x*A1 + (1-x)*A0`` from ``A1 = sqrt(rho) P
+    sqrt(rho)`` and ``A0 = sqrt(rho) sqrt(rho) / 4``, both taken once.
 
     A ``(..., 4, 4)`` stack runs the sections of all its states in lockstep,
     with one stacked fidelity evaluation per step.  Each section follows its
@@ -107,12 +110,12 @@ def fit_werner(rho: np.ndarray, target: str = "phi-minus") -> WernerFit:
     (the 25th), and every state gets the values it gets alone.
     """
     root = psd_sqrt(rho)
-    proj = pure_to_density(bell_state(target))
-    eye = np.eye(4)
+    a1 = root @ pure_to_density(bell_state(target)) @ root
+    a0 = root @ root / 4.0
 
     def fid(x: np.ndarray):
         x = x[..., None, None]
-        return _fidelity(x * proj + (1.0 - x) / 4.0 * eye, root)
+        return _fidelity(x * a1 + (1.0 - x) * a0)
 
     a = np.full(root.shape[:-2], _X_LO)
     b = np.full(root.shape[:-2], _X_HI)

@@ -28,6 +28,7 @@ _COND_LIMIT = 1e10  # largest condition number of an invertible design
 _PROB_FLOOR = 1e-12  # floor of a setting's probability in the likelihood
 _FTOL = 1e-9  # cost gain at which a stationary search stops
 _MAX_EVALS = 100_000  # cost evaluations after which a search stops unconverged
+_MAX_REPLICAS = 100_000  # largest bootstrap; its counts alone take 13 MB
 
 
 # The 16 two-photon Pauli products over 4, in the order of the Stokes vector.
@@ -403,6 +404,8 @@ def bootstrap_errors(
         raise OutOfRangeError(f"bootstrap replicas must be an integer, got {n_replicas!r}")
     if n_replicas < 2:
         raise OutOfRangeError("bootstrap needs at least 2 replicas")
+    if n_replicas > _MAX_REPLICAS:
+        raise OutOfRangeError(f"bootstrap takes at most {_MAX_REPLICAS} replicas, got {n_replicas}")
     if angles is None:
         angles = analysis.angles_for_target(target)
     rng = np.random.Generator(np.random.PCG64(seed))

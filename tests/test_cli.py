@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wernerlab
 from wernerlab import __version__
-from wernerlab.cli import main
+from wernerlab.cli import build_parser, main
 from wernerlab.states import density_matrix_from_json, werner_phi_minus
 
 
@@ -227,6 +232,8 @@ def test_exit_codes_for_bad_inputs(tmp_path):
 
     state = tmp_path / "state.json"
     assert run(["gen-state", "werner-phi-minus", "0.801", "--out", state]) == 0
+    tomo_counts = tmp_path / "tomo_counts.json"
+    assert run(["simulate", state, "--seed", 0, "--out", tomo_counts]) == 0
     good = read_json(state)
     bad_states = [{**good, "matrix": m} for m in (5, None, [1, 0, 0, 0])]
     bad_states += [{**good, "matrix": [[e] * 4] * 4} for e in (None, 1, float("nan"))]
@@ -239,6 +246,12 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     # bootstrap replicas resample counts, so --bootstrap needs --counts
     for n_boot in (5, -2):
         assert run(["metrics", state, "--bootstrap", n_boot, "--out", tmp_path / "o.json"]) == 2
+    # a bootstrap too large to draw is refused, not attempted
+    assert run(["metrics", state, "--counts", tomo_counts, "--bootstrap", 10**10,
+                "--out", tmp_path / "o.json"]) == 2
+    assert run(["pipeline", "--mix", 0.8, "--bootstrap", 10**11,
+                "--out-dir", tmp_path / "p"]) == 2
+    assert not (tmp_path / "p").exists()
     # a grid too long to allocate, or whose point count overflows
     for bad_grid in ("0:inf:1", "0:1e15:1", "0:1e300:1e-300"):
         assert run(["decohere-curve", "--grid", bad_grid, "--out", tmp_path / "o.json"]) == 2
@@ -246,8 +259,6 @@ def test_exit_codes_for_bad_inputs(tmp_path):
         assert run(["decohere-curve", *bad_spectrum, "--out", tmp_path / "o.json"]) == 2
 
     # chsh --counts takes only records in the order chsh_schedule gives
-    tomo_counts = tmp_path / "tomo_counts.json"
-    assert run(["simulate", state, "--seed", 0, "--out", tomo_counts]) == 0
     assert run(["chsh", "--counts", tomo_counts, "--out", tmp_path / "o.json"]) == 2
     # the schedule is checked before the counts: zero counts cannot turn a
     # file that is not a CHSH run into a numerical failure (exit 3)
@@ -282,6 +293,29 @@ def test_byte_identical_reruns(tmp_path):
     for out in (a, b):
         assert run(["simulate", state, "--seed", 7, "--out", out]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_the_one_parser_carries_no_state_between_runs(tmp_path):
+    """The parser is built once per process; each run still parses its own
+    options and writes what it writes in a fresh interpreter."""
+    assert build_parser() is build_parser()
+    chosen = ["pipeline", "--mix", 0.801, "--target", "psi-plus", "--angles", "67.5,112.5,0,45",
+              "--bootstrap", 3, "--out-dir", tmp_path / "chosen"]
+    plain = ["pipeline", "--mix", 0.801, "--out-dir", tmp_path / "plain"]
+
+    def written(out_dir):
+        return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    assert run(chosen) == 0
+    first = written(tmp_path / "chosen")
+    assert run(plain) == 0
+    argv = read_json(tmp_path / "plain" / "pipeline.manifest.json")["argv"]
+    assert run(chosen) == 0
+    assert written(tmp_path / "chosen") == first
+    path = [str(Path(wernerlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    subprocess.run([sys.executable, "-m", "wernerlab", *map(str, plain)], check=True, env=env)
+    assert read_json(tmp_path / "plain" / "pipeline.manifest.json")["argv"] == argv
 
 
 # One run per subcommand: (argv, inputs, outputs) with paths relative to the

@@ -14,7 +14,7 @@ import pytest
 from wernerlab import analysis, polarimetry, tomography
 from wernerlab.polarimetry import SourceConfig, simulate_counts, tomographic_settings
 from wernerlab.qlinalg import herm_eig, min_eigenvalue, psd_sqrt
-from wernerlab.states import werner_phi_minus
+from wernerlab.states import bell_state, pure_to_density, werner_phi_minus
 
 from conftest import random_density
 
@@ -92,6 +92,66 @@ def test_lockstep_werner_fits_equal_single_fits(target):
         assert type(single.x) is float
         assert fits.x[i] == single.x
         assert fits.fidelity[i] == single.fidelity
+
+
+FLIP = np.kron(np.array([[0.0, -1j], [1j, 0.0]]), np.array([[0.0, -1j], [1j, 0.0]]))
+EPS = np.finfo(float).eps
+
+
+def sqrtm_reference(m):
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def root_spectrum_reference(m):
+    """Descending square roots of the spectrum of ``m`` from a full ``eigh``,
+    with round-off eigenvalues zeroed as the package zeroes them, and the
+    round-off scale of a value of order 1 built from those roots: an
+    eigenvalue error of ``eps * max(1, largest)`` moves the root ``l`` by
+    about that error over ``2 l``."""
+    w = np.clip(np.linalg.eigh(m)[0][::-1], 0.0, None)
+    w[w < 1e-14 * max(1.0, w.max())] = 0.0
+    roots = np.sqrt(w)
+    return roots, EPS * max(1.0, w.max()) * np.sum(1.0 / roots[roots > 0.0])
+
+
+def fidelity_reference(a, b):
+    root = sqrtm_reference(b)
+    roots, slack = root_spectrum_reference(root @ a @ root)
+    return min(float(np.sum(roots) ** 2), 1.0), slack
+
+
+def tangle_reference(rho):
+    root = sqrtm_reference(rho)
+    lam, slack = root_spectrum_reference(root @ (FLIP @ rho.conj() @ FLIP) @ root)
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3]) ** 2, slack
+
+
+def test_spectrum_kernel_matches_a_full_eigendecomposition():
+    """The metrics read only eigenvalues; a full ``eigh`` gives the same
+    values to 1e-13, plus the round-off of a square root of a small
+    eigenvalue (5.8e-12 on the tangle of one rank-2 state whose inner matrix
+    has an eigenvalue of 1.5e-11, where both solvers are 1e-11 off the
+    exact tangle)."""
+    values = {
+        "fidelity": analysis.fidelity(STACK, WERNER),
+        "fidelity-swapped": analysis.fidelity(WERNER, STACK),
+        "tangle": analysis.tangle(STACK),
+    }
+    fits = {t: analysis.fit_werner(STACK, target=t) for t in ("phi-minus", "psi-plus")}
+    for i, rho in enumerate(STACK):
+        references = {
+            "fidelity": fidelity_reference(rho, WERNER),
+            "fidelity-swapped": fidelity_reference(WERNER, rho),
+            "tangle": tangle_reference(rho),
+        }
+        got = {key: v[i] for key, v in values.items()}
+        for target, fit in fits.items():
+            x, proj = fit.x[i], pure_to_density(bell_state(target))
+            references[target] = fidelity_reference(x * proj + (1.0 - x) / 4.0 * np.eye(4), rho)
+            got[target] = fit.fidelity[i]
+        for key, (want, slack) in references.items():
+            assert abs(got[key] - want) <= 1e-13 + slack, (i, key)
 
 
 @pytest.mark.parametrize("shape", [(7, 16), (3, 2, 16)])

@@ -464,12 +464,16 @@ def test_bootstrap_counts_nonconverged_replicas(monkeypatch):
     assert capped["nonconverged"] == 3
 
 
-def test_bootstrap_needs_replicas():
+def test_bootstrap_needs_replicas(monkeypatch):
     recs = simulate_counts(
         werner_phi_minus(0.801), SCHEDULE, SourceConfig(seed=0)
     )
     with pytest.raises(OutOfRangeError):
         bootstrap_errors(recs, n_replicas=1)
+    # a count too large to draw is refused before any count is drawn
+    monkeypatch.setattr(polarimetry, "poisson_sample", lambda *a: pytest.fail("drew counts"))
+    with pytest.raises(OutOfRangeError):
+        bootstrap_errors(recs, n_replicas=tomography._MAX_REPLICAS + 1)
 
 
 @pytest.mark.parametrize("n_replicas", [3.0, True, "3", None])
