@@ -10,7 +10,6 @@ data, non-convergence under ``--strict``).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -348,7 +347,6 @@ def _cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-@functools.cache  # one parser per process; each parse makes a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wernerlab",

@@ -1,15 +1,10 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import wernerlab
 from wernerlab import __version__
-from wernerlab.cli import build_parser, main
+from wernerlab.cli import main
 from wernerlab.states import density_matrix_from_json, werner_phi_minus
 
 
@@ -293,29 +288,6 @@ def test_byte_identical_reruns(tmp_path):
     for out in (a, b):
         assert run(["simulate", state, "--seed", 7, "--out", out]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_the_one_parser_carries_no_state_between_runs(tmp_path):
-    """The parser is built once per process; each run still parses its own
-    options and writes what it writes in a fresh interpreter."""
-    assert build_parser() is build_parser()
-    chosen = ["pipeline", "--mix", 0.801, "--target", "psi-plus", "--angles", "67.5,112.5,0,45",
-              "--bootstrap", 3, "--out-dir", tmp_path / "chosen"]
-    plain = ["pipeline", "--mix", 0.801, "--out-dir", tmp_path / "plain"]
-
-    def written(out_dir):
-        return {p.name: p.read_bytes() for p in out_dir.iterdir()}
-
-    assert run(chosen) == 0
-    first = written(tmp_path / "chosen")
-    assert run(plain) == 0
-    argv = read_json(tmp_path / "plain" / "pipeline.manifest.json")["argv"]
-    assert run(chosen) == 0
-    assert written(tmp_path / "chosen") == first
-    path = [str(Path(wernerlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    subprocess.run([sys.executable, "-m", "wernerlab", *map(str, plain)], check=True, env=env)
-    assert read_json(tmp_path / "plain" / "pipeline.manifest.json")["argv"] == argv
 
 
 # One run per subcommand: (argv, inputs, outputs) with paths relative to the
