@@ -11,8 +11,9 @@ root.  For every workload the file holds the median and quartiles
 (and the values of every run) of each gated metric and the failed units
 against those attempted; it also records the Python and numpy versions,
 ``nproc``, the commit measured and the ``src/wernerlab/*.py`` line count.
-The commit names what was measured only when ``src/`` and ``perfbench/``
-match it, so uncommitted changes there are refused.
+The commit names what was measured only when ``src/``, ``perfbench/`` and
+``BENCHMARK.json`` (which sets the run length) match it, so uncommitted
+changes there are refused.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("tomo-interior", "tomo-boundary", "cli-bootstrap", "chsh-decohere")
 SEEDS = (1001, 1002, 1003, 1004, 1005)
+COMMITTED = ("src", "perfbench", "BENCHMARK.json")  # must match the commit recorded
 SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
@@ -51,7 +53,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="Write BENCH_<n>.json from benchmark runs.")
     p.add_argument("--n", type=int, required=True, help="number in the file name")
     args = p.parse_args(argv)
-    dirty = subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"],
+    dirty = subprocess.run(["git", "status", "--porcelain", "--", *COMMITTED],
                            cwd=ROOT, capture_output=True, text=True, check=True).stdout
     if dirty:
         print(f"bench/record.py: uncommitted changes:\n{dirty}", file=sys.stderr)

@@ -7,6 +7,7 @@ by accelerated projected gradient over the density matrices.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -38,7 +39,9 @@ _PAULI_OPS = np.array([kron(a, b) for a in PAULIS for b in PAULIS]) / 4.0
 def _normalization(records, counts=None):
     """Total pair flux: the summed counts of the (HH, HV, VV, VH) block less
     their expected accidentals.  ``counts`` replaces the records' counts; an
-    ``(R, n)`` stack of counts of the ``n`` records gives one flux per row."""
+    ``(R, n)`` stack of the counts of ``R`` replicas of the ``n`` records
+    gives one flux per replica, and a replica without flux is named by its
+    position (1 to ``R``) when it raises."""
     if counts is None:
         counts = [r.count for r in records]
     keys = [(r.setting.arm1, r.setting.arm2) for r in records]
@@ -48,10 +51,16 @@ def _normalization(records, counts=None):
         )
     block = [key in polarimetry.NORMALIZATION_BLOCK for key in keys]
     accidentals = sum(r.accidentals for r, in_block in zip(records, block) if in_block)
-    n = np.asarray(counts)[..., block].sum(axis=-1) - accidentals
-    if (n <= 0.0).any():
+    block_sum = np.asarray(counts)[..., block].sum(axis=-1)
+    n = block_sum - accidentals
+    empty = np.flatnonzero(n <= 0.0)
+    if empty.size:
+        i = empty[0]
+        where = f"replica {i + 1} of {n.size}: " if np.ndim(n) else ""
+        found = float(np.ravel(block_sum)[i])
         raise EmptyDataError(
-            "normalization block counts do not exceed their expected accidentals"
+            f"{where}normalization block counts sum to {found:.12g}, which does "
+            f"not exceed their expected accidentals {accidentals:.12g}"
         )
     return _scalar(n)
 
@@ -147,14 +156,18 @@ def _project_to_states(m: np.ndarray) -> np.ndarray:
 
     Its eigenvalues are projected onto the probability simplex (Smolin,
     Gambetta & Smith, PRL 108, 070502 (2012)) and clipped at 0 against
-    round-off.
+    round-off.  The simplex shift is taken in Python floats, in the order
+    of a cumulative sum: with ``css_k`` the sum of the ``k`` largest
+    eigenvalues less 1, it is ``css_k / k`` at the last ``k`` whose ``k``-th
+    largest eigenvalue exceeds ``css_k / k``.
     """
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    descending = w[::-1]
-    css = np.cumsum(descending) - 1.0
-    k = np.arange(1, w.size + 1)
-    r = np.flatnonzero(descending > css / k)[-1]
-    w = np.maximum(w - css[r] / k[r], 0.0)
+    total = 0.0
+    for k, wk in enumerate(w[::-1].tolist(), 1):
+        total += wk
+        if wk > (total - 1.0) / k:
+            shift = (total - 1.0) / k
+    w = np.maximum(w - shift, 0.0)
     rho = (v * w) @ v.conj().T
     return rho / rho.trace().real
 
@@ -202,7 +215,7 @@ def _projected_gradient(cost, rho):
             continue
         iterations += 1
         gain = f - fz
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         previous = rho
         rho, f, grad, t = z, fz, gz, t_next
@@ -273,14 +286,17 @@ class MaximumLikelihood:
         cost can rise with them."""
         counts = np.array([r.count for r in records], dtype=float)
         accidentals = _accidentals(records)
+        counts_sq = counts * counts
+        proj_conj = proj.conj()
 
         def cost(rho):
             p = (proj @ rho.ravel()).real
             mu = n_total * np.maximum(p, _PROB_FLOOR) + accidentals
             resid = mu - counts
-            f = np.sum(resid * resid / (2.0 * mu))
-            g = (mu * mu - counts * counts) / (2.0 * mu * mu)
-            return float(f), ((n_total * g) @ proj).reshape(4, 4).conj()
+            two_mu = 2.0 * mu
+            f = (resid * resid / two_mu).sum()
+            g = (mu * mu - counts_sq) / (two_mu * mu)
+            return float(f), ((n_total * g) @ proj_conj).reshape(4, 4)
 
         return cost
 
@@ -398,7 +414,9 @@ def bootstrap_errors(
     on the stack.  Returns the sample standard deviation of each metric over
     the replicas, and under ``"nonconverged"`` the number of replicas whose
     maximum-likelihood search did not converge (their metrics are still
-    used).
+    used).  Records whose normalization block has no flux raise
+    ``EmptyDataError`` as in the estimators; a replica without flux raises
+    it naming the replica and the bootstrap's seed.
     """
     if isinstance(n_replicas, bool) or not isinstance(n_replicas, numbers.Integral):
         raise OutOfRangeError(f"bootstrap replicas must be an integer, got {n_replicas!r}")
@@ -408,10 +426,14 @@ def bootstrap_errors(
         raise OutOfRangeError(f"bootstrap takes at most {_MAX_REPLICAS} replicas, got {n_replicas}")
     if angles is None:
         angles = analysis.angles_for_target(target)
+    _normalization(records)
     rng = np.random.Generator(np.random.PCG64(seed))
     observed = np.array([float(r.count) for r in records])
     counts = polarimetry.poisson_sample(rng, np.broadcast_to(observed, (n_replicas, observed.size)))
-    n_total = _normalization(records, counts)
+    try:
+        n_total = _normalization(records, counts)
+    except EmptyDataError as exc:
+        raise EmptyDataError(f"bootstrap at seed {seed}: {exc}") from exc
     proj = _two_photon_stack([r.setting for r in records])
     _check_record_count(records)
     probs = (counts - _accidentals(records)) / n_total[:, None]

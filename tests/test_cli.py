@@ -280,6 +280,23 @@ def test_failed_pipeline_writes_nothing(tmp_path):
     assert not out_dir.exists()
 
 
+def test_bootstrap_replica_without_flux_is_named(tmp_path, capsys):
+    # At 2 pairs per setting a resampled normalization block can be all
+    # zeros while the observed one is not; the failure names the replica.
+    argv = ["pipeline", "--mix", 0.8, "--rate", 0.2, "--duration", 10,
+            "--accidentals", 0, "--seed", 0]
+    assert run(argv + ["--out-dir", tmp_path / "plain"]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "boot"
+    assert run(argv + ["--bootstrap", 20, "--out-dir", out_dir]) == 3
+    assert capsys.readouterr().err == (
+        "wernerlab: numerical failure: bootstrap at seed 0: replica 9 of 20: "
+        "normalization block counts sum to 0, which does not exceed their "
+        "expected accidentals 0\n"
+    )
+    assert not out_dir.exists()
+
+
 def test_byte_identical_reruns(tmp_path):
     state = tmp_path / "state.json"
     run(["gen-state", "werner-phi-minus", "0.801", "--out", state])

@@ -31,7 +31,7 @@ from wernerlab.tomography import (
     single_qubit_reconstruct,
 )
 
-from conftest import random_density
+from conftest import random_density, random_hermitian
 
 SCHEDULE = tomographic_settings()
 
@@ -343,6 +343,76 @@ def test_mle_searches_records_the_linear_inversion_refuses():
         assert min_eigenvalue(est.rho_) >= -1e-9
 
 
+def reference_projection(m):
+    """Smolin, Gambetta & Smith's projection onto the density matrices, with
+    the eigenvalues sorted in descending order and the shift read from their
+    cumulative sum."""
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    descending = np.sort(w)[::-1]
+    css = np.cumsum(descending) - 1.0
+    k = np.arange(1, w.size + 1)
+    r = np.flatnonzero(descending > css / k)[-1]
+    w = np.maximum(w - css[r] / k[r], 0.0)
+    rho = (v * w) @ v.conj().T
+    return rho / rho.trace().real
+
+
+def random_unitary(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q
+
+
+def test_project_to_states_matches_the_sorted_cumsum_projection(rng):
+    physical = [random_density(rng) for _ in range(5)]
+    physical += [random_density(rng, rank=r) for r in (1, 2, 3) for _ in range(3)]
+    physical += [werner_phi_minus(0.3), werner_phi_minus(1.0), np.eye(4) / 4.0]
+    tied = [
+        u @ np.diag(w) @ u.conj().T
+        for w in ([0.5, 0.5, -0.2, -0.2], [0.4, 0.4, 0.4, -0.3], [0.9, 0.2, 0.2, 0.2])
+        for u in (random_unitary(rng), random_unitary(rng))
+    ]
+    tied.append(werner_phi_minus(0.5) - 0.1 * np.eye(4))
+    hermitian = [random_hermitian(rng) for _ in range(20)]
+    offset = [random_hermitian(rng) + c * np.eye(4) for c in (-50.0, 50.0, 1e3)]
+    offset.append(random_density(rng) - 1e3 * np.eye(4))
+    for m in physical + tied + hermitian + offset:
+        rho = tomography._project_to_states(m)
+        assert np.array_equal(rho, reference_projection(m))
+        assert min_eigenvalue(rho) >= -1e-15
+        assert abs(rho.trace() - 1.0) <= 1e-12
+    for m in physical:
+        np.testing.assert_allclose(tomography._project_to_states(m), m, atol=1e-12)
+
+
+def test_mle_cost_and_gradient_match_a_per_setting_sum():
+    # The cost is sum((mu - n)**2 / (2 mu)) and its gradient sum(N g_i P_i),
+    # summed here setting by setting from each setting's own projector; the
+    # second state is orthogonal to the HH projector alone, so that one
+    # probability sits at the floor.
+    recs = simulate_counts(werner_phi_minus(1.0), SCHEDULE, SourceConfig(seed=3))
+    searched = MaximumLikelihood().fit(recs)
+    assert searched.path_ == "search"
+    hh = SCHEDULE[0].projector()
+    at_floor = (np.eye(4) - hh) / 3.0
+    n_total = tomography._normalization(recs)
+    proj = tomography._two_photon_stack([r.setting for r in recs])
+    cost = MaximumLikelihood()._cost_function(recs, proj, n_total)
+    for rho, n_floored in ((searched.rho_, None), (at_floor, 1)):
+        f_ref, grad_ref, floored = 0.0, np.zeros((4, 4), dtype=complex), 0
+        for r in recs:
+            projector = r.setting.projector()
+            p = np.trace(projector @ rho).real
+            floored += p < tomography._PROB_FLOOR
+            mu = n_total * max(p, tomography._PROB_FLOOR) + r.accidentals
+            f_ref += (mu - r.count) ** 2 / (2.0 * mu)
+            grad_ref += n_total * (mu * mu - r.count * r.count) / (2.0 * mu * mu) * projector
+        if n_floored is not None:
+            assert floored == n_floored
+        f, grad = cost(rho)
+        assert f == pytest.approx(f_ref, rel=1e-12, abs=0.0)
+        assert np.linalg.norm(grad - grad_ref) <= 1e-12 * np.linalg.norm(grad_ref)
+
+
 # ------------------------------------------------------------ single qubit
 
 def _single_records(counts, duration=1.0):
@@ -474,6 +544,26 @@ def test_bootstrap_needs_replicas(monkeypatch):
     monkeypatch.setattr(polarimetry, "poisson_sample", lambda *a: pytest.fail("drew counts"))
     with pytest.raises(OutOfRangeError):
         bootstrap_errors(recs, n_replicas=tomography._MAX_REPLICAS + 1)
+
+
+def test_bootstrap_names_the_replica_without_flux(monkeypatch):
+    recs = simulate_counts(werner_phi_minus(0.801), SCHEDULE, SourceConfig(seed=0))
+
+    def second_replica_empty(rng, mean):
+        counts = np.array(mean, dtype=int)
+        counts[1, :4] = 0
+        return counts
+
+    monkeypatch.setattr(polarimetry, "poisson_sample", second_replica_empty)
+    with pytest.raises(EmptyDataError, match=(
+        r"^bootstrap at seed 7: replica 2 of 3: normalization block counts sum to 0, "
+        r"which does not exceed their expected accidentals 400$"
+    )):
+        bootstrap_errors(recs, n_replicas=3, seed=7)
+    # an observed block without flux is reported as the data's, not a replica's
+    empty = [dataclasses.replace(r, count=0) if i < 4 else r for i, r in enumerate(recs)]
+    with pytest.raises(EmptyDataError, match="^normalization block counts sum to 0,"):
+        bootstrap_errors(empty, n_replicas=3, seed=7)
 
 
 @pytest.mark.parametrize("n_replicas", [3.0, True, "3", None])
