@@ -188,6 +188,25 @@ def chsh_value(rho: np.ndarray, angles: ChshAngles = DEFAULT_ANGLES):
     return _scalar(corr(t1, t2) + corr(t1p, t2) + corr(t1, t2p) - corr(t1p, t2p))
 
 
+def state_metrics(rho: np.ndarray, target: str = "phi-minus",
+                  angles: ChshAngles | None = None) -> dict:
+    """The derived metrics of a state, or the arrays of them for a
+    ``(..., 4, 4)`` stack: ``x`` and ``fidelity`` of :func:`fit_werner` on
+    ``target``, ``linear_entropy``, ``tangle`` and ``chsh_s``, the exact S at
+    ``angles`` (default: the optimum for ``target``).  A stack gives each
+    state the values it gets alone."""
+    if angles is None:
+        angles = angles_for_target(target)
+    fit = fit_werner(rho, target=target)
+    return {
+        "x": fit.x,
+        "fidelity": fit.fidelity,
+        "linear_entropy": linear_entropy(rho),
+        "tangle": tangle(rho),
+        "chsh_s": chsh_value(rho, angles),
+    }
+
+
 def chsh_schedule(angles: ChshAngles = DEFAULT_ANGLES) -> list:
     """The 16 analyzer settings of a counted CHSH run.
 

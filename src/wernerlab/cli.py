@@ -95,7 +95,10 @@ def _parse_angles(text: str) -> analysis.ChshAngles:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"--angles needs four comma-separated degrees, got {text!r}")
-    return analysis.ChshAngles(*[float(p) for p in parts])
+    degrees = [float(p) for p in parts]
+    if not np.all(np.isfinite(degrees)):
+        raise ValueError(f"--angles needs finite degrees, got {text!r}")
+    return analysis.ChshAngles(*degrees)
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -218,31 +221,27 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _metrics_doc(rho, target, angles, records, n_boot, seed):
-    """Metrics of ``rho``; bootstrap errors need the counts ``records``."""
-    fit = analysis.fit_werner(rho, target=target)
-    s_value = analysis.chsh_value(rho, angles)
-    x_err = None
-    sigma = None
-    nonconverged = None
+    """Metrics of ``rho``; bootstrap errors need the counts ``records``, and
+    then the bootstrap's one stacked pass scores ``rho`` with its replicas."""
     if records is not None and n_boot:
-        errs = tomography.bootstrap_errors(
-            records, n_replicas=n_boot, seed=seed, target=target, angles=angles
+        values, errs = tomography.bootstrap_errors(
+            records, rho, n_replicas=n_boot, seed=seed, target=target, angles=angles
         )
-        x_err = errs["x"]
-        sigma = errs["chsh_s"]
-        nonconverged = errs["nonconverged"]
+    else:
+        values = analysis.state_metrics(rho, target, angles)
+        errs = dict.fromkeys(("x", "chsh_s", "nonconverged"))
     return {
-        "x": fit.x,
-        "x_err": x_err,
-        "fidelity": fit.fidelity,
-        "linear_entropy": analysis.linear_entropy(rho),
-        "tangle": analysis.tangle(rho),
+        "x": values["x"],
+        "x_err": errs["x"],
+        "fidelity": values["fidelity"],
+        "linear_entropy": values["linear_entropy"],
+        "tangle": values["tangle"],
         "chsh": {
-            "S": s_value,
-            "sigma": sigma,
+            "S": values["chsh_s"],
+            "sigma": errs["chsh_s"],
             "angles_deg": list(angles.as_tuple()),
         },
-        "bootstrap_nonconverged": nonconverged,
+        "bootstrap_nonconverged": errs["nonconverged"],
     }
 
 

@@ -41,12 +41,13 @@ def _normalization(records, counts=None):
     their expected accidentals.  ``counts`` replaces the records' counts; an
     ``(R, n)`` stack of the counts of ``R`` replicas of the ``n`` records
     gives one flux per replica, and a replica without flux is named by its
-    position (1 to ``R``) when it raises."""
+    position (1 to ``R``) when it raises.  Records without the block are a
+    schedule that cannot be normalized, an input error."""
     if counts is None:
         counts = [r.count for r in records]
     keys = [(r.setting.arm1, r.setting.arm2) for r in records]
     if not set(polarimetry.NORMALIZATION_BLOCK) <= set(keys):
-        raise EmptyDataError(
+        raise UnknownLabelError(
             "records do not contain the HH/HV/VV/VH normalization block"
         )
     block = [key in polarimetry.NORMALIZATION_BLOCK for key in keys]
@@ -395,13 +396,14 @@ def single_qubit_reconstruct(records) -> np.ndarray:
 
 def bootstrap_errors(
     records,
+    point: np.ndarray,
     n_replicas: int = 50,
     seed: int = 0,
     target: str = "phi-minus",
     angles: analysis.ChshAngles | None = None,
-) -> dict:
-    """Bootstrap uncertainties of the derived state metrics, in one stacked
-    pass over the replicas.
+) -> tuple[dict, dict]:
+    """The derived state metrics of the state ``point`` and their bootstrap
+    uncertainties, in one stacked pass over the point and the replicas.
 
     One :func:`polarimetry.poisson_sample` call redraws every count of every
     replica at the observed count as mean, with the values that drawing
@@ -410,11 +412,13 @@ def bootstrap_errors(
     :func:`mle_reconstruct` reconstructs the original data: one linear solve
     inverts all replicas, a physical inversion is the maximum-likelihood
     state as it stands, and only the replicas with a negative eigenvalue run
-    the maximum-likelihood search.  The metrics of all replicas are computed
-    on the stack.  Returns the sample standard deviation of each metric over
-    the replicas, and under ``"nonconverged"`` the number of replicas whose
-    maximum-likelihood search did not converge (their metrics are still
-    used).  Records whose normalization block has no flux raise
+    the maximum-likelihood search.  :func:`analysis.state_metrics` scores
+    the point and the replicas in one call on their stack, the point first,
+    and gives the point the values it gets alone.  Returns ``(values,
+    errors)``: the point's metrics, and the sample standard deviation of each
+    metric over the replicas with, under ``"nonconverged"``, the number of
+    replicas whose maximum-likelihood search did not converge (their metrics
+    are still used).  Records whose normalization block has no flux raise
     ``EmptyDataError`` as in the estimators; a replica without flux raises
     it naming the replica and the bootstrap's seed.
     """
@@ -424,8 +428,6 @@ def bootstrap_errors(
         raise OutOfRangeError("bootstrap needs at least 2 replicas")
     if n_replicas > _MAX_REPLICAS:
         raise OutOfRangeError(f"bootstrap takes at most {_MAX_REPLICAS} replicas, got {n_replicas}")
-    if angles is None:
-        angles = analysis.angles_for_target(target)
     _normalization(records)
     rng = np.random.Generator(np.random.PCG64(seed))
     observed = np.array([float(r.count) for r in records])
@@ -444,14 +446,8 @@ def bootstrap_errors(
         result = mle_reconstruct(redrawn)
         rho[i] = result.rho
         nonconverged += not result.converged
-    fit = analysis.fit_werner(rho, target=target)
-    samples = {
-        "x": fit.x,
-        "fidelity": fit.fidelity,
-        "linear_entropy": analysis.linear_entropy(rho),
-        "tangle": analysis.tangle(rho),
-        "chsh_s": analysis.chsh_value(rho, angles),
-    }
-    stds = {k: float(np.std(v, ddof=1)) for k, v in samples.items()}
+    samples = analysis.state_metrics(np.concatenate([[point], rho]), target, angles)
+    values = {k: float(v[0]) for k, v in samples.items()}
+    stds = {k: float(np.std(v[1:], ddof=1)) for k, v in samples.items()}
     stds["nonconverged"] = nonconverged
-    return stds
+    return values, stds

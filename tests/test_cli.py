@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wernerlab import __version__
+from wernerlab import __version__, polarimetry
 from wernerlab.cli import main
 from wernerlab.states import density_matrix_from_json, werner_phi_minus
 
@@ -238,6 +238,10 @@ def test_exit_codes_for_bad_inputs(tmp_path):
         broken.write_text(json.dumps(bad_state))
         assert run(["fit-werner", broken, "--out", tmp_path / "o.json"]) == 2
     assert run(["simulate", state, "--rate", "inf", "--exact", "--out", tmp_path / "o.json"]) == 2
+    # non-finite CHSH angles, nan or a degree that overflows a float
+    assert run(["simulate", state, "--angles", "nan,0,0,0", "--out", tmp_path / "o.json"]) == 2
+    assert run(["pipeline", "--mix", 0.8, "--angles", "1e400,0,0,0",
+                "--out-dir", tmp_path / "p"]) == 2
     # bootstrap replicas resample counts, so --bootstrap needs --counts
     for n_boot in (5, -2):
         assert run(["metrics", state, "--bootstrap", n_boot, "--out", tmp_path / "o.json"]) == 2
@@ -270,6 +274,65 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     chsh_counts.write_text(json.dumps(doc))
     assert run(["chsh", "--counts", chsh_counts, "--out", tmp_path / "o.json"]) == 2
     assert not (tmp_path / "o.json").exists()
+
+
+def test_non_finite_angles_are_refused_before_any_computation(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(polarimetry, "simulate_counts", lambda *a, **k: pytest.fail("simulated"))
+    assert run(["pipeline", "--mix", 0.8, "--angles", "1e400,0,0,0",
+                "--out-dir", tmp_path / "p"]) == 2
+    assert capsys.readouterr().err == (
+        "wernerlab: error: --angles needs finite degrees, got '1e400,0,0,0'\n"
+    )
+
+
+def test_counts_without_normalization_block_are_bad_input(tmp_path, capsys):
+    """A CHSH counts file cannot be normalized: the wrong schedule, exit 2."""
+    state = tmp_path / "state.json"
+    chsh_counts = tmp_path / "chsh_counts.json"
+    assert run(["gen-state", "werner-phi-minus", "0.801", "--out", state]) == 0
+    assert run(["simulate", state, "--schedule", "chsh", "--out", chsh_counts]) == 0
+    capsys.readouterr()
+    message = ("wernerlab: error: records do not contain the HH/HV/VV/VH "
+               "normalization block\n")
+    assert run(["reconstruct", chsh_counts, "--out", tmp_path / "rho.json"]) == 2
+    assert capsys.readouterr().err == message
+    assert run(["metrics", state, "--counts", chsh_counts, "--bootstrap", 5,
+                "--out", tmp_path / "m.json"]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "rho.json").exists()
+    assert not (tmp_path / "m.json").exists()
+
+
+POINT_FIELDS = ("x", "fidelity", "linear_entropy", "tangle")
+
+
+def point_values(path):
+    """The point estimate's fields of a metrics file, as written."""
+    doc = read_json(path)
+    return {**{key: repr(doc[key]) for key in POINT_FIELDS}, "S": repr(doc["chsh"]["S"])}
+
+
+def test_bootstrap_writes_the_point_values_of_a_run_without_it(tmp_path):
+    """With a bootstrap the point is scored on the stack with the replicas;
+    it must be written exactly as a run without a bootstrap writes it."""
+    state = tmp_path / "state.json"
+    counts = tmp_path / "counts.json"
+    assert run(["gen-state", "werner-phi-minus", "0.801", "--out", state]) == 0
+    assert run(["simulate", state, "--seed", 3, "--out", counts]) == 0
+    assert run(["metrics", state, "--out", tmp_path / "plain.json"]) == 0
+    assert run(["metrics", state, "--counts", counts, "--bootstrap", 8,
+                "--out", tmp_path / "boot.json"]) == 0
+    assert read_json(tmp_path / "boot.json")["x_err"] > 0
+    assert point_values(tmp_path / "boot.json") == point_values(tmp_path / "plain.json")
+
+    for n_boot in (0, 20):
+        out_dir = tmp_path / f"run{n_boot}"
+        assert run(["pipeline", "--mix", 0.801, "--seed", 4, "--bootstrap", n_boot,
+                    "--out-dir", out_dir]) == 0
+    assert (tmp_path / "run0" / "rho_mle.json").read_bytes() == (
+        tmp_path / "run20" / "rho_mle.json").read_bytes()
+    assert point_values(tmp_path / "run20" / "metrics.json") == point_values(
+        tmp_path / "run0" / "metrics.json")
 
 
 def test_failed_pipeline_writes_nothing(tmp_path):

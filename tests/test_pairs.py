@@ -1,0 +1,75 @@
+"""The paired-run script's summary on fixed numbers.
+
+``bench/pairs.py`` judges a change by the pair rule: the change's wins over
+the parent, ties counting for neither, the median gap against the parent's
+interquartile range, and each median's relative change against its bound.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PAIRS = Path(__file__).resolve().parents[1] / "bench" / "pairs.py"
+
+
+def load_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+END_TO_END = [
+    {"name": "throughput_per_s", "unit": "units/s", "better": "higher", "bound": 0.25},
+    {"name": "latency_ms.p50", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+]
+
+
+def results(series):
+    """Result lines as ``perfbench/run.py`` prints them, one per pair."""
+    n = len(next(iter(series.values())))
+    return [
+        {"failed": 0, "attempted": 10,
+         "metrics": {name: {"value": values[i], "unit": "-"} for name, values in series.items()}}
+        for i in range(n)
+    ]
+
+
+def test_summary_applies_the_pair_rule_and_the_bounds():
+    parent = results({"throughput_per_s": [10.0, 12.0, 11.0, 13.0],
+                      "latency_ms.p50": [20.0, 20.0, 20.0, 20.0],
+                      "peak_rss_mb": [40.0, 40.0, 40.0, 40.0]})
+    change = results({"throughput_per_s": [14.0, 11.0, 15.0, 16.0],
+                      "latency_ms.p50": [30.0, 20.0, 26.0, 24.0],
+                      "peak_rss_mb": [45.0, 45.0, 45.0, 45.0]})
+    rows = {row["name"]: row for row in load_pairs().summarize(parent, change, END_TO_END)}
+
+    tput = rows["throughput_per_s"]
+    assert tput["parent"] == (10.75, 11.5, 12.25)
+    assert tput["change"] == (13.25, 14.5, 15.25)
+    assert (tput["wins"], tput["pairs"]) == (3, 4)
+    assert tput["gap_exceeds_parent_iqr"]  # 3.0 against 1.5
+    assert tput["relative_worse"] == pytest.approx(-3.0 / 11.5)
+    assert tput["within_bound"]
+
+    # a tie wins for neither side; a change of exactly the bound is within it
+    latency = rows["latency_ms.p50"]
+    assert latency["wins"] == 0
+    assert latency["change"][1] == 25.0
+    assert latency["relative_worse"] == 0.25
+    assert latency["within_bound"]
+
+    rss = rows["peak_rss_mb"]
+    assert rss["relative_worse"] == pytest.approx(0.125)
+    assert not rss["within_bound"]
+    assert rss["gap_exceeds_parent_iqr"]  # 5.0 against a zero spread
+
+
+def test_a_gap_inside_the_parent_spread_is_not_a_gain():
+    parent = results({"throughput_per_s": [10.0, 14.0, 10.0, 14.0]})
+    change = results({"throughput_per_s": [11.0, 15.0, 11.0, 15.0]})
+    (row,) = load_pairs().summarize(parent, change, END_TO_END[:1])
+    assert row["wins"] == 4
+    assert not row["gap_exceeds_parent_iqr"]  # 1.0 against 4.0

@@ -195,7 +195,8 @@ def reference_bootstrap(records, n_replicas, seed, target="phi-minus"):
 @pytest.mark.parametrize("x", [0.0, 0.405, 0.801, 1.0])
 def test_bootstrap_equals_the_per_replica_loop(x, n_replicas):
     records = simulate_counts(werner_phi_minus(x), SCHEDULE, SourceConfig(seed=3))
-    got = tomography.bootstrap_errors(records, n_replicas=n_replicas, seed=17)
+    point = werner_phi_minus(x)
+    _, got = tomography.bootstrap_errors(records, point, n_replicas=n_replicas, seed=17)
     want = reference_bootstrap(records, n_replicas, seed=17)
     assert got.keys() == want.keys()
     assert got["nonconverged"] == want["nonconverged"]
@@ -203,3 +204,26 @@ def test_bootstrap_equals_the_per_replica_loop(x, n_replicas):
     assert got["chsh_s"] == want["chsh_s"]
     for key in ("fidelity", "linear_entropy", "tangle"):
         assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("target", ["phi-minus", "psi-plus"])
+@pytest.mark.parametrize("x", [0.0, 0.405, 0.801, 1.0])
+def test_bootstrap_point_gets_its_single_state_values(x, target):
+    """The bootstrap scores its point on the stack with the replicas; the
+    point gets, bit for bit, the values the metrics give it alone, whether
+    it is the counts' maximum-likelihood state or another state."""
+    records = simulate_counts(werner_phi_minus(x), SCHEDULE, SourceConfig(seed=5))
+    angles = analysis.angles_for_target(target)
+    mle = tomography.mle_reconstruct(records).rho
+    for point in (mle, werner_phi_minus(x), STACK[0]):
+        values, _ = tomography.bootstrap_errors(records, point, n_replicas=3, seed=11,
+                                                target=target)
+        fit = analysis.fit_werner(point, target=target)
+        assert values == {
+            "x": fit.x,
+            "fidelity": fit.fidelity,
+            "linear_entropy": analysis.linear_entropy(point),
+            "tangle": analysis.tangle(point),
+            "chsh_s": analysis.chsh_value(point, angles),
+        }
+        assert all(type(v) is float for v in values.values())

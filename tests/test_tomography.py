@@ -82,7 +82,7 @@ def test_linear_inversion_missing_normalization_block():
     broken = [
         CoincidenceRecord(AnalyzerSetting("D", "D"), r.duration, r.count) for r in recs
     ]
-    with pytest.raises((EmptyDataError, SingularSystemError)):
+    with pytest.raises((UnknownLabelError, SingularSystemError)):
         LinearInversion().fit(broken)
 
 
@@ -101,7 +101,7 @@ def test_estimators_refuse_one_photon_records():
     with pytest.raises(UnknownLabelError):
         mle_reconstruct(recs)
     with pytest.raises(UnknownLabelError):
-        bootstrap_errors(recs, n_replicas=3)
+        bootstrap_errors(recs, werner_phi_minus(0.5), n_replicas=3)
 
 
 def test_linear_inversion_duplicate_settings_singular():
@@ -478,7 +478,7 @@ def test_bootstrap_identity_resampler_gives_zero_spread(monkeypatch):
         werner_phi_minus(0.801), SCHEDULE, SourceConfig(seed=0)
     )
     keep_counts(monkeypatch)
-    errs = bootstrap_errors(recs, n_replicas=3)
+    _, errs = bootstrap_errors(recs, werner_phi_minus(0.801), n_replicas=3)
     for key in ("x", "fidelity", "linear_entropy", "tangle", "chsh_s"):
         assert errs[key] == pytest.approx(0.0, abs=1e-12)
 
@@ -493,12 +493,12 @@ def test_bootstrap_replicas_keep_accidental_rate(monkeypatch):
     real = tomography.analysis.linear_entropy
 
     def spy(rho):
-        replicas.append(rho)
+        replicas.append(rho[1:])  # the point comes first on the stack
         return real(rho)
 
     monkeypatch.setattr(tomography.analysis, "linear_entropy", spy)
     keep_counts(monkeypatch)
-    bootstrap_errors(recs, n_replicas=2)
+    bootstrap_errors(recs, werner_phi_minus(0.801), n_replicas=2)
     expected = mle_reconstruct(recs).rho
     no_accidentals = [dataclasses.replace(r, accidental_rate=0.0) for r in recs]
     assert not np.allclose(mle_reconstruct(no_accidentals).rho, expected, atol=1e-6)
@@ -512,14 +512,14 @@ def test_bootstrap_errors_reasonable_scale():
     recs = simulate_counts(
         werner_phi_minus(0.801), SCHEDULE, SourceConfig(seed=0)
     )
-    errs = bootstrap_errors(recs, n_replicas=12, seed=1)
+    _, errs = bootstrap_errors(recs, werner_phi_minus(0.801), n_replicas=12, seed=1)
     assert 0.001 < errs["x"] < 0.05
     assert 0.001 < errs["fidelity"] < 0.05
     assert errs["tangle"] > 0
     # deterministic for a fixed seed
-    again = bootstrap_errors(recs, n_replicas=12, seed=1)
+    _, again = bootstrap_errors(recs, werner_phi_minus(0.801), n_replicas=12, seed=1)
     assert errs == again
-    assert bootstrap_errors(recs, n_replicas=12, seed=2) != errs
+    assert bootstrap_errors(recs, werner_phi_minus(0.801), n_replicas=12, seed=2)[1] != errs
 
 
 def test_bootstrap_counts_nonconverged_replicas(monkeypatch):
@@ -527,9 +527,10 @@ def test_bootstrap_counts_nonconverged_replicas(monkeypatch):
         pure_to_density(bell_state("phi-minus")), SCHEDULE, SourceConfig(seed=0)
     )
     keep_counts(monkeypatch)
-    assert bootstrap_errors(recs, n_replicas=2)["nonconverged"] == 0
+    point = pure_to_density(bell_state("phi-minus"))
+    assert bootstrap_errors(recs, point, n_replicas=2)[1]["nonconverged"] == 0
     monkeypatch.setattr(tomography, "_MAX_EVALS", 50)
-    capped = bootstrap_errors(recs, n_replicas=3)
+    _, capped = bootstrap_errors(recs, point, n_replicas=3)
     assert type(capped["nonconverged"]) is int
     assert capped["nonconverged"] == 3
 
@@ -539,11 +540,11 @@ def test_bootstrap_needs_replicas(monkeypatch):
         werner_phi_minus(0.801), SCHEDULE, SourceConfig(seed=0)
     )
     with pytest.raises(OutOfRangeError):
-        bootstrap_errors(recs, n_replicas=1)
+        bootstrap_errors(recs, werner_phi_minus(0.801), n_replicas=1)
     # a count too large to draw is refused before any count is drawn
     monkeypatch.setattr(polarimetry, "poisson_sample", lambda *a: pytest.fail("drew counts"))
     with pytest.raises(OutOfRangeError):
-        bootstrap_errors(recs, n_replicas=tomography._MAX_REPLICAS + 1)
+        bootstrap_errors(recs, werner_phi_minus(0.801), n_replicas=tomography._MAX_REPLICAS + 1)
 
 
 def test_bootstrap_names_the_replica_without_flux(monkeypatch):
@@ -559,11 +560,11 @@ def test_bootstrap_names_the_replica_without_flux(monkeypatch):
         r"^bootstrap at seed 7: replica 2 of 3: normalization block counts sum to 0, "
         r"which does not exceed their expected accidentals 400$"
     )):
-        bootstrap_errors(recs, n_replicas=3, seed=7)
+        bootstrap_errors(recs, werner_phi_minus(0.801), n_replicas=3, seed=7)
     # an observed block without flux is reported as the data's, not a replica's
     empty = [dataclasses.replace(r, count=0) if i < 4 else r for i, r in enumerate(recs)]
     with pytest.raises(EmptyDataError, match="^normalization block counts sum to 0,"):
-        bootstrap_errors(empty, n_replicas=3, seed=7)
+        bootstrap_errors(empty, werner_phi_minus(0.801), n_replicas=3, seed=7)
 
 
 @pytest.mark.parametrize("n_replicas", [3.0, True, "3", None])
@@ -572,4 +573,4 @@ def test_bootstrap_refuses_a_replica_count_that_is_not_an_integer(n_replicas):
         werner_phi_minus(0.801), SCHEDULE, SourceConfig(seed=0)
     )
     with pytest.raises(OutOfRangeError):
-        bootstrap_errors(recs, n_replicas=n_replicas)
+        bootstrap_errors(recs, werner_phi_minus(0.801), n_replicas=n_replicas)

@@ -34,7 +34,7 @@ def test_tracer_resolves_and_counts_the_traced_names():
     try:
         linear = tomography.linear_reconstruct(records)
         tomography.mle_reconstruct(records, seed_matrix=linear.matrix)
-        tomography.bootstrap_errors(records, n_replicas=2)
+        tomography.bootstrap_errors(records, werner_phi_minus(1.0), n_replicas=2)
     finally:
         tracer.uninstall()
     assert tracer.calls["tomography.linear"] == 1
