@@ -16,7 +16,9 @@ It prints every run, then for each end-to-end metric of ``BENCHMARK.json``
 each side's median and quartiles, the pairs the change won (ties count for
 neither), whether the gap between the medians exceeds the parent's
 interquartile range, and the relative change of the median against the
-metric's bound (positive is worse).
+metric's bound (positive is worse).  It exits 1 when a metric's median
+change is beyond its bound or the change failed a larger share of units
+than the parent, 0 otherwise, so a script can apply the pipeline's rule.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ SAME_ON_BOTH_SIDES = ("perfbench", "BENCHMARK.json")
 
 def git(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True)
+
+
+def names_commit(rev: str) -> bool:
+    return not subprocess.run(["git", "rev-parse", "--verify", "--quiet", rev + "^{commit}"],
+                              cwd=ROOT, capture_output=True).returncode
 
 
 def benchmark_differs(rev: str) -> str:
@@ -99,6 +106,16 @@ def summarize(parent: list[dict], change: list[dict], end_to_end: list[dict]) ->
     return rows
 
 
+def exit_status(rows: list[dict], parent: list[dict], change: list[dict]) -> int:
+    """1 if a summary row is beyond its bound or the change failed a larger
+    share of its attempted units than the parent, else 0."""
+    p_failed, p_attempted = (sum(r[k] for r in parent) for k in ("failed", "attempted"))
+    c_failed, c_attempted = (sum(r[k] for r in change) for k in ("failed", "attempted"))
+    # the shares compared without dividing, so no side needs an attempted unit
+    more_failed = c_failed * p_attempted > p_failed * c_attempted
+    return int(more_failed or not all(row["within_bound"] for row in rows))
+
+
 def print_summary(rows: list[dict]) -> None:
     for row in rows:
         (p1, pm, p3), (c1, cm, c3) = row["parent"], row["change"]
@@ -122,9 +139,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs needs at least 2 pairs for quartiles")
-    commit = subprocess.run(["git", "rev-parse", "--verify", "--quiet", args.parent + "^{commit}"],
-                            cwd=ROOT, capture_output=True)
-    if commit.returncode:
+    if not names_commit(args.parent):
         print(f"bench/pairs.py: {args.parent!r} names no commit", file=sys.stderr)
         return 2
     differs = benchmark_differs(args.parent)
@@ -149,8 +164,9 @@ def main(argv=None) -> int:
     for side, results in (("parent", parent), ("change", change)):
         print(f"{side} failed units: {sum(r['failed'] for r in results)} of "
               f"{sum(r['attempted'] for r in results)}")
-    print_summary(summarize(parent, change, BENCHMARK["end_to_end"]))
-    return 0
+    rows = summarize(parent, change, BENCHMARK["end_to_end"])
+    print_summary(rows)
+    return exit_status(rows, parent, change)
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ measures, and CHSH correlations."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 _X_LO = -1.0 / 3.0
 _X_HI = 1.0
+_ANGLE_SETS_KEPT = 32  # CHSH angle sets whose operators are memoized
 
 
 def _root_spectrum(m: np.ndarray) -> np.ndarray:
@@ -175,17 +177,28 @@ def _analyzer_operator(theta_deg: float) -> np.ndarray:
     return polarimetry.projector(theta_deg) - polarimetry.projector(theta_deg + 90.0)
 
 
+@functools.lru_cache(maxsize=_ANGLE_SETS_KEPT)
+def _chsh_operators(angles: ChshAngles) -> tuple:
+    """The correlation operators of the four terms of S at ``angles``, in
+    the order of :func:`chsh_value`'s sum, built once per process and
+    read-only."""
+    t1, t1p, t2, t2p = angles.as_tuple()
+    ops = []
+    for a, b in [(t1, t2), (t1p, t2), (t1, t2p), (t1p, t2p)]:
+        op = kron(_analyzer_operator(a), _analyzer_operator(b))
+        op.flags.writeable = False
+        ops.append(op)
+    return tuple(ops)
+
+
 def chsh_value(rho: np.ndarray, angles: ChshAngles = DEFAULT_ANGLES):
     """CHSH combination ``S = E(t1,t2) + E(t1',t2) + E(t1,t2') - E(t1',t2')``
     evaluated exactly on a two-photon state, or on each state of a stack."""
     rho = check_hermitian(rho)
-    t1, t1p, t2, t2p = angles.as_tuple()
-
-    def corr(a, b):
-        op = kron(_analyzer_operator(a), _analyzer_operator(b))
-        return np.trace(rho @ op, axis1=-2, axis2=-1).real
-
-    return _scalar(corr(t1, t2) + corr(t1p, t2) + corr(t1, t2p) - corr(t1p, t2p))
+    e1, e2, e3, e4 = (
+        np.trace(rho @ op, axis1=-2, axis2=-1).real for op in _chsh_operators(angles)
+    )
+    return _scalar(e1 + e2 + e3 - e4)
 
 
 def state_metrics(rho: np.ndarray, target: str = "phi-minus",

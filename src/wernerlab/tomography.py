@@ -7,6 +7,7 @@ by accelerated projected gradient over the density matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -30,6 +31,7 @@ _PROB_FLOOR = 1e-12  # floor of a setting's probability in the likelihood
 _FTOL = 1e-9  # cost gain at which a stationary search stops
 _MAX_EVALS = 100_000  # cost evaluations after which a search stops unconverged
 _MAX_REPLICAS = 100_000  # largest bootstrap; its counts alone take 13 MB
+_SCHEDULES_KEPT = 32  # schedules whose projector stack and design are memoized
 
 
 # The 16 two-photon Pauli products over 4, in the order of the Stokes vector.
@@ -71,11 +73,15 @@ def _accidentals(records) -> np.ndarray:
     return np.array([r.accidentals for r in records], dtype=float)
 
 
-def _two_photon_stack(settings) -> np.ndarray:
-    """The projector stack of two-photon settings; a one-photon one raises."""
+@functools.lru_cache(maxsize=_SCHEDULES_KEPT)
+def _two_photon_stack(settings: tuple) -> np.ndarray:
+    """The projector stack of a tuple of two-photon settings, built once per
+    process and read-only; a one-photon one raises (and is not memoized)."""
     if any(s.arm2 is None for s in settings):
         raise UnknownLabelError("two-photon tomography needs both analyzer arms")
-    return polarimetry._projector_stack(settings)
+    stack = polarimetry._projector_stack(settings)
+    stack.flags.writeable = False
+    return stack
 
 
 def _check_record_count(records) -> None:
@@ -85,14 +91,17 @@ def _check_record_count(records) -> None:
         )
 
 
-def _design(proj) -> np.ndarray:
+@functools.lru_cache(maxsize=_SCHEDULES_KEPT)
+def _design(settings: tuple) -> np.ndarray:
     """The real 16x16 matrix mapping Stokes parameters to the probabilities
-    of the settings of ``proj``; raises if it is not invertible."""
-    design = (proj @ _PAULI_OPS.reshape(16, -1).T).real
+    of a tuple of settings, built once per process and read-only; raises,
+    on every call, if it is not invertible."""
+    design = (_two_photon_stack(settings) @ _PAULI_OPS.reshape(16, -1).T).real
     if np.linalg.cond(design) > _COND_LIMIT:
         raise SingularSystemError(
             "the measurement settings are informationally incomplete"
         )
+    design.flags.writeable = False
     return design
 
 
@@ -134,13 +143,13 @@ class LinearInversion:
     def fit(self, records):
         _check_record_count(records)
         n_total = _normalization(records)
-        return self._fit(records, _two_photon_stack([r.setting for r in records]), n_total)
+        return self._fit(records, tuple(r.setting for r in records), n_total)
 
-    def _fit(self, records, proj, n_total):
-        """Fit 16 records given their projector stack and pair flux."""
+    def _fit(self, records, settings, n_total):
+        """Fit 16 records given the tuple of their settings and their pair flux."""
         counts = np.array([r.count for r in records], dtype=float)
         probs = (counts - _accidentals(records)) / n_total
-        self.matrix_, lowest = _invert(_design(proj), probs)
+        self.matrix_, lowest = _invert(_design(settings), probs)
         self.min_eigenvalue_ = float(lowest)
         self.n_total_ = n_total
         return self
@@ -303,12 +312,12 @@ class MaximumLikelihood:
 
     def fit(self, records, seed_matrix: np.ndarray | None = None):
         n_total = _normalization(records)
-        proj = _two_photon_stack([r.setting for r in records])
-        cost = self._cost_function(records, proj, n_total)
+        settings = tuple(r.setting for r in records)
+        cost = self._cost_function(records, _two_photon_stack(settings), n_total)
         linear = None
         try:
             _check_record_count(records)
-            linear = LinearInversion()._fit(records, proj, n_total)
+            linear = LinearInversion()._fit(records, settings, n_total)
         except SingularSystemError:
             if seed_matrix is None:
                 raise
@@ -436,10 +445,11 @@ def bootstrap_errors(
         n_total = _normalization(records, counts)
     except EmptyDataError as exc:
         raise EmptyDataError(f"bootstrap at seed {seed}: {exc}") from exc
-    proj = _two_photon_stack([r.setting for r in records])
+    settings = tuple(r.setting for r in records)
+    _two_photon_stack(settings)  # a one-photon setting raises before the count check
     _check_record_count(records)
     probs = (counts - _accidentals(records)) / n_total[:, None]
-    rho, lowest = _invert(_design(proj), probs)
+    rho, lowest = _invert(_design(settings), probs)
     nonconverged = 0
     for i in np.flatnonzero(lowest < 0.0):
         redrawn = [replace(r, count=int(c)) for r, c in zip(records, counts[i])]

@@ -17,6 +17,7 @@ from wernerlab.analysis import (
 )
 from wernerlab.errors import NotPSDError, OutOfRangeError, UnknownLabelError
 from wernerlab.polarimetry import SourceConfig, simulate_counts
+from wernerlab.qlinalg import kron
 from wernerlab.states import (
     BELL_KINDS,
     bell_state,
@@ -201,6 +202,41 @@ def test_chsh_classical_boundary():
     f_star = (2 + 3 * np.sqrt(2)) / 8
     s = chsh_value(werner_singlet(f_star), angles_for_target("psi-minus"))
     assert s == pytest.approx(2.0, abs=1e-9)
+
+
+def per_call_chsh(rho, angles):
+    """S with its four analyzer operators built on this call, in the order
+    of the sum that :func:`chsh_value` takes."""
+    t1, t1p, t2, t2p = angles.as_tuple()
+
+    def corr(a, b):
+        op = kron(analysis._analyzer_operator(a), analysis._analyzer_operator(b))
+        return np.trace(rho @ op, axis1=-2, axis2=-1).real
+
+    return corr(t1, t2) + corr(t1p, t2) + corr(t1, t2p) - corr(t1p, t2p)
+
+
+@pytest.mark.parametrize("angles", [*(angles_for_target(k) for k in BELL_KINDS),
+                                    ChshAngles(3.0, 51.0, -17.5, 80.0)],
+                         ids=[*BELL_KINDS, "custom"])
+def test_chsh_value_is_the_per_call_operator_sum_bit_for_bit(rng, angles):
+    analysis._chsh_operators.cache_clear()
+    singles = [random_density(rng, rank=r) for r in (1, 2, 4)] + [werner_phi_minus(0.801)]
+    stack = np.array([random_density(rng) for _ in range(6)])
+    for _ in range(2):  # built, then read from the memo
+        for rho in (*singles, stack):
+            got = np.asarray(chsh_value(rho, angles), dtype=float)
+            assert got.tobytes() == np.asarray(per_call_chsh(rho, angles)).tobytes()
+    assert analysis._chsh_operators.cache_info().misses == 1
+
+
+def test_chsh_operators_are_read_only():
+    ops = analysis._chsh_operators(DEFAULT_ANGLES)
+    assert len(ops) == 4
+    for op in ops:
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 0.0
+    assert chsh_value(pure_to_density(bell_state("phi-minus"))) == pytest.approx(RT8, abs=1e-9)
 
 
 def test_chsh_schedule_layout():

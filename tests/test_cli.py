@@ -68,7 +68,7 @@ def test_simulate_reconstruct_metrics_chain(tmp_path, capsys):
     assert report["converged"] is True
     assert report["cost"] >= 0.0
 
-    assert run(["metrics", rho_out, "--counts", counts, "--out", metrics]) == 0
+    assert run(["metrics", rho_out, "--out", metrics]) == 0
     m = read_json(metrics)
     assert m["x"] == pytest.approx(0.801, abs=0.05)
     assert m["x_err"] is None
@@ -301,6 +301,18 @@ def test_counts_without_normalization_block_are_bad_input(tmp_path, capsys):
     assert capsys.readouterr().err == message
     assert not (tmp_path / "rho.json").exists()
     assert not (tmp_path / "m.json").exists()
+
+
+def test_metrics_counts_need_a_bootstrap(tmp_path, capsys):
+    """Only the bootstrap reads ``--counts``: without one the command is bad
+    input, refused before any file is read or written.  Neither input file
+    exists here, so a read would fail with another message."""
+    message = "wernerlab: error: --counts is read only by --bootstrap, which resamples them\n"
+    for n_boot in ([], ["--bootstrap", 0]):
+        assert run(["metrics", tmp_path / "state.json", "--counts", tmp_path / "counts.json",
+                    *n_boot, "--out", tmp_path / "m.json"]) == 2
+        assert capsys.readouterr().err == message
+    assert list(tmp_path.iterdir()) == []
 
 
 POINT_FIELDS = ("x", "fidelity", "linear_entropy", "tangle")

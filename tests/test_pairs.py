@@ -73,3 +73,55 @@ def test_a_gap_inside_the_parent_spread_is_not_a_gain():
     (row,) = load_pairs().summarize(parent, change, END_TO_END[:1])
     assert row["wins"] == 4
     assert not row["gap_exceeds_parent_iqr"]  # 1.0 against 4.0
+
+
+def with_failures(lines, failed):
+    return [{**line, "failed": f} for line, f in zip(lines, failed)]
+
+
+def test_exit_status_applies_the_bounds_and_the_failed_share():
+    pairs = load_pairs()
+    parent = results({"throughput_per_s": [10.0, 12.0, 11.0, 13.0],
+                      "peak_rss_mb": [40.0, 40.0, 40.0, 40.0]})
+    within = results({"throughput_per_s": [14.0, 11.0, 15.0, 16.0],
+                      "peak_rss_mb": [44.0, 44.0, 44.0, 44.0]})
+    beyond = results({"throughput_per_s": [14.0, 11.0, 15.0, 16.0],
+                      "peak_rss_mb": [45.0, 45.0, 45.0, 45.0]})
+    specs = [END_TO_END[0], END_TO_END[2]]
+
+    def status(parent, change):
+        return pairs.exit_status(pairs.summarize(parent, change, specs), parent, change)
+
+    assert status(parent, within) == 0
+    assert status(parent, beyond) == 1  # peak RSS +12.5 % against a 10 % bound
+    # 1 of 40 units failed on the parent's side
+    parent = with_failures(parent, [1, 0, 0, 0])
+    assert status(parent, with_failures(within, [0, 0, 1, 0])) == 0  # the same share
+    assert status(parent, with_failures(within, [0, 1, 1, 0])) == 1  # 2 of 40
+    assert status(parent, within) == 0  # a smaller share
+    # the shares are compared, not the counts: 2 of 80 is 1 of 40
+    wider = [{**line, "attempted": 20} for line in with_failures(within, [1, 0, 1, 0])]
+    assert status(parent, wider) == 0
+
+
+def test_main_exits_1_on_a_metric_beyond_its_bound(monkeypatch, capsys):
+    pairs = load_pairs()
+    rss = {"parent": 40.0, "change": 50.0}
+
+    def run_once(tree, workload, seed):
+        side = "change" if tree == pairs.ROOT else "parent"
+        values = {"throughput_per_s": 10.0 + seed % 2, "latency_ms.p50": 20.0,
+                  "setup_s": 0.5, "peak_rss_mb": rss[side]}
+        return {"failed": 0, "attempted": 10,
+                "metrics": {k: {"value": v, "unit": "-"} for k, v in values.items()}}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    monkeypatch.setattr(pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(pairs, "names_commit", lambda rev: True)
+    monkeypatch.setattr(pairs, "benchmark_differs", lambda rev: "")
+    argv = ["--parent", "HEAD", "--workload", "tomo-interior", "--pairs", "2", "--seed", "1"]
+    assert pairs.main(argv) == 1
+    assert "bound 10%: BEYOND" in capsys.readouterr().out
+    rss["change"] = 40.0
+    assert pairs.main(argv) == 0
+    assert "BEYOND" not in capsys.readouterr().out

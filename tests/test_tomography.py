@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wernerlab import fixtures, polarimetry, tomography
+from wernerlab import analysis, fixtures, polarimetry, tomography
 from wernerlab.analysis import fidelity
 from wernerlab.errors import (
     EmptyDataError,
@@ -395,7 +395,7 @@ def test_mle_cost_and_gradient_match_a_per_setting_sum():
     hh = SCHEDULE[0].projector()
     at_floor = (np.eye(4) - hh) / 3.0
     n_total = tomography._normalization(recs)
-    proj = tomography._two_photon_stack([r.setting for r in recs])
+    proj = tomography._two_photon_stack(tuple(r.setting for r in recs))
     cost = MaximumLikelihood()._cost_function(recs, proj, n_total)
     for rho, n_floored in ((searched.rho_, None), (at_floor, 1)):
         f_ref, grad_ref, floored = 0.0, np.zeros((4, 4), dtype=complex), 0
@@ -411,6 +411,74 @@ def test_mle_cost_and_gradient_match_a_per_setting_sum():
         f, grad = cost(rho)
         assert f == pytest.approx(f_ref, rel=1e-12, abs=0.0)
         assert np.linalg.norm(grad - grad_ref) <= 1e-12 * np.linalg.norm(grad_ref)
+
+
+# ------------------------------------------------ schedule memo
+
+def clear_schedule_memo():
+    tomography._two_photon_stack.cache_clear()
+    tomography._design.cache_clear()
+
+
+@pytest.mark.parametrize("settings", [SCHEDULE, analysis.chsh_schedule()],
+                         ids=["tomographic", "angles"])
+def test_memoized_stack_is_the_projector_stack_bit_for_bit(settings):
+    clear_schedule_memo()
+    key = tuple(settings)
+    expected = polarimetry._projector_stack(list(settings)).tobytes()
+    for _ in range(2):  # built, then read from the memo
+        stack = tomography._two_photon_stack(key)
+        assert stack.tobytes() == expected
+    assert tomography._two_photon_stack.cache_info().hits == 1
+
+
+def test_memoized_stack_and_design_are_read_only():
+    key = tuple(SCHEDULE)
+    stack = tomography._two_photon_stack(key)
+    design = tomography._design(key)
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        design[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        design *= 2.0
+    assert tomography._design(key).tobytes() == design.tobytes()
+
+
+def fit_bits(recs):
+    lin = linear_reconstruct(recs)
+    mle = mle_reconstruct(recs)
+    values, errors = bootstrap_errors(recs, mle.rho, n_replicas=4, seed=1)
+    return (lin.matrix.tobytes(), lin.min_eigenvalue, mle.rho.tobytes(), mle.cost,
+            mle.n_evaluations, mle.converged, mle.path, values, errors)
+
+
+def test_a_second_fit_returns_the_first_fits_bits():
+    # x = 1.0 searches, rho1 at seed 0 searches too, x = 0.801 stays linear
+    paths = []
+    for rho in (werner_phi_minus(1.0), fixtures.load("rho1"), werner_phi_minus(0.801)):
+        recs = simulate_counts(rho, SCHEDULE, SourceConfig(seed=0))
+        clear_schedule_memo()
+        first = fit_bits(recs)
+        assert fit_bits(recs) == first
+        paths.append(first[6])
+    assert paths == ["search", "search", "linear"]
+
+
+def test_an_incomplete_schedule_raises_on_every_call():
+    rho = werner_phi_minus(0.801)
+    seeded = simulate_counts(rho, SCHEDULE, SourceConfig(seed=4))
+    duplicated = list(seeded[:4]) + [seeded[4]] * 12
+    for _ in range(2):  # a refusal is not memoized
+        with pytest.raises(SingularSystemError):
+            linear_reconstruct(duplicated)
+        with pytest.raises(SingularSystemError):
+            mle_reconstruct(duplicated)
+        with pytest.raises(SingularSystemError):
+            bootstrap_errors(duplicated, rho, n_replicas=3)
+        est = MaximumLikelihood().fit(duplicated, seed_matrix=rho)
+        assert est.path_ == "search"
+        assert est.converged_
 
 
 # ------------------------------------------------------------ single qubit
