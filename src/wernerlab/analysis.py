@@ -3,8 +3,7 @@ measures, and CHSH correlations."""
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,7 +16,6 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 _X_LO = -1.0 / 3.0
 _X_HI = 1.0
-_ANGLE_SETS_KEPT = 32  # CHSH angle sets whose operators are memoized
 
 
 def _root_spectrum(m: np.ndarray) -> np.ndarray:
@@ -149,6 +147,11 @@ class ChshAngles:
     theta2: float
     theta2_prime: float
 
+    def __post_init__(self):
+        # held as floats, as the schedule's settings hold them (an array does not serialize)
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+
     def as_tuple(self):
         return (self.theta1, self.theta1_prime, self.theta2, self.theta2_prime)
 
@@ -173,32 +176,17 @@ def angles_for_target(target: str) -> ChshAngles:
 DEFAULT_ANGLES = _OPTIMAL_ANGLES["phi-minus"]
 
 
-def _analyzer_operator(theta_deg: float) -> np.ndarray:
-    return polarimetry.projector(theta_deg) - polarimetry.projector(theta_deg + 90.0)
-
-
-@functools.lru_cache(maxsize=_ANGLE_SETS_KEPT)
-def _chsh_operators(angles: ChshAngles) -> tuple:
-    """The correlation operators of the four terms of S at ``angles``, in
-    the order of :func:`chsh_value`'s sum, built once per process and
-    read-only."""
-    t1, t1p, t2, t2p = angles.as_tuple()
-    ops = []
-    for a, b in [(t1, t2), (t1p, t2), (t1, t2p), (t1p, t2p)]:
-        op = kron(_analyzer_operator(a), _analyzer_operator(b))
-        op.flags.writeable = False
-        ops.append(op)
-    return tuple(ops)
-
-
 def chsh_value(rho: np.ndarray, angles: ChshAngles = DEFAULT_ANGLES):
     """CHSH combination ``S = E(t1,t2) + E(t1',t2) + E(t1,t2') - E(t1',t2')``
-    evaluated exactly on a two-photon state, or on each state of a stack."""
+    evaluated exactly on a two-photon state, or on each state of a stack:
+    each ``E = p1 + p2 - p3 - p4`` is :func:`polarimetry.correlation_E` on
+    the Born probabilities of a :func:`chsh_schedule` quadruple, read from
+    its projector stack (the denominator is ``tr rho = 1``)."""
     rho = check_hermitian(rho)
-    e1, e2, e3, e4 = (
-        np.trace(rho @ op, axis1=-2, axis2=-1).real for op in _chsh_operators(angles)
-    )
-    return _scalar(e1 + e2 + e3 - e4)
+    stack = polarimetry._two_photon_stack(tuple(chsh_schedule(angles)))
+    p = np.matmul(stack, rho.reshape(*rho.shape[:-2], 16, 1)).real[..., 0]
+    e = p[..., 0::4] + p[..., 1::4] - p[..., 2::4] - p[..., 3::4]
+    return _scalar(e[..., 0] + e[..., 1] + e[..., 2] - e[..., 3])
 
 
 def state_metrics(rho: np.ndarray, target: str = "phi-minus",

@@ -357,13 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_counting(p):
-        p.add_argument("--rate", type=float, default=300.0,
-                       help="true pair rate in 1/s (default 300)")
-        p.add_argument("--accidentals", type=float, default=1.0,
-                       help="accidental coincidence rate in 1/s (default 1)")
-        p.add_argument("--duration", type=float, default=100.0,
-                       help="integration time per setting in s (default 100)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        source = polarimetry.SourceConfig()
+        p.add_argument("--rate", type=float, default=source.pair_rate,
+                       help="true pair rate in 1/s (default %(default)s)")
+        p.add_argument("--accidentals", type=float, default=source.accidental_rate,
+                       help="accidental coincidence rate in 1/s (default %(default)s)")
+        p.add_argument("--duration", type=float, default=source.duration,
+                       help="integration time per setting in s (default %(default)s)")
+        p.add_argument("--seed", type=int, default=source.seed,
+                       help="RNG seed (default %(default)s)")
 
     p = sub.add_parser("gen-state", help="write a named two-photon state as JSON")
     p.add_argument("kind", choices=["bell", "werner-singlet", "werner-phi-minus"])
@@ -421,10 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit_werner)
 
     p = sub.add_parser("decohere-curve", help="|gamma| versus optical path difference")
-    p.add_argument("--lambda0", type=float, default=702.2,
-                   help="center wavelength in nm (default 702.2)")
-    p.add_argument("--fwhm", type=float, default=4.62,
-                   help="spectral width in nm (default 4.62)")
+    p.add_argument("--lambda0", type=float, default=decoherence.DEFAULT_SPECTRUM.center_nm,
+                   help="center wavelength in nm (default %(default)s)")
+    p.add_argument("--fwhm", type=float, default=decoherence.DEFAULT_SPECTRUM.fwhm_nm,
+                   help="spectral width in nm (default %(default)s)")
     p.add_argument("--grid", default="0:300:1",
                    help="path-difference grid start:stop:step in units of lambda0")
     p.add_argument("--out", required=True)

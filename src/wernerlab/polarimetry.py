@@ -8,6 +8,7 @@ uniform accidental-coincidence floor.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ _JONES = {
 }
 
 POLARIZATION_LABELS = tuple(_JONES)
+_SCHEDULES_KEPT = 32  # schedules whose projector stack and design are memoized
 
 
 def jones_vector(arm) -> np.ndarray:
@@ -59,6 +61,13 @@ class AnalyzerSetting:
     arm1: object
     arm2: object = None
 
+    def __post_init__(self):
+        # an angle is held as a float, which hashes (a 0-d array does not)
+        for name in ("arm1", "arm2"):
+            arm = getattr(self, name)
+            if type(arm) is not float and arm is not None and not isinstance(arm, str):
+                object.__setattr__(self, name, float(arm))
+
     def projector(self) -> np.ndarray:
         if self.arm2 is None:
             return projector(self.arm1)
@@ -69,6 +78,17 @@ def _projector_stack(settings) -> np.ndarray:
     """Rows ``settings[i].projector().T.ravel()`` of all one- or all two-photon
     settings: ``stack @ rho.ravel()`` is each ``tr(rho P)`` (complex)."""
     return np.array([s.projector().T.ravel() for s in settings])
+
+
+@functools.lru_cache(maxsize=_SCHEDULES_KEPT)
+def _two_photon_stack(settings: tuple) -> np.ndarray:
+    """The projector stack of a tuple of two-photon settings, built once per
+    process and read-only; a one-photon one raises (and is not memoized)."""
+    if any(s.arm2 is None for s in settings):
+        raise UnknownLabelError("two-photon tomography needs both analyzer arms")
+    stack = _projector_stack(settings)
+    stack.flags.writeable = False
+    return stack
 
 
 def _born_probabilities(rho: np.ndarray, settings) -> np.ndarray:

@@ -31,7 +31,6 @@ _PROB_FLOOR = 1e-12  # floor of a setting's probability in the likelihood
 _FTOL = 1e-9  # cost gain at which a stationary search stops
 _MAX_EVALS = 100_000  # cost evaluations after which a search stops unconverged
 _MAX_REPLICAS = 100_000  # largest bootstrap; its counts alone take 13 MB
-_SCHEDULES_KEPT = 32  # schedules whose projector stack and design are memoized
 
 
 # The 16 two-photon Pauli products over 4, in the order of the Stokes vector.
@@ -73,17 +72,6 @@ def _accidentals(records) -> np.ndarray:
     return np.array([r.accidentals for r in records], dtype=float)
 
 
-@functools.lru_cache(maxsize=_SCHEDULES_KEPT)
-def _two_photon_stack(settings: tuple) -> np.ndarray:
-    """The projector stack of a tuple of two-photon settings, built once per
-    process and read-only; a one-photon one raises (and is not memoized)."""
-    if any(s.arm2 is None for s in settings):
-        raise UnknownLabelError("two-photon tomography needs both analyzer arms")
-    stack = polarimetry._projector_stack(settings)
-    stack.flags.writeable = False
-    return stack
-
-
 def _check_record_count(records) -> None:
     if len(records) != _N_PARAMS:
         raise SingularSystemError(
@@ -91,12 +79,12 @@ def _check_record_count(records) -> None:
         )
 
 
-@functools.lru_cache(maxsize=_SCHEDULES_KEPT)
+@functools.lru_cache(maxsize=polarimetry._SCHEDULES_KEPT)
 def _design(settings: tuple) -> np.ndarray:
     """The real 16x16 matrix mapping Stokes parameters to the probabilities
     of a tuple of settings, built once per process and read-only; raises,
     on every call, if it is not invertible."""
-    design = (_two_photon_stack(settings) @ _PAULI_OPS.reshape(16, -1).T).real
+    design = (polarimetry._two_photon_stack(settings) @ _PAULI_OPS.reshape(16, -1).T).real
     if np.linalg.cond(design) > _COND_LIMIT:
         raise SingularSystemError(
             "the measurement settings are informationally incomplete"
@@ -313,7 +301,7 @@ class MaximumLikelihood:
     def fit(self, records, seed_matrix: np.ndarray | None = None):
         n_total = _normalization(records)
         settings = tuple(r.setting for r in records)
-        cost = self._cost_function(records, _two_photon_stack(settings), n_total)
+        cost = self._cost_function(records, polarimetry._two_photon_stack(settings), n_total)
         linear = None
         try:
             _check_record_count(records)
@@ -446,7 +434,7 @@ def bootstrap_errors(
     except EmptyDataError as exc:
         raise EmptyDataError(f"bootstrap at seed {seed}: {exc}") from exc
     settings = tuple(r.setting for r in records)
-    _two_photon_stack(settings)  # a one-photon setting raises before the count check
+    polarimetry._two_photon_stack(settings)  # a one-photon setting raises before the count check
     _check_record_count(records)
     probs = (counts - _accidentals(records)) / n_total[:, None]
     rho, lowest = _invert(_design(settings), probs)

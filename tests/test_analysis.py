@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wernerlab import analysis
+from wernerlab import analysis, polarimetry
 from wernerlab.analysis import (
     DEFAULT_ANGLES,
     ChshAngles,
@@ -204,39 +204,45 @@ def test_chsh_classical_boundary():
     assert s == pytest.approx(2.0, abs=1e-9)
 
 
-def per_call_chsh(rho, angles):
-    """S with its four analyzer operators built on this call, in the order
-    of the sum that :func:`chsh_value` takes."""
+def operator_sum_chsh(rho, angles):
+    """S as the four traces of ``rho`` against the correlation operators
+    ``(P(a) - P(a+90)) x (P(b) - P(b+90))``, built on this call."""
     t1, t1p, t2, t2p = angles.as_tuple()
 
+    def analyzer(theta):
+        return polarimetry.projector(theta) - polarimetry.projector(theta + 90.0)
+
     def corr(a, b):
-        op = kron(analysis._analyzer_operator(a), analysis._analyzer_operator(b))
+        op = kron(analyzer(a), analyzer(b))
         return np.trace(rho @ op, axis1=-2, axis2=-1).real
 
     return corr(t1, t2) + corr(t1p, t2) + corr(t1, t2p) - corr(t1p, t2p)
+
+
+def per_call_chsh(rho, angles):
+    """S from the Born probabilities of the CHSH schedule, with its
+    projector stack built on this call, one product per state."""
+    stack = polarimetry._projector_stack(chsh_schedule(angles))
+    p = np.matmul(stack, rho.reshape(*rho.shape[:-2], 16, 1)).real[..., 0]
+    e = p[..., 0::4] + p[..., 1::4] - p[..., 2::4] - p[..., 3::4]
+    return e[..., 0] + e[..., 1] + e[..., 2] - e[..., 3]
 
 
 @pytest.mark.parametrize("angles", [*(angles_for_target(k) for k in BELL_KINDS),
                                     ChshAngles(3.0, 51.0, -17.5, 80.0)],
                          ids=[*BELL_KINDS, "custom"])
 def test_chsh_value_is_the_per_call_operator_sum_bit_for_bit(rng, angles):
-    analysis._chsh_operators.cache_clear()
+    # bit for bit against the schedule's stack built on the call, and within
+    # round-off of the correlation-operator sum
+    polarimetry._two_photon_stack.cache_clear()
     singles = [random_density(rng, rank=r) for r in (1, 2, 4)] + [werner_phi_minus(0.801)]
     stack = np.array([random_density(rng) for _ in range(6)])
     for _ in range(2):  # built, then read from the memo
         for rho in (*singles, stack):
             got = np.asarray(chsh_value(rho, angles), dtype=float)
             assert got.tobytes() == np.asarray(per_call_chsh(rho, angles)).tobytes()
-    assert analysis._chsh_operators.cache_info().misses == 1
-
-
-def test_chsh_operators_are_read_only():
-    ops = analysis._chsh_operators(DEFAULT_ANGLES)
-    assert len(ops) == 4
-    for op in ops:
-        with pytest.raises(ValueError, match="read-only"):
-            op[0, 0] = 0.0
-    assert chsh_value(pure_to_density(bell_state("phi-minus"))) == pytest.approx(RT8, abs=1e-9)
+            assert np.max(np.abs(got - operator_sum_chsh(rho, angles))) <= 1e-14
+    assert polarimetry._two_photon_stack.cache_info().misses == 1
 
 
 def test_chsh_schedule_layout():
@@ -263,6 +269,29 @@ def test_chsh_from_counts_matches_exact_value(accidental_rate):
     assert est.s == pytest.approx(chsh_value(rho), abs=1e-4)
     assert len(est.correlations) == 4
     assert est.sigma > 0
+
+
+@pytest.mark.parametrize("angles", [*(angles_for_target(k) for k in BELL_KINDS),
+                                    ChshAngles(3, 51, -17.5, 80)],
+                         ids=[*BELL_KINDS, "custom"])
+def test_exact_and_counted_chsh_read_one_schedule_in_one_order(rng, angles):
+    # noise-free counts of 1e12 pairs a setting: the counted S is the exact S
+    # up to each count's rounding to an integer
+    config = SourceConfig(pair_rate=1e6, accidental_rate=0.0, duration=1e6)
+    for rho in [random_density(rng, rank=r) for r in (1, 2, 3, 4)]:
+        counts = simulate_counts(rho, chsh_schedule(angles), config, exact=True)
+        assert abs(chsh_from_counts(counts).s - chsh_value(rho, angles)) <= 1e-10
+
+
+def test_angles_are_held_as_floats():
+    # a 0-d array or an int angle is the float angle, and hashes as one
+    rho = werner_phi_minus(0.5)
+    want = np.float64(chsh_value(rho, ChshAngles(1.0, 2.0, 3.0, 4.0))).tobytes()
+    for angles in (ChshAngles(np.array(1.0), 2.0, 3.0, 4.0),
+                   ChshAngles(1, np.float32(2.0), np.int64(3), np.array([4.0])[0])):
+        assert all(type(a) is float for a in angles.as_tuple())
+        assert angles == ChshAngles(1.0, 2.0, 3.0, 4.0)
+        assert np.float64(chsh_value(rho, angles)).tobytes() == want
 
 
 def test_chsh_sigma_equal_counts():

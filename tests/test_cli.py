@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from wernerlab import __version__, polarimetry
-from wernerlab.cli import main
+from wernerlab import __version__, decoherence, polarimetry
+from wernerlab.cli import build_parser, main
 from wernerlab.states import density_matrix_from_json, werner_phi_minus
 
 
@@ -28,6 +28,20 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_defaults_are_the_source_and_spectrum_defaults():
+    source = polarimetry.SourceConfig()
+    spectrum = decoherence.DEFAULT_SPECTRUM
+    counting = {"rate": source.pair_rate, "accidentals": source.accidental_rate,
+                "duration": source.duration, "seed": source.seed}
+    parser = build_parser()
+    for argv in (["simulate", "s.json", "--out", "o.json"],
+                 ["pipeline", "--mix", "1", "--out-dir", "d"]):
+        args = vars(parser.parse_args(argv))
+        assert {k: args[k] for k in counting} == counting
+    args = vars(parser.parse_args(["decohere-curve", "--out", "c.csv"]))
+    assert (args["lambda0"], args["fwhm"]) == (spectrum.center_nm, spectrum.fwhm_nm)
 
 
 def test_gen_state_werner(tmp_path):

@@ -1,0 +1,127 @@
+"""The output-comparison script's verdict on fixed documents.
+
+``bench/outputs.py`` passes two run directories whose files differ at most in
+the values of float leaves, and fails any other difference.
+"""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from wernerlab.states import BELL_KINDS
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def outputs(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # for its import of bench/pairs.py
+    spec = importlib.util.spec_from_file_location("bench_outputs", BENCH / "outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+METRICS = {"x": 0.801, "x_err": 0.0123, "chsh": {"S": 2.0, "sigma": 0.0095,
+                                                 "angles_deg": [-22.5, 22.5, 0.0, 45.0]},
+           "bootstrap_nonconverged": 0}
+
+
+def write_tree(root: Path, files: dict) -> Path:
+    for name, doc in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc, indent=2) + "\n")
+    return root
+
+
+def with_leaf(doc, keys, value):
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return doc
+
+
+def compare(outputs, tmp_path, parent: dict, change: dict) -> dict:
+    return outputs.compare(write_tree(tmp_path / "parent", parent),
+                           write_tree(tmp_path / "change", change))
+
+
+def test_float_values_are_counted_by_leaf_and_pass(outputs, tmp_path):
+    parent = {f"pipeline/run{i}/metrics.json": METRICS for i in range(3)}
+    parent["pipeline/run0/state.json"] = {"matrix": [[[0.5, 0.0], [0.25, -0.0]]]}
+    change = dict(parent)
+    # exactly representable: 2 + 2**-51 and 2 - 2**-52
+    change["pipeline/run1/metrics.json"] = with_leaf(METRICS, ["chsh", "S"], 2.0 + 2.0**-51)
+    change["pipeline/run2/metrics.json"] = with_leaf(
+        with_leaf(METRICS, ["chsh", "S"], 2.0 - 2.0**-52), ["x"], math.nextafter(0.801, 1.0))
+    change["pipeline/run0/state.json"] = {"matrix": [[[0.5, 1e-17], [0.25, 3e-17]]]}
+    report = compare(outputs, tmp_path, parent, change)
+    assert (report["files"], report["identical"]) == (4, 1)
+    assert report["other"] == []
+    leaves = report["leaves"]
+    assert set(leaves) == {"pipeline/metrics.json chsh.S", "pipeline/metrics.json x",
+                           "pipeline/state.json matrix[][][]"}
+    assert leaves["pipeline/metrics.json chsh.S"] == [2, 2.0**-51]
+    assert leaves["pipeline/metrics.json x"][0] == 1
+    # two entries of one file count as one run, at the larger difference
+    assert leaves["pipeline/state.json matrix[][][]"] == [1, 3e-17]
+
+
+@pytest.mark.parametrize("change", [
+    with_leaf(METRICS, ["bootstrap_nonconverged"], 1),     # an int
+    with_leaf(METRICS, ["x_err"], None),                   # null against a float
+    with_leaf(METRICS, ["x"], 1),                          # an int against a float
+    with_leaf(METRICS, ["bootstrap_nonconverged"], False),  # a bool against an int
+    with_leaf(METRICS, ["chsh", "angles_deg"], [-22.5, 22.5, 0.0]),  # a length
+    with_leaf(METRICS, ["chsh", "method"], "exact"),       # a key
+    {"x_err": 0.0123, **METRICS},                          # the key order
+    json.dumps(METRICS),                                   # the same values, other text
+    "not json",
+], ids=["int", "null", "int-for-float", "bool", "length", "key", "key-order",
+        "text", "not-json"])
+def test_any_other_difference_fails(outputs, tmp_path, change):
+    report = compare(outputs, tmp_path, {"metrics/a/metrics.json": METRICS},
+                     {"metrics/a/metrics.json": change})
+    assert report["identical"] == 0
+    assert len(report["other"]) == 1
+    assert report["other"][0].startswith("metrics/a/metrics.json: ")
+
+
+def test_a_string_difference_and_a_missing_file_fail(outputs, tmp_path):
+    manifest = {"argv": ["wernerlab", "chsh", "--target", "phi-minus"]}
+    name = "chsh/a/chsh.json.manifest.json"
+    report = compare(outputs, tmp_path, {name: manifest, "chsh/a/chsh.json": {"S": 2.0}},
+                     {name: with_leaf(manifest, ["argv", 3], "psi-plus")})
+    assert report["other"] == [
+        "chsh/a/chsh.json: only in the parent",
+        "chsh/a/chsh.json.manifest.json: argv[]: 'phi-minus' and 'psi-plus'",
+    ]
+    assert report["leaves"] == {}
+
+
+def test_the_command_set(outputs):
+    argvs = outputs.commands()
+    pipelines = [a for a in argvs if a[0] == "pipeline"]
+    assert len(pipelines) == 32
+    assert {(a[2], a[4]) for a in pipelines} == {
+        (x, str(s)) for x in ("0.0", "0.405", "0.801", "1.0") for s in range(8)}
+    assert all(a[5:7] == ["--bootstrap", "20"] for a in pipelines)
+    # metrics and the exact CHSH after the pipelines whose states they read
+    rest = argvs[32:]
+    assert len(rest) == 64
+    assert {a[0] for a in rest} == {"metrics", "chsh"}
+    assert {a[a.index("--target") + 1] for a in rest} == set(BELL_KINDS)
+    out = [a[a.index("--out") + 1] for a in argvs if "--out" in a]
+    assert len(set(out)) == len(out)
+
+
+def test_main_exits_2_on_a_revision_that_names_no_commit(outputs, monkeypatch, capsys):
+    monkeypatch.setattr(outputs.pairs, "names_commit", lambda rev: False)
+    assert outputs.main(["--parent", "no-such-rev"]) == 2
+    assert "names no commit" in capsys.readouterr().err

@@ -80,6 +80,18 @@ def test_analyzer_setting_projector_structure():
     np.testing.assert_allclose(single.projector(), projector("R"), atol=1e-15)
 
 
+def test_analyzer_setting_holds_angles_as_floats():
+    for arm in (np.array(30.0), np.float32(30.0), np.int64(30), 30):
+        setting = AnalyzerSetting(arm, "H")
+        assert type(setting.arm1) is float and setting.arm2 == "H"
+        assert setting == AnalyzerSetting(30.0, "H")
+        assert hash(setting) == hash(AnalyzerSetting(30.0, "H"))
+        assert setting.projector().tobytes() == AnalyzerSetting(30.0, "H").projector().tobytes()
+    labels = AnalyzerSetting(np.str_("D"), "R")
+    assert isinstance(labels.arm1, str) and labels.arm2 == "R"
+    assert AnalyzerSetting(np.array(45.0)).arm2 is None
+
+
 def test_born_probability_bell_examples():
     rho = pure_to_density(bell_state("phi-minus"))
     assert born_probability(rho, AnalyzerSetting("H", "H")) == pytest.approx(0.5)

@@ -395,7 +395,7 @@ def test_mle_cost_and_gradient_match_a_per_setting_sum():
     hh = SCHEDULE[0].projector()
     at_floor = (np.eye(4) - hh) / 3.0
     n_total = tomography._normalization(recs)
-    proj = tomography._two_photon_stack(tuple(r.setting for r in recs))
+    proj = polarimetry._two_photon_stack(tuple(r.setting for r in recs))
     cost = MaximumLikelihood()._cost_function(recs, proj, n_total)
     for rho, n_floored in ((searched.rho_, None), (at_floor, 1)):
         f_ref, grad_ref, floored = 0.0, np.zeros((4, 4), dtype=complex), 0
@@ -416,7 +416,7 @@ def test_mle_cost_and_gradient_match_a_per_setting_sum():
 # ------------------------------------------------ schedule memo
 
 def clear_schedule_memo():
-    tomography._two_photon_stack.cache_clear()
+    polarimetry._two_photon_stack.cache_clear()
     tomography._design.cache_clear()
 
 
@@ -427,14 +427,16 @@ def test_memoized_stack_is_the_projector_stack_bit_for_bit(settings):
     key = tuple(settings)
     expected = polarimetry._projector_stack(list(settings)).tobytes()
     for _ in range(2):  # built, then read from the memo
-        stack = tomography._two_photon_stack(key)
+        stack = polarimetry._two_photon_stack(key)
         assert stack.tobytes() == expected
-    assert tomography._two_photon_stack.cache_info().hits == 1
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0] = 0.0
+    assert polarimetry._two_photon_stack.cache_info().hits == 1
 
 
 def test_memoized_stack_and_design_are_read_only():
     key = tuple(SCHEDULE)
-    stack = tomography._two_photon_stack(key)
+    stack = polarimetry._two_photon_stack(key)
     design = tomography._design(key)
     with pytest.raises(ValueError, match="read-only"):
         stack[0, 0] = 0.0
@@ -479,6 +481,20 @@ def test_an_incomplete_schedule_raises_on_every_call():
         est = MaximumLikelihood().fit(duplicated, seed_matrix=rho)
         assert est.path_ == "search"
         assert est.converged_
+
+
+def test_records_with_array_angle_arms_fit_as_float_arms():
+    # the D arms of the schedule measured as a 45-degree polarizer, written
+    # as floats and as 0-d arrays
+    def schedule(deg):
+        return [AnalyzerSetting(deg if s.arm1 == "D" else s.arm1,
+                                deg if s.arm2 == "D" else s.arm2) for s in SCHEDULE]
+
+    recs = simulate_counts(werner_phi_minus(1.0), schedule(45.0), SourceConfig(seed=5))
+    arrays = [dataclasses.replace(r, setting=s) for r, s in zip(recs, schedule(np.array(45.0)))]
+    assert [r.setting for r in arrays] == [r.setting for r in recs]
+    assert linear_reconstruct(arrays).matrix.tobytes() == linear_reconstruct(recs).matrix.tobytes()
+    assert mle_reconstruct(arrays).rho.tobytes() == mle_reconstruct(recs).rho.tobytes()
 
 
 # ------------------------------------------------------------ single qubit
