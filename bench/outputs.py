@@ -7,19 +7,34 @@ Usage, from the root of a checkout:
 It exports ``--parent`` with ``git archive`` to a temporary directory and
 runs the same ``wernerlab`` commands on the parent's ``src/`` and on the
 working tree's, each side in its own empty directory with the same relative
-paths, so that the manifests compare too.  The commands are 32 ``pipeline
---bootstrap 20`` runs (``--mix`` 0, 0.405, 0.801 and 1.0 at seeds 0-7), then
-``metrics`` and ``chsh --state`` at each target's optimal angles, on the
-source state and on the maximum-likelihood state of each seed-0 pipeline
-run.  One process per side runs them all.
+paths, so that the manifests compare too.  One process per side runs every
+subcommand, in this order:
+
+- 32 ``pipeline --bootstrap 20`` runs (``--mix`` 0, 0.405, 0.801 and 1.0
+  at seeds 0-7);
+- ``metrics`` and ``chsh --state`` at each target's optimal angles, on the
+  source state and on the maximum-likelihood state of each seed-0 run;
+- ``gen-state`` of the four Bell states and of both Werner kinds at each
+  ``--mix`` value;
+- ``fit-werner`` at each target, on the same states as ``metrics``;
+- ``simulate`` on the source state of each seed-0 run: the tomography
+  schedule, and the CHSH schedule at each target's angles and at
+  ``--angles 3,51,-17.5,80``, each with and without ``--exact``;
+- ``chsh --counts`` on every CHSH counts file;
+- ``reconstruct --method linear`` and ``--method mle`` on every tomography
+  counts file, the pipelines' included;
+- ``decohere-curve`` with its defaults and with ``--fwhm 9 --grid
+  0:40:0.5``.
 
 It prints how many files are byte-identical and, for every JSON leaf that
 differs, named by command, file name and key path (list indices written
 ``[]``), the number of runs in which it differs and the largest absolute
 difference.  It exits 1 when anything other than a float's value differs:
-a file on one side only, a differing file that is not JSON, or a changed
-key, length, string, integer, boolean or null.  It exits 0 otherwise, and 2
-when the revision names no commit or a command fails.
+a file on one side only, a differing file that is not JSON, a changed key,
+length, string, integer, boolean or null, or a command that fails on either
+side, with a nonzero exit status or an exception (the other commands still
+run).  It exits 0 otherwise, and 2 when the revision names no commit or a
+side's commands cannot run at all.
 """
 
 from __future__ import annotations
@@ -39,18 +54,27 @@ ROOT = pairs.ROOT
 MIXES = ("0.0", "0.405", "0.801", "1.0")
 SEEDS = range(8)
 TARGETS = ("phi-plus", "phi-minus", "psi-plus", "psi-minus")
+CUSTOM_ANGLES = "3,51,-17.5,80"
 
 # Runs each argv of the JSON list argv[1] through wernerlab.cli.main, with
-# the package imported from the directory argv[2].
+# the package imported from the directory argv[2], and prints, as its last
+# line, the JSON list of the commands that failed with their exit status or
+# traceback; a failed command does not stop the others.
 DRIVER = """
-import json, sys
+import json, sys, traceback
 import wernerlab
 from wernerlab.cli import main
 if not wernerlab.__file__.startswith(sys.argv[2]):
     sys.exit(f"wernerlab imported from {wernerlab.__file__}, not {sys.argv[2]}")
+failed = []
 for argv in json.loads(sys.argv[1]):
-    if main(argv):
-        sys.exit("failed: wernerlab " + " ".join(argv))
+    try:
+        status = main(argv)
+    except Exception:
+        status = traceback.format_exc().strip()
+    if status:
+        failed.append(f"wernerlab {' '.join(argv)}: {status}")
+print(json.dumps(failed))
 """
 
 
@@ -67,18 +91,47 @@ def commands() -> list[list[str]]:
                               "--out", f"metrics/{run}/metrics.json"])
                 argvs.append(["chsh", "--state", path, "--target", target,
                               "--out", f"chsh/{run}/chsh.json"])
+    kinds = [("bell", t) for t in TARGETS]
+    kinds += [(kind, x) for kind in ("werner-singlet", "werner-phi-minus") for x in MIXES]
+    argvs += [["gen-state", kind, value, "--out", f"gen-state/{kind}-{value}/state.json"]
+              for kind, value in kinds]
+    argvs += [["fit-werner", f"pipeline/x{x}-s0/{state}.json", "--target", target,
+               "--out", f"fit-werner/x{x}-{state}-{target}/fit.json"]
+              for x in MIXES for state in ("state", "rho_mle") for target in TARGETS]
+    # the directory of each counts file, a tomography run's or a CHSH run's
+    tomo, chsh = [f"pipeline/x{x}-s{seed}" for x in MIXES for seed in SEEDS], []
+    schedules = [("tomo", [])]
+    schedules += [(f"chsh-{t}", ["--schedule", "chsh", "--target", t]) for t in TARGETS]
+    schedules += [("chsh-custom", ["--schedule", "chsh", "--angles", CUSTOM_ANGLES])]
+    for x in MIXES:
+        for name, options in schedules:
+            for exact in ([], ["--exact"]):
+                run = f"simulate/x{x}-{name}{'-exact' if exact else ''}"
+                argvs.append(["simulate", f"pipeline/x{x}-s0/state.json", *options, *exact,
+                              "--out", f"{run}/counts.json"])
+                (chsh if name.startswith("chsh") else tomo).append(run)
+    argvs += [["chsh", "--counts", f"{run}/counts.json",
+               "--out", f"chsh-counts/{run.replace('/', '-')}/chsh.json"] for run in chsh]
+    argvs += [["reconstruct", f"{run}/counts.json", "--method", method,
+               "--out", f"reconstruct/{method}-{run.replace('/', '-')}/rho.json"]
+              for run in tomo for method in ("linear", "mle")]
+    argvs += [["decohere-curve", "--out", "decohere-curve/default/curve.csv"],
+              ["decohere-curve", "--fwhm", "9", "--grid", "0:40:0.5",
+               "--out", "decohere-curve/fwhm9/curve.csv"]]
     return argvs
 
 
-def run_commands(src: Path, workdir: Path) -> None:
-    """Run :func:`commands` in ``workdir`` on the package in ``src``."""
+def run_commands(src: Path, workdir: Path) -> list[str]:
+    """Run :func:`commands` in ``workdir`` on the package in ``src``; returns
+    the commands that failed, each with its exit status or traceback."""
     argvs = commands()
     for argv in argvs:
         if "--out" in argv:
             (workdir / argv[argv.index("--out") + 1]).parent.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
-    subprocess.run([sys.executable, "-c", DRIVER, json.dumps(argvs), str(src)],
-                   cwd=workdir, env=env, check=True, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", DRIVER, json.dumps(argvs), str(src)],
+                          cwd=workdir, env=env, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def leaf_differences(a, b, path: str = "") -> tuple[list, list]:
@@ -164,14 +217,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="wernerlab-outputs-") as tmp:
         tmp = Path(tmp)
         pairs.export(args.parent, tmp)
+        failed = []
         for side, src in (("parent", tmp / "tree" / "src"), ("change", ROOT / "src")):
             try:
-                run_commands(src, tmp / side)
+                failed += [f"failed on the {side}: {cmd}" for cmd in run_commands(src, tmp / side)]
             except subprocess.CalledProcessError as exc:
-                print(f"bench/outputs.py: the {side}'s commands failed:\n{exc.stderr}",
+                print(f"bench/outputs.py: the {side}'s commands did not run:\n{exc.stderr}",
                       file=sys.stderr)
                 return 2
         report = compare(tmp / "parent", tmp / "change")
+        report["other"] += failed
     print_report(report)
     return int(bool(report["other"]))
 

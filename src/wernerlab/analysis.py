@@ -3,12 +3,13 @@ measures, and CHSH correlations."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import polarimetry
-from .errors import EmptyDataError, NotPSDError, OutOfRangeError
+from .errors import EmptyDataError, NotPSDError, OutOfRangeError, UnknownLabelError
 from .qlinalg import _PSD_CLAMP, _scalar, check_hermitian, kron, psd_sqrt
 from .states import SIGMA_Y, bell_state, pure_to_density
 
@@ -148,9 +149,10 @@ class ChshAngles:
     theta2_prime: float
 
     def __post_init__(self):
-        # held as floats, as the schedule's settings hold them (an array does not serialize)
+        # held as floats, as the schedule's settings hold them (an array does not
+        # serialize), and -0.0 as 0.0, which the schedule memo takes as equal
         for f in fields(self):
-            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+            object.__setattr__(self, f.name, float(getattr(self, f.name)) + 0.0)
 
     def as_tuple(self):
         return (self.theta1, self.theta1_prime, self.theta2, self.theta2_prime)
@@ -183,7 +185,7 @@ def chsh_value(rho: np.ndarray, angles: ChshAngles = DEFAULT_ANGLES):
     the Born probabilities of a :func:`chsh_schedule` quadruple, read from
     its projector stack (the denominator is ``tr rho = 1``)."""
     rho = check_hermitian(rho)
-    stack = polarimetry._two_photon_stack(tuple(chsh_schedule(angles)))
+    stack = polarimetry._two_photon_stack(chsh_schedule(angles))
     p = np.matmul(stack, rho.reshape(*rho.shape[:-2], 16, 1)).real[..., 0]
     e = p[..., 0::4] + p[..., 1::4] - p[..., 2::4] - p[..., 3::4]
     return _scalar(e[..., 0] + e[..., 1] + e[..., 2] - e[..., 3])
@@ -208,8 +210,10 @@ def state_metrics(rho: np.ndarray, target: str = "phi-minus",
     }
 
 
-def chsh_schedule(angles: ChshAngles = DEFAULT_ANGLES) -> list:
-    """The 16 analyzer settings of a counted CHSH run.
+@functools.lru_cache(maxsize=polarimetry._SCHEDULES_KEPT)
+def chsh_schedule(angles: ChshAngles = DEFAULT_ANGLES) -> tuple:
+    """The 16 analyzer settings of a counted CHSH run, built once per angle
+    set and process; a tuple, since every caller shares it.
 
     Each of the four angle pairs contributes a quadruple ordered
     ``(a, b), (a+90, b+90), (a+90, b), (a, b+90)`` to match
@@ -224,22 +228,25 @@ def chsh_schedule(angles: ChshAngles = DEFAULT_ANGLES) -> list:
             polarimetry.AnalyzerSetting(a + 90.0, b),
             polarimetry.AnalyzerSetting(a, b + 90.0),
         ]
-    return settings
+    return tuple(settings)
 
 
 @dataclass(frozen=True)
 class ChshEstimate:
-    """Counted CHSH estimate with its first-order Poisson uncertainty."""
+    """Counted CHSH estimate, its first-order Poisson uncertainty and its run's angles."""
 
     s: float
     sigma: float
     correlations: tuple
+    angles: ChshAngles
 
 
 def chsh_from_counts(records: list) -> ChshEstimate:
     """Estimate S and its uncertainty from the 16 records of a CHSH run.
 
-    Records must follow the :func:`chsh_schedule` order.  Each correlation's
+    The settings must be the :func:`chsh_schedule` of the angles on the arms
+    of records 1, 5 and 9, which the estimate reports; other records raise
+    :class:`UnknownLabelError` before any count is read.  Each correlation's
     variance comes from first-order propagation of independent Poisson counts
     through the ratio estimator: ``var(E) = 4*(B'**2*A + A'**2*B) / T'**4``
     with ``A`` the coincident-count sum, ``B`` the anti-coincident sum, the
@@ -248,8 +255,13 @@ def chsh_from_counts(records: list) -> ChshEstimate:
     """
     if len(records) != 16:
         raise OutOfRangeError(f"a CHSH run has 16 records, got {len(records)}")
-    es = []
-    variances = []
+    arms = [records[i].setting.arm1 for i in (0, 4)] + [records[i].setting.arm2 for i in (0, 8)]
+    if not all(isinstance(a, float) for a in arms):
+        raise UnknownLabelError("CHSH counts need polarizer angles on both arms")
+    angles = ChshAngles(*arms)
+    if tuple(r.setting for r in records) != chsh_schedule(angles):
+        raise UnknownLabelError("counts do not follow the CHSH schedule of their angles")
+    es, variances = [], []
     for q in range(4):
         quad = records[4 * q : 4 * q + 4]
         es.append(polarimetry.correlation_E(quad))
@@ -262,4 +274,4 @@ def chsh_from_counts(records: list) -> ChshEstimate:
             raise EmptyDataError("a CHSH quadruple has no pair counts")
         variances.append(4.0 * (b_pairs**2 * a + a_pairs**2 * b) / t**4)
     s = es[0] + es[1] + es[2] - es[3]
-    return ChshEstimate(s=float(s), sigma=float(np.sqrt(sum(variances))), correlations=tuple(es))
+    return ChshEstimate(float(s), float(np.sqrt(sum(variances))), tuple(es), angles)

@@ -267,21 +267,14 @@ def _cmd_chsh(args) -> int:
     if (args.counts is None) == (args.state is None):
         raise ValueError("chsh needs exactly one of --counts or --state")
     if args.counts is not None:
+        if args.angles is not None:
+            raise ValueError("chsh --counts reads the angles of its counts and takes no --angles")
         records = polarimetry.records_from_json(_read_json(args.counts))
-        # the schedule first: records that are not a CHSH run are bad input
-        if len(records) != 16:
-            raise ValueError(f"a CHSH run has 16 records, got {len(records)}")
-        arms = [records[0].setting.arm1, records[4].setting.arm1,
-                records[0].setting.arm2, records[8].setting.arm2]
-        if not all(isinstance(a, float) for a in arms):
-            raise ValueError("CHSH counts need polarizer angles on both arms")
-        if [r.setting for r in records] != analysis.chsh_schedule(analysis.ChshAngles(*arms)):
-            raise ValueError("counts do not follow the CHSH schedule of their angles")
         estimate = analysis.chsh_from_counts(records)
         doc = {
             "S": estimate.s,
             "sigma": estimate.sigma,
-            "angles_deg": arms,
+            "angles_deg": list(estimate.angles.as_tuple()),
             "correlations": list(estimate.correlations),
         }
         inputs = [args.counts]

@@ -93,14 +93,16 @@ def _design(settings: tuple) -> np.ndarray:
     return design
 
 
-def _invert(design, probs):
-    """Linear inversion of a vector of setting probabilities, or of each row
-    of an ``(R, 16)`` stack: ``(rho, lowest eigenvalue)``.
+def _invert(records, settings, counts, n_total):
+    """Linear inversion of the counts of ``records`` less their expected
+    accidentals over the pair flux ``n_total``, or of each row of an ``(R,
+    16)`` stack of counts over an ``(R, 1)`` flux: ``(rho, lowest eigenvalue)``.
 
     The stack takes one solve, with the rows as right-hand sides, and one
     stacked eigendecomposition; each row gives the values it gives alone.
     """
-    stokes = np.linalg.solve(design, probs.T).T
+    probs = (counts - _accidentals(records)) / n_total
+    stokes = np.linalg.solve(_design(settings), probs.T).T
     # matmul, not tensordot, so a stack gives the same values as one vector
     rho = np.matmul(stokes[..., None, :], _PAULI_OPS.reshape(16, -1))
     rho = rho.reshape(*stokes.shape[:-1], 4, 4)
@@ -130,16 +132,11 @@ class LinearInversion:
 
     def fit(self, records):
         _check_record_count(records)
-        n_total = _normalization(records)
-        return self._fit(records, tuple(r.setting for r in records), n_total)
-
-    def _fit(self, records, settings, n_total):
-        """Fit 16 records given the tuple of their settings and their pair flux."""
+        self.n_total_ = _normalization(records)
         counts = np.array([r.count for r in records], dtype=float)
-        probs = (counts - _accidentals(records)) / n_total
-        self.matrix_, lowest = _invert(_design(settings), probs)
+        settings = tuple(r.setting for r in records)
+        self.matrix_, lowest = _invert(records, settings, counts, self.n_total_)
         self.min_eigenvalue_ = float(lowest)
-        self.n_total_ = n_total
         return self
 
 
@@ -193,7 +190,7 @@ def _projected_gradient(cost, rho):
     def stationary(rho, grad):
         # the projected move of a step 1 / scale is the projected gradient / scale
         moved = _project_to_states(rho - grad / scale) - rho
-        return np.linalg.norm(moved) <= np.sqrt(_FTOL)
+        return bool(np.linalg.norm(moved) <= np.sqrt(_FTOL))
 
     evals, iterations, history = 1, 0, []
     y, fy, gy = rho, f, grad
@@ -302,16 +299,17 @@ class MaximumLikelihood:
         n_total = _normalization(records)
         settings = tuple(r.setting for r in records)
         cost = self._cost_function(records, polarimetry._two_photon_stack(settings), n_total)
-        linear = None
+        linear = lowest = None
         try:
             _check_record_count(records)
-            linear = LinearInversion()._fit(records, settings, n_total)
+            counts = np.array([r.count for r in records], dtype=float)
+            linear, lowest = _invert(records, settings, counts, n_total)
         except SingularSystemError:
             if seed_matrix is None:
                 raise
-        if linear is not None and linear.min_eigenvalue_ >= 0.0:
-            self.rho_ = linear.matrix_
-            self.cost_ = cost(linear.matrix_)[0]
+        if linear is not None and lowest >= 0.0:
+            self.rho_ = linear
+            self.cost_ = cost(linear)[0]
             self.iterations_ = 0
             self.n_evaluations_ = 1
             self.converged_ = True
@@ -319,7 +317,7 @@ class MaximumLikelihood:
             self.path_ = "linear"
             return self
         if seed_matrix is None:
-            seed_matrix = linear.matrix_
+            seed_matrix = linear
         start = _project_to_states(np.asarray(seed_matrix, dtype=complex))
         rho, f, evals, iters, converged, history = _projected_gradient(cost, start)
         self.rho_ = rho
@@ -436,8 +434,7 @@ def bootstrap_errors(
     settings = tuple(r.setting for r in records)
     polarimetry._two_photon_stack(settings)  # a one-photon setting raises before the count check
     _check_record_count(records)
-    probs = (counts - _accidentals(records)) / n_total[:, None]
-    rho, lowest = _invert(_design(settings), probs)
+    rho, lowest = _invert(records, settings, counts, n_total[:, None])
     nonconverged = 0
     for i in np.flatnonzero(lowest < 0.0):
         redrawn = [replace(r, count=int(c)) for r, c in zip(records, counts[i])]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,12 @@ from wernerlab.analysis import (
     tangle,
 )
 from wernerlab.errors import NotPSDError, OutOfRangeError, UnknownLabelError
-from wernerlab.polarimetry import SourceConfig, simulate_counts
+from wernerlab.polarimetry import (
+    AnalyzerSetting,
+    SourceConfig,
+    simulate_counts,
+    tomographic_settings,
+)
 from wernerlab.qlinalg import kron
 from wernerlab.states import (
     BELL_KINDS,
@@ -314,3 +321,66 @@ def test_chsh_from_counts_needs_16_records():
     recs = simulate_counts(werner_phi_minus(0.5), sched, SourceConfig(seed=0))
     with pytest.raises(OutOfRangeError):
         chsh_from_counts(recs[:12])
+
+
+ANGLE_SETS = [*(angles_for_target(k) for k in BELL_KINDS), ChshAngles(3, 51, -17.5, 80)]
+ANGLE_IDS = [*BELL_KINDS, "custom"]
+
+
+def not_a_chsh_run(kind):
+    """16 records that are not the CHSH schedule of their own angles."""
+    rho, config = werner_phi_minus(0.801), SourceConfig(seed=0)
+    if kind == "tomography":
+        return simulate_counts(rho, tomographic_settings(), config)
+    if kind == "labels":
+        # the run at angles (0, 45, 0, 45), with every arm named by its label
+        label = {0.0: "H", 90.0: "V", 45.0: "D", 135.0: "A"}
+        run = simulate_counts(rho, chsh_schedule(ChshAngles(0, 45, 0, 45)), config)
+        return [replace(r, setting=AnalyzerSetting(label[r.setting.arm1], label[r.setting.arm2]))
+                for r in run]
+    run = simulate_counts(rho, chsh_schedule(DEFAULT_ANGLES), config)
+    if kind == "swapped":  # quadruples 2 and 3
+        return run[:4] + run[8:12] + run[4:8] + run[12:]
+    moved = replace(run[5].setting, arm2=run[5].setting.arm2 + 1.0)
+    return run[:5] + [replace(run[5], setting=moved)] + run[6:]
+
+
+@pytest.mark.parametrize("kind", ["tomography", "swapped", "moved", "labels"])
+def test_chsh_from_counts_refuses_records_that_are_not_a_chsh_run(kind):
+    records = not_a_chsh_run(kind)
+    with pytest.raises(UnknownLabelError):
+        chsh_from_counts(records)
+    # the schedule is checked before any count is read
+    with pytest.raises(UnknownLabelError):
+        chsh_from_counts([replace(r, count=0) for r in records])
+
+
+@pytest.mark.parametrize("angles", ANGLE_SETS, ids=ANGLE_IDS)
+def test_chsh_from_counts_reports_the_angles_of_its_run(angles):
+    records = simulate_counts(werner_phi_minus(0.801), chsh_schedule(angles), SourceConfig())
+    assert chsh_from_counts(records).angles == angles
+
+
+def test_a_signed_zero_angle_is_held_as_zero():
+    # equal angle sets share one memoized schedule, so -0.0 must not reach a
+    # setting that a counts file writes: the file would depend on call order
+    angles = ChshAngles(-0.0, 45, np.float64(-0.0), 45)
+    assert all(np.copysign(1.0, a) == 1.0 for a in angles.as_tuple())
+    rho, config = werner_phi_minus(0.8), SourceConfig()
+    records = simulate_counts(rho, chsh_schedule(angles), config)
+    doc = polarimetry.records_to_json(records)["records"][0]
+    assert np.copysign(1.0, doc["arm1"]["deg"]) == np.copysign(1.0, doc["arm2"]["deg"]) == 1.0
+
+
+def test_chsh_schedule_is_built_once_per_angle_set():
+    angles = ChshAngles(3, 51, -17.5, 80)
+    assert chsh_schedule(angles) is chsh_schedule(ChshAngles(*angles.as_tuple()))
+    assert isinstance(chsh_schedule(angles), tuple)
+    rho = werner_phi_minus(0.801)
+    for angles in ANGLE_SETS:
+        chsh_value(rho, angles)
+    misses = chsh_schedule.cache_info().misses
+    for _ in range(3):
+        for angles in ANGLE_SETS:
+            chsh_value(rho, angles)
+    assert chsh_schedule.cache_info().misses == misses

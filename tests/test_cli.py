@@ -329,7 +329,37 @@ def test_metrics_counts_need_a_bootstrap(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-POINT_FIELDS = ("x", "fidelity", "linear_entropy", "tangle")
+def test_search_that_stops_at_its_start_writes_its_report(tmp_path):
+    """Noise-free counts of a pure state invert to an eigenvalue of -4e-16,
+    so the search runs and stops at once; its report is written, with
+    ``converged`` a JSON bool."""
+    state, counts = tmp_path / "state.json", tmp_path / "counts.json"
+    assert run(["gen-state", "werner-phi-minus", "1.0", "--out", state]) == 0
+    assert run(["simulate", state, "--exact", "--out", counts]) == 0
+    assert run(["reconstruct", counts, "--out", tmp_path / "rho.json"]) == 0
+    report = read_json(tmp_path / "rho.json.report.json")
+    assert report["path"] == "search"
+    assert type(report["converged"]) is bool
+
+
+def test_chsh_counts_refuse_angles(tmp_path, capsys):
+    """Counts carry their own angles, so ``chsh --counts --angles`` is bad
+    input, refused before the counts file (which does not exist) is read;
+    ``--state`` keeps ``--angles``."""
+    assert run(["chsh", "--counts", tmp_path / "counts.json", "--angles", "0,45,22.5,67.5",
+                "--out", tmp_path / "s.json"]) == 2
+    assert capsys.readouterr().err == (
+        "wernerlab: error: chsh --counts reads the angles of its counts and takes no --angles\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+    state = tmp_path / "state.json"
+    assert run(["gen-state", "werner-phi-minus", "0.801", "--out", state]) == 0
+    assert run(["chsh", "--state", state, "--angles", "0,45,22.5,67.5",
+                "--out", tmp_path / "s.json"]) == 0
+    assert read_json(tmp_path / "s.json")["angles_deg"] == [0.0, 45.0, 22.5, 67.5]
+
+
+POINT_FIELDS =("x", "fidelity", "linear_entropy", "tangle")
 
 
 def point_values(path):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from wernerlab.cli import build_parser
 from wernerlab.states import BELL_KINDS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -113,12 +114,40 @@ def test_the_command_set(outputs):
         (x, str(s)) for x in ("0.0", "0.405", "0.801", "1.0") for s in range(8)}
     assert all(a[5:7] == ["--bootstrap", "20"] for a in pipelines)
     # metrics and the exact CHSH after the pipelines whose states they read
-    rest = argvs[32:]
+    rest = argvs[32:96]
     assert len(rest) == 64
     assert {a[0] for a in rest} == {"metrics", "chsh"}
     assert {a[a.index("--target") + 1] for a in rest} == set(BELL_KINDS)
     out = [a[a.index("--out") + 1] for a in argvs if "--out" in a]
     assert len(set(out)) == len(out)
+
+
+def test_the_command_set_runs_every_subcommand(outputs):
+    argvs = outputs.commands()
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    assert {a[0] for a in argvs} == set(subcommands)
+    # every counts file that simulate writes is read: CHSH runs by chsh --counts,
+    # tomography runs by both reconstruction methods
+    simulated = [a[a.index("--out") + 1] for a in argvs if a[0] == "simulate"]
+    assert len(simulated) == 48
+    chsh = {a[2] for a in argvs if a[:2] == ["chsh", "--counts"]}
+    methods = {(a[1], a[3]) for a in argvs if a[0] == "reconstruct"}
+    for path in simulated:
+        if "-chsh-" in path:
+            assert path in chsh
+        else:
+            assert {(path, "linear"), (path, "mle")} <= methods
+    assert {"3,51,-17.5,80", "--exact"} <= {x for a in argvs if a[0] == "simulate" for x in a}
+
+
+def test_a_failed_command_is_reported_and_the_rest_still_run(outputs, monkeypatch, tmp_path):
+    monkeypatch.setattr(outputs, "commands", lambda: [
+        ["gen-state", "bell", "eta-plus", "--out", "bad/state.json"],
+        ["gen-state", "bell", "phi-minus", "--out", "good/state.json"],
+    ])
+    failed = outputs.run_commands(BENCH.parent / "src", tmp_path)
+    assert failed == ["wernerlab gen-state bell eta-plus --out bad/state.json: 2"]
+    assert (tmp_path / "good" / "state.json").is_file()
 
 
 def test_main_exits_2_on_a_revision_that_names_no_commit(outputs, monkeypatch, capsys):

@@ -235,7 +235,7 @@ def test_simulate_counts_equals_the_per_setting_born_rule(rho, exact):
         config = SourceConfig(seed=seed)
         for state, settings in schedules:
             records = simulate_counts(state, settings, config, exact=exact)
-            assert [r.setting for r in records] == settings
+            assert [r.setting for r in records] == list(settings)
             counts = [r.count for r in records]
             assert all(type(c) is int for c in counts)
             assert counts == _reference_counts(state, settings, config, exact)
