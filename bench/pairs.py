@@ -16,7 +16,10 @@ It prints every run, then for each end-to-end metric of ``BENCHMARK.json``
 each side's median and quartiles, the pairs the change won (ties count for
 neither), whether the gap between the medians exceeds the parent's
 interquartile range, and the relative change of the median against the
-metric's bound (positive is worse).  It exits 1 when a metric's median
+metric's bound (positive is worse).  Under the summary it prints each
+side's median number of attempted units per run: the harness keeps a record
+per unit, so a ``peak_rss_mb`` rise that follows a rise in units is not a
+change in what a unit allocates.  It exits 1 when a metric's median
 change is beyond its bound or the change failed a larger share of units
 than the parent, 0 otherwise, so a script can apply the pipeline's rule.
 """
@@ -116,6 +119,11 @@ def exit_status(rows: list[dict], parent: list[dict], change: list[dict]) -> int
     return int(more_failed or not all(row["within_bound"] for row in rows))
 
 
+def median_attempted(results: list[dict]) -> float:
+    """The median number of units a side attempted per run."""
+    return statistics.median(r["attempted"] for r in results)
+
+
 def print_summary(rows: list[dict]) -> None:
     for row in rows:
         (p1, pm, p3), (c1, cm, c3) = row["parent"], row["change"]
@@ -166,6 +174,8 @@ def main(argv=None) -> int:
               f"{sum(r['attempted'] for r in results)}")
     rows = summarize(parent, change, BENCHMARK["end_to_end"])
     print_summary(rows)
+    print(f"median attempted units per run: parent {median_attempted(parent):.6g}, "
+          f"change {median_attempted(change):.6g}")
     return exit_status(rows, parent, change)
 
 

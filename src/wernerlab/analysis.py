@@ -18,6 +18,9 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _X_LO = -1.0 / 3.0
 _X_HI = 1.0
 
+# The spin flip sy x sy of the concurrence.
+_SPIN_FLIP = kron(SIGMA_Y, SIGMA_Y)
+
 
 def _root_spectrum(m: np.ndarray) -> np.ndarray:
     """Descending square roots of the spectrum of ``m``, the inner matrix of
@@ -65,9 +68,8 @@ def concurrence(rho: np.ndarray):
     (sy x sy)``, combined as ``max(0, l1 - l2 - l3 - l4)``.
     """
     rho = check_hermitian(rho)
-    flip = kron(SIGMA_Y, SIGMA_Y)
     root = psd_sqrt(rho)
-    lam = _root_spectrum(root @ (flip @ rho.conj() @ flip) @ root)
+    lam = _root_spectrum(root @ (_SPIN_FLIP @ rho.conj() @ _SPIN_FLIP) @ root)
     return _scalar(np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]))
 
 

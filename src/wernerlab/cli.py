@@ -269,6 +269,8 @@ def _cmd_chsh(args) -> int:
     if args.counts is not None:
         if args.angles is not None:
             raise ValueError("chsh --counts reads the angles of its counts and takes no --angles")
+        if args.target is not None:
+            raise ValueError("chsh --counts reads the angles of its counts and takes no --target")
         records = polarimetry.records_from_json(_read_json(args.counts))
         estimate = analysis.chsh_from_counts(records)
         doc = {
@@ -280,6 +282,8 @@ def _cmd_chsh(args) -> int:
         inputs = [args.counts]
     else:
         rho = _load_state(args.state)
+        if args.target is None:
+            args.target = "phi-minus"  # resolved here, so the manifest records it
         angles = _angles_arg(args)
         doc = {
             "S": analysis.chsh_value(rho, angles),
@@ -404,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chsh", help="CHSH statistic from counts or a state")
     p.add_argument("--counts", default=None)
     p.add_argument("--state", default=None)
-    p.add_argument("--target", choices=list(states.BELL_KINDS), default="phi-minus")
+    p.add_argument("--target", choices=list(states.BELL_KINDS), default=None,
+                   help="with --state: Bell state whose optimal CHSH angles to use "
+                        "(default phi-minus)")
     p.add_argument("--angles", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_chsh)

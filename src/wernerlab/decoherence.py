@@ -19,7 +19,7 @@ from .errors import (
     OutOfRangeError,
     UnknownLabelError,
 )
-from .qlinalg import check_hermitian
+from .qlinalg import check_hermitian, kron
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
@@ -114,9 +114,9 @@ def dephase_two_photon(rho, g1: complex, g2: complex, basis="HV") -> np.ndarray:
         raise NonHermitianError(f"expected a 4x4 state, got shape {rho.shape}")
     if isinstance(basis, str):
         basis = (basis, basis)
-    u = np.kron(_axis_matrix(basis[0]), _axis_matrix(basis[1]))
+    u = kron(_axis_matrix(basis[0]), _axis_matrix(basis[1]))
     r = u.conj().T @ rho @ u
-    r = r * np.kron(_scaling(g1), _scaling(g2))
+    r = r * kron(_scaling(g1), _scaling(g2))
     return u @ r @ u.conj().T
 
 

@@ -22,7 +22,7 @@ from .errors import (
     UnknownLabelError,
     UnphysicalStateError,
 )
-from .qlinalg import _scalar, herm_eig, kron
+from .qlinalg import _scalar, check_hermitian, kron
 from .states import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _N_PARAMS = 16
@@ -107,8 +107,9 @@ def _invert(records, settings, counts, n_total):
     rho = np.matmul(stokes[..., None, :], _PAULI_OPS.reshape(16, -1))
     rho = rho.reshape(*stokes.shape[:-1], 4, 4)
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-    w, _ = herm_eig(rho)
-    return rho, w[..., -1]
+    # only the lowest eigenvalue, so no eigenvectors to phase-fix; the check
+    # refuses the non-finite matrix of non-finite counts
+    return rho, np.linalg.eigh(check_hermitian(rho))[0][..., 0]
 
 
 @dataclass(frozen=True)

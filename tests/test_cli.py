@@ -359,6 +359,26 @@ def test_chsh_counts_refuse_angles(tmp_path, capsys):
     assert read_json(tmp_path / "s.json")["angles_deg"] == [0.0, 45.0, 22.5, 67.5]
 
 
+def test_chsh_counts_refuse_target(tmp_path, capsys):
+    """``chsh --counts --target`` is refused like ``--angles``, so a counts
+    manifest records no target; ``--state`` still records its resolved
+    default ``--target phi-minus``."""
+    assert run(["chsh", "--counts", tmp_path / "counts.json", "--target", "psi-plus",
+                "--out", tmp_path / "s.json"]) == 2
+    assert capsys.readouterr().err == (
+        "wernerlab: error: chsh --counts reads the angles of its counts and takes no --target\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+    state, counts = tmp_path / "state.json", tmp_path / "counts.json"
+    assert run(["gen-state", "werner-phi-minus", "0.801", "--out", state]) == 0
+    assert run(["simulate", state, "--schedule", "chsh", "--out", counts]) == 0
+    assert run(["chsh", "--counts", counts, "--out", tmp_path / "c.json"]) == 0
+    assert "--target" not in read_json(tmp_path / "c.json.manifest.json")["argv"]
+    assert run(["chsh", "--state", state, "--out", tmp_path / "s.json"]) == 0
+    argv = read_json(tmp_path / "s.json.manifest.json")["argv"]
+    assert argv[argv.index("--target") + 1] == "phi-minus"
+
+
 POINT_FIELDS =("x", "fidelity", "linear_entropy", "tangle")
 
 

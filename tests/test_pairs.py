@@ -104,6 +104,14 @@ def test_exit_status_applies_the_bounds_and_the_failed_share():
     assert status(parent, wider) == 0
 
 
+def test_median_attempted_units():
+    pairs = load_pairs()
+    runs = [{**line, "attempted": n}
+            for line, n in zip(results({"throughput_per_s": [1.0] * 4}), [9000, 19000, 8000, 12000])]
+    assert pairs.median_attempted(runs) == 10500.0
+    assert pairs.median_attempted(runs[:3]) == 9000
+
+
 def test_main_exits_1_on_a_metric_beyond_its_bound(monkeypatch, capsys):
     pairs = load_pairs()
     rss = {"parent": 40.0, "change": 50.0}
@@ -112,7 +120,7 @@ def test_main_exits_1_on_a_metric_beyond_its_bound(monkeypatch, capsys):
         side = "change" if tree == pairs.ROOT else "parent"
         values = {"throughput_per_s": 10.0 + seed % 2, "latency_ms.p50": 20.0,
                   "setup_s": 0.5, "peak_rss_mb": rss[side]}
-        return {"failed": 0, "attempted": 10,
+        return {"failed": 0, "attempted": 10 if side == "parent" else 20 + seed,
                 "metrics": {k: {"value": v, "unit": "-"} for k, v in values.items()}}
 
     monkeypatch.setattr(pairs, "run_once", run_once)
@@ -121,7 +129,9 @@ def test_main_exits_1_on_a_metric_beyond_its_bound(monkeypatch, capsys):
     monkeypatch.setattr(pairs, "benchmark_differs", lambda rev: "")
     argv = ["--parent", "HEAD", "--workload", "tomo-interior", "--pairs", "2", "--seed", "1"]
     assert pairs.main(argv) == 1
-    assert "bound 10%: BEYOND" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "bound 10%: BEYOND" in out
+    assert out.endswith("median attempted units per run: parent 10, change 21.5\n")
     rss["change"] = 40.0
     assert pairs.main(argv) == 0
     assert "BEYOND" not in capsys.readouterr().out

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from wernerlab import fixtures
-from wernerlab.analysis import chsh_schedule
+from wernerlab import fixtures, polarimetry
+from wernerlab.analysis import angles_for_target, chsh_schedule
 from wernerlab.errors import EmptyDataError, OutOfRangeError, UnknownLabelError
 from wernerlab.polarimetry import (
     NORMALIZATION_BLOCK,
@@ -22,7 +22,7 @@ from wernerlab.polarimetry import (
     simulate_counts,
     tomographic_settings,
 )
-from wernerlab.states import bell_state, pure_to_density, werner_phi_minus
+from wernerlab.states import BELL_KINDS, bell_state, pure_to_density, werner_phi_minus
 
 from conftest import random_density
 
@@ -90,6 +90,33 @@ def test_analyzer_setting_holds_angles_as_floats():
     labels = AnalyzerSetting(np.str_("D"), "R")
     assert isinstance(labels.arm1, str) and labels.arm2 == "R"
     assert AnalyzerSetting(np.array(45.0)).arm2 is None
+
+
+def _mixed_schedules():
+    """Seeded random two-photon schedules of labels and angles."""
+    rng = np.random.default_rng(19)
+    arms = list(POLARIZATION_LABELS) + [0.0, 22.5, -45.0, 90.0]
+
+    def arm():
+        return arms[rng.integers(len(arms))] if rng.random() < 0.6 else rng.uniform(-180, 180)
+
+    return [[AnalyzerSetting(arm(), arm()) for _ in range(16)] for _ in range(8)]
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [tomographic_settings()]
+    + [chsh_schedule(angles_for_target(kind)) for kind in BELL_KINDS]
+    + _mixed_schedules(),
+    ids=["tomographic"] + [f"chsh-{kind}" for kind in BELL_KINDS]
+    + [f"mixed-{i}" for i in range(8)],
+)
+def test_projector_stack_rows_equal_numpy_kron_bit_for_bit(settings):
+    stack = polarimetry._projector_stack(settings)
+    expected = np.array([np.kron(projector(s.arm1), projector(s.arm2)).T.ravel()
+                         for s in settings])
+    assert stack.dtype == expected.dtype
+    assert stack.tobytes() == expected.tobytes()
 
 
 def test_born_probability_bell_examples():

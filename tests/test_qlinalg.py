@@ -16,9 +16,16 @@ from conftest import random_density, random_hermitian
 
 
 def test_kron_matches_numpy(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    np.testing.assert_allclose(kron(a, b), np.kron(a, b), atol=1e-14)
+    # the broadcast multiply gives np.kron's entries bit for bit
+    for shape_a, shape_b in [((2, 2), (2, 2)), ((4, 4), (2, 2)), ((2, 2), (4, 4))]:
+        for complex_inputs in (True, False):
+            a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+            if complex_inputs:
+                a = a + 1j * rng.normal(size=shape_a)
+                b = b + 1j * rng.normal(size=shape_b)
+            out = kron(a, b)
+            assert out.dtype == complex
+            assert np.array_equal(out, np.kron(a, b))
 
 
 def test_kron_basis_ordering():

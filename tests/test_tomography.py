@@ -7,6 +7,7 @@ from wernerlab import analysis, fixtures, polarimetry, tomography
 from wernerlab.analysis import fidelity
 from wernerlab.errors import (
     EmptyDataError,
+    NonHermitianError,
     OutOfRangeError,
     SingularSystemError,
     UnknownLabelError,
@@ -135,6 +136,15 @@ def test_normalization_block_below_accidentals_is_empty():
     recs = [dataclasses.replace(r, accidental_rate=1e7) for r in recs]
     with pytest.raises(EmptyDataError):
         LinearInversion().fit(recs)
+
+
+@pytest.mark.parametrize("index, count", [(0, float("nan")), (5, float("nan")), (5, float("inf"))])
+def test_a_non_finite_count_is_refused(index, count):
+    recs = exact_records(werner_phi_minus(0.5))
+    recs[index] = dataclasses.replace(recs[index], count=count)
+    for reconstruct in (linear_reconstruct, mle_reconstruct):
+        with pytest.raises(NonHermitianError, match="non-finite"):
+            reconstruct(recs)
 
 
 # --------------------------------------------------------------- MLE path
