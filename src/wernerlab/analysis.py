@@ -213,7 +213,7 @@ def state_metrics(rho: np.ndarray, target: str = "phi-minus",
 
 
 @functools.lru_cache(maxsize=polarimetry._SCHEDULES_KEPT)
-def chsh_schedule(angles: ChshAngles = DEFAULT_ANGLES) -> tuple:
+def chsh_schedule(angles: ChshAngles) -> tuple:
     """The 16 analyzer settings of a counted CHSH run, built once per angle
     set and process; a tuple, since every caller shares it.
 

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Every command writes its primary output plus a ``<output>.manifest.json``
+Every command computes its outputs and returns them; :func:`main` writes
+them, all or none, with a ``<output>.manifest.json`` next to the first one
 containing the fully resolved argument vector; running ``argv[1:]`` again
 rewrites the same outputs byte for byte.  Exit codes: 0 on success, 2 for
 input or parameter errors, 3 for numerical failures (singular systems, empty
@@ -42,15 +43,28 @@ _INPUT_ERRORS = (WernerlabError, ValueError, KeyError, OSError)
 _MAX_GRID_POINTS = 10**6  # largest decohere-curve grid, about 20 MB of CSV
 
 
-def _write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _write_json(path: str, doc: dict) -> None:
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
+def _write_files(files: list) -> None:
+    """Write a run's ``(path, JSON document or text)`` pairs all or none, each to
+    ``<path>.tmp`` renamed into place once all are; a path named twice or a
+    directory raises first."""
+    names = [os.path.realpath(path + end) for path, _ in files for end in ("", ".tmp")]
+    for name in names:
+        if os.path.isdir(name):
+            raise IsADirectoryError(f"{name} is a directory")
+        if names.count(name) > 1:
+            raise ValueError(f"two of this run's files name {name}")
+    staged = []
+    try:
+        for path, body in files:
+            with open(f"{path}.tmp", "w") as fh:
+                staged.append(fh.name)
+                fh.write(body if isinstance(body, str) else json.dumps(body, indent=2) + "\n")
+    except BaseException:
+        for tmp in staged:
+            os.remove(tmp)
+        raise
+    for path, _ in files:
+        os.replace(f"{path}.tmp", path)
 
 
 def _read_json(path: str) -> dict:
@@ -58,9 +72,9 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _write_manifest(args, inputs: list, outputs: list, path: str | None = None) -> None:
-    """Write the manifest of a run, with the argv that reruns it derived from
-    ``args`` and its subcommand's parser (default path: next to ``outputs[0]``)."""
+def _manifest(args, inputs: list, outputs: list) -> dict:
+    """The manifest of a run, with the argv that reruns it derived from
+    ``args`` and its subcommand's parser."""
     argv = ["wernerlab", args.command]
     for action in args.parser._actions:
         value = getattr(args, action.dest, None)
@@ -75,7 +89,7 @@ def _write_manifest(args, inputs: list, outputs: list, path: str | None = None) 
             text = _fmt(value) if isinstance(value, float) else str(value)
             # argparse reads a separate value that starts with '-' as an option
             argv += [f"{flag}={text}"] if text.startswith("-") else [flag, text]
-    doc = {
+    return {
         "tool": "wernerlab",
         "version": __version__,
         "command": args.command,
@@ -83,7 +97,6 @@ def _write_manifest(args, inputs: list, outputs: list, path: str | None = None) 
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
     }
-    _write_json(path or f"{outputs[0]}.manifest.json", doc)
 
 
 def _load_state(path: str) -> np.ndarray:
@@ -160,9 +173,11 @@ def _mle(records, strict: bool) -> tuple[np.ndarray, dict]:
 
 
 # ---------------------------------------------------------------- commands
+# Each returns ``(inputs, outputs)``: the files it read, and the ``(path,
+# JSON document or CSV text)`` pairs to write, in the manifest's order.
 
 
-def _cmd_gen_state(args) -> int:
+def _cmd_gen_state(args) -> tuple[list, list]:
     if args.kind == "bell":
         rho = states.pure_to_density(states.bell_state(args.value))
     elif args.kind == "werner-singlet":
@@ -171,12 +186,10 @@ def _cmd_gen_state(args) -> int:
         rho = states.werner_phi_minus(float(args.value))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown state kind {args.kind!r}")
-    _write_json(args.out, states.density_matrix_to_json(rho))
-    _write_manifest(args, [], [args.out])
-    return 0
+    return [], [(args.out, states.density_matrix_to_json(rho))]
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[list, list]:
     rho = _load_state(args.state)
     angles = _angles_arg(args)
     if args.schedule == "tomo":
@@ -185,12 +198,10 @@ def _cmd_simulate(args) -> int:
         settings = analysis.chsh_schedule(angles)
     config = _source_config(args)
     records = polarimetry.simulate_counts(rho, settings, config, exact=args.exact)
-    _write_json(args.out, polarimetry.records_to_json(records))
-    _write_manifest(args, [args.state], [args.out])
-    return 0
+    return [args.state], [(args.out, polarimetry.records_to_json(records))]
 
 
-def _cmd_reconstruct(args) -> int:
+def _cmd_reconstruct(args) -> tuple[list, list]:
     records = polarimetry.records_from_json(_read_json(args.counts))
     args.report = args.report or f"{args.out}.report.json"
     if args.method == "linear":
@@ -214,10 +225,7 @@ def _cmd_reconstruct(args) -> int:
             )
     else:
         rho, report = _mle(records, args.strict)
-    _write_json(args.out, states.density_matrix_to_json(rho))
-    _write_json(args.report, report)
-    _write_manifest(args, [args.counts], [args.out, args.report])
-    return 0
+    return [args.counts], [(args.out, states.density_matrix_to_json(rho)), (args.report, report)]
 
 
 def _metrics_doc(rho, target, angles, records, n_boot, seed):
@@ -245,7 +253,7 @@ def _metrics_doc(rho, target, angles, records, n_boot, seed):
     }
 
 
-def _cmd_metrics(args) -> int:
+def _cmd_metrics(args) -> tuple[list, list]:
     if args.bootstrap and not args.counts:
         raise ValueError("--bootstrap resamples counts and needs --counts")
     if args.counts and not args.bootstrap:
@@ -258,12 +266,10 @@ def _cmd_metrics(args) -> int:
         records = polarimetry.records_from_json(_read_json(args.counts))
         inputs.append(args.counts)
     doc = _metrics_doc(rho, args.target, angles, records, args.bootstrap, args.seed)
-    _write_json(args.out, doc)
-    _write_manifest(args, inputs, [args.out])
-    return 0
+    return inputs, [(args.out, doc)]
 
 
-def _cmd_chsh(args) -> int:
+def _cmd_chsh(args) -> tuple[list, list]:
     if (args.counts is None) == (args.state is None):
         raise ValueError("chsh needs exactly one of --counts or --state")
     if args.counts is not None:
@@ -279,43 +285,34 @@ def _cmd_chsh(args) -> int:
             "angles_deg": list(estimate.angles.as_tuple()),
             "correlations": list(estimate.correlations),
         }
-        inputs = [args.counts]
-    else:
-        rho = _load_state(args.state)
-        if args.target is None:
-            args.target = "phi-minus"  # resolved here, so the manifest records it
-        angles = _angles_arg(args)
-        doc = {
-            "S": analysis.chsh_value(rho, angles),
-            "sigma": None,
-            "angles_deg": list(angles.as_tuple()),
-        }
-        inputs = [args.state]
-    _write_json(args.out, doc)
-    _write_manifest(args, inputs, [args.out])
-    return 0
+        return [args.counts], [(args.out, doc)]
+    rho = _load_state(args.state)
+    if args.target is None:
+        args.target = "phi-minus"  # resolved here, so the manifest records it
+    angles = _angles_arg(args)
+    doc = {
+        "S": analysis.chsh_value(rho, angles),
+        "sigma": None,
+        "angles_deg": list(angles.as_tuple()),
+    }
+    return [args.state], [(args.out, doc)]
 
 
-def _cmd_fit_werner(args) -> int:
+def _cmd_fit_werner(args) -> tuple[list, list]:
     rho = _load_state(args.state)
     fit = analysis.fit_werner(rho, target=args.target)
-    _write_json(args.out, {"x": fit.x, "fidelity": fit.fidelity, "target": fit.target})
-    _write_manifest(args, [args.state], [args.out])
-    return 0
+    return [args.state], [(args.out, {"x": fit.x, "fidelity": fit.fidelity, "target": fit.target})]
 
 
-def _cmd_decohere_curve(args) -> int:
+def _cmd_decohere_curve(args) -> tuple[list, list]:
     spectrum = decoherence.Spectrum(center_nm=args.lambda0, fwhm_nm=args.fwhm)
     grid = _parse_grid(args.grid)
     curve = decoherence.decoherence_curve(spectrum, grid)
-    _write_text(args.out, decoherence.curve_to_csv(curve))
-    _write_manifest(args, [], [args.out])
-    return 0
+    return [], [(args.out, decoherence.curve_to_csv(curve))]
 
 
-def _cmd_pipeline(args) -> int:
-    # every stage runs before the first file is written, so a failed run
-    # leaves nothing behind
+def _cmd_pipeline(args) -> tuple[list, list]:
+    # every stage runs before the directory is made: a failed run leaves nothing
     angles = _angles_arg(args)
     rho = states.source_state(args.mix)
     records = polarimetry.simulate_counts(
@@ -324,22 +321,14 @@ def _cmd_pipeline(args) -> int:
     rho_mle, report = _mle(records, args.strict)
     metrics = _metrics_doc(rho_mle, args.target, angles, records, args.bootstrap, args.seed)
 
-    paths = {
-        name: os.path.join(args.out_dir, f"{name}.json")
-        for name in ("state", "counts", "rho_mle", "metrics")
-    }
-    report_path = os.path.join(args.out_dir, "rho_mle.report.json")
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_json(paths["state"], states.density_matrix_to_json(rho))
-    _write_json(paths["counts"], polarimetry.records_to_json(records))
-    _write_json(paths["rho_mle"], states.density_matrix_to_json(rho_mle))
-    _write_json(report_path, report)
-    _write_json(paths["metrics"], metrics)
-    _write_manifest(
-        args, [], [*paths.values(), report_path],
-        os.path.join(args.out_dir, "pipeline.manifest.json"),
-    )
-    return 0
+    return [], [(os.path.join(args.out_dir, name), doc) for name, doc in [
+        ("state.json", states.density_matrix_to_json(rho)),
+        ("counts.json", polarimetry.records_to_json(records)),
+        ("rho_mle.json", states.density_matrix_to_json(rho_mle)),
+        ("metrics.json", metrics),
+        ("rho_mle.report.json", report),
+    ]]
 
 
 # ---------------------------------------------------------------- parser
@@ -451,7 +440,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        inputs, outputs = args.func(args)
+        paths = [path for path, _ in outputs]
+        manifest = (os.path.join(args.out_dir, "pipeline.manifest.json")
+                    if args.command == "pipeline" else f"{paths[0]}.manifest.json")
+        _write_files([*outputs, (manifest, _manifest(args, inputs, paths))])
+        return 0
     except _NUMERICAL_ERRORS as exc:
         print(f"wernerlab: numerical failure: {exc}", file=sys.stderr)
         return 3

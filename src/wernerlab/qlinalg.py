@@ -102,5 +102,5 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 def min_eigenvalue(m: np.ndarray):
     """Smallest eigenvalue of a Hermitian matrix, or the array of them for a
-    stack."""
-    return _scalar(herm_eig(m)[0][..., -1])
+    stack: bit for bit :func:`herm_eig`'s last, without eigenvectors to fix."""
+    return _scalar(np.linalg.eigh(check_hermitian(m))[0][..., 0])

@@ -14,7 +14,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .polarimetry import _is_finite_real
-from .qlinalg import _HERMITICITY_TOL, _PSD_CLAMP, check_hermitian, herm_eig, kron
+from .qlinalg import _HERMITICITY_TOL, _PSD_CLAMP, check_hermitian, kron, min_eigenvalue
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -131,9 +131,9 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > _HERMITICITY_TOL:
         raise OutOfRangeError(f"trace is {tr.real:.10f}, expected 1")
-    w, _ = herm_eig(rho)
-    if w[-1] < -_PSD_CLAMP:
-        raise NotPSDError(f"state has eigenvalue {w[-1]:.3e}")
+    lowest = min_eigenvalue(rho)
+    if lowest < -_PSD_CLAMP:
+        raise NotPSDError(f"state has eigenvalue {lowest:.3e}")
     return rho
 
 

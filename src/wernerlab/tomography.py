@@ -22,7 +22,7 @@ from .errors import (
     UnknownLabelError,
     UnphysicalStateError,
 )
-from .qlinalg import _scalar, check_hermitian, kron
+from .qlinalg import _scalar, kron, min_eigenvalue
 from .states import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _N_PARAMS = 16
@@ -67,6 +67,14 @@ def _normalization(records, counts=None):
     return _scalar(n)
 
 
+def _counts(records) -> np.ndarray:
+    """The records' counts as floats; a NaN or infinite count is refused."""
+    counts = np.array([r.count for r in records], dtype=float)
+    for i in np.flatnonzero(~np.isfinite(counts))[:1]:
+        raise OutOfRangeError(f"record {i + 1} of {len(records)} has a non-finite count {counts[i]}")
+    return counts
+
+
 def _accidentals(records) -> np.ndarray:
     """Expected accidental count of each record."""
     return np.array([r.accidentals for r in records], dtype=float)
@@ -107,9 +115,7 @@ def _invert(records, settings, counts, n_total):
     rho = np.matmul(stokes[..., None, :], _PAULI_OPS.reshape(16, -1))
     rho = rho.reshape(*stokes.shape[:-1], 4, 4)
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-    # only the lowest eigenvalue, so no eigenvectors to phase-fix; the check
-    # refuses the non-finite matrix of non-finite counts
-    return rho, np.linalg.eigh(check_hermitian(rho))[0][..., 0]
+    return rho, min_eigenvalue(rho)
 
 
 @dataclass(frozen=True)
@@ -133,8 +139,8 @@ class LinearInversion:
 
     def fit(self, records):
         _check_record_count(records)
-        self.n_total_ = _normalization(records)
-        counts = np.array([r.count for r in records], dtype=float)
+        counts = _counts(records)
+        self.n_total_ = _normalization(records, counts)
         settings = tuple(r.setting for r in records)
         self.matrix_, lowest = _invert(records, settings, counts, self.n_total_)
         self.min_eigenvalue_ = float(lowest)
@@ -303,8 +309,7 @@ class MaximumLikelihood:
         linear = lowest = None
         try:
             _check_record_count(records)
-            counts = np.array([r.count for r in records], dtype=float)
-            linear, lowest = _invert(records, settings, counts, n_total)
+            linear, lowest = _invert(records, settings, _counts(records), n_total)
         except SingularSystemError:
             if seed_matrix is None:
                 raise
@@ -424,9 +429,9 @@ def bootstrap_errors(
         raise OutOfRangeError("bootstrap needs at least 2 replicas")
     if n_replicas > _MAX_REPLICAS:
         raise OutOfRangeError(f"bootstrap takes at most {_MAX_REPLICAS} replicas, got {n_replicas}")
-    _normalization(records)
+    observed = _counts(records)
+    _normalization(records, observed)
     rng = np.random.Generator(np.random.PCG64(seed))
-    observed = np.array([float(r.count) for r in records])
     counts = polarimetry.poisson_sample(rng, np.broadcast_to(observed, (n_replicas, observed.size)))
     try:
         n_total = _normalization(records, counts)

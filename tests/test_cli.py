@@ -1,4 +1,6 @@
+import argparse
 import json
+import os
 
 import numpy as np
 import pytest
@@ -507,3 +509,63 @@ def test_manifest_argv_replays_the_run(tmp_path, monkeypatch, case):
     assert main(manifest["argv"][1:]) == 0
     assert {path: (tmp_path / path).read_bytes() for path in outputs} == first
     assert read_json(manifest_path) == manifest
+
+
+def write_inputs():
+    """state.json, counts.json and chsh_counts.json in the working directory."""
+    assert run(["gen-state", "werner-phi-minus", "0.801", "--out", "state.json"]) == 0
+    assert run(["simulate", "state.json", "--seed", 1, "--out", "counts.json"]) == 0
+    assert run(["simulate", "state.json", "--schedule", "chsh", "--seed", 2,
+                "--out", "chsh_counts.json"]) == 0
+
+
+def subcommands():
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return sorted(action.choices)
+
+
+@pytest.mark.parametrize("command", subcommands())
+def test_a_run_leaves_exactly_its_manifest_files(tmp_path, monkeypatch, command):
+    """Each REPLAY_CASES run of a subcommand, in an empty directory, leaves
+    there its manifest's outputs and the manifest, and no other file."""
+    monkeypatch.chdir(tmp_path)
+    write_inputs()
+    cases = [argv for argv, _, _ in REPLAY_CASES.values() if argv[0] == command]
+    assert cases, f"REPLAY_CASES has no run of {command}"
+    for i, argv in enumerate(cases):
+        run_dir = tmp_path / f"run{i}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        inputs = {"state.json", "counts.json", "chsh_counts.json"}
+        assert run([f"../{a}" if a in inputs else a for a in argv]) == 0
+        files = sorted(p.relative_to(run_dir).as_posix()
+                       for p in run_dir.rglob("*") if p.is_file())
+        manifests = [f for f in files if f.endswith("manifest.json")]
+        assert len(manifests) == 1
+        assert files == sorted(read_json(manifests[0])["outputs"] + manifests)
+
+
+def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_inputs()
+    before = sorted(os.listdir())
+    argv = ["reconstruct", "counts.json", "--out", "r.json", "--report", "nodir/r.json"]
+    assert run(argv) == 2
+    assert sorted(os.listdir()) == before
+
+
+@pytest.mark.parametrize("report", ["a.json", "./a.json", "a.json.manifest.json",
+                                    "a.json.tmp", "d"])
+def test_a_path_named_twice_or_a_directory_is_refused_before_writing(
+        tmp_path, monkeypatch, capsys, report):
+    monkeypatch.chdir(tmp_path)
+    write_inputs()
+    (tmp_path / "d").mkdir()
+    before = sorted(os.listdir())
+    capsys.readouterr()
+    assert run(["reconstruct", "counts.json", "--out", "a.json", "--report", report]) == 2
+    assert sorted(os.listdir()) == before
+    assert sorted(os.listdir("d")) == []
+    err = capsys.readouterr().err
+    assert ("is a directory" if report == "d" else "two of this run's files name") in err

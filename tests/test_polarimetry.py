@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wernerlab import fixtures, polarimetry
-from wernerlab.analysis import angles_for_target, chsh_schedule
+from wernerlab.analysis import DEFAULT_ANGLES, angles_for_target, chsh_schedule
 from wernerlab.errors import EmptyDataError, OutOfRangeError, UnknownLabelError
 from wernerlab.polarimetry import (
     NORMALIZATION_BLOCK,
@@ -255,7 +255,7 @@ def test_simulate_counts_equals_the_per_setting_born_rule(rho, exact):
     # counts of one trace and one draw per setting, bit for bit
     schedules = [
         (rho, tomographic_settings()),
-        (rho, chsh_schedule()),
+        (rho, chsh_schedule(DEFAULT_ANGLES)),
         (_reduced(rho), [AnalyzerSetting(label) for label in "HVDR"]),
     ]
     for seed in range(10):

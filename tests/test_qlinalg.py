@@ -131,8 +131,16 @@ def test_psd_sqrt_rejects_genuinely_negative():
         psd_sqrt(np.diag([1.0, -1e-3]).astype(complex))
 
 
-def test_min_eigenvalue():
+def test_min_eigenvalue(rng):
     assert min_eigenvalue(np.diag([1.0, -2.0, 0.5]).astype(complex)) == pytest.approx(-2.0)
+    # herm_eig's last eigenvalue, bit for bit, on single matrices and a stack
+    for _ in range(20):
+        h = random_hermitian(rng)
+        assert np.array_equal(min_eigenvalue(h), herm_eig(h)[0][..., -1])
+    stack = np.array([random_hermitian(rng) for _ in range(8)])
+    assert np.array_equal(min_eigenvalue(stack), herm_eig(stack)[0][..., -1])
+    with pytest.raises(NonHermitianError, match="non-finite"):
+        min_eigenvalue(np.diag([1.0, np.nan]).astype(complex))
 
 
 def test_tolerance_defaults():
