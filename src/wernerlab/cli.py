@@ -43,16 +43,19 @@ _INPUT_ERRORS = (WernerlabError, ValueError, KeyError, OSError)
 _MAX_GRID_POINTS = 10**6  # largest decohere-curve grid, about 20 MB of CSV
 
 
-def _write_files(files: list) -> None:
+def _write_files(files: list, inputs: list) -> None:
     """Write a run's ``(path, JSON document or text)`` pairs all or none, each to
-    ``<path>.tmp`` renamed into place once all are; a path named twice or a
-    directory raises first."""
+    ``<path>.tmp`` renamed into place once all are; a path named twice, a
+    directory or one of the run's ``inputs`` raises first."""
     names = [os.path.realpath(path + end) for path, _ in files for end in ("", ".tmp")]
+    read = {os.path.realpath(path) for path in inputs}
     for name in names:
         if os.path.isdir(name):
             raise IsADirectoryError(f"{name} is a directory")
         if names.count(name) > 1:
             raise ValueError(f"two of this run's files name {name}")
+        if name in read:
+            raise ValueError(f"{name} is an input of this run and is not overwritten")
     staged = []
     try:
         for path, body in files:
@@ -444,7 +447,7 @@ def main(argv=None) -> int:
         paths = [path for path, _ in outputs]
         manifest = (os.path.join(args.out_dir, "pipeline.manifest.json")
                     if args.command == "pipeline" else f"{paths[0]}.manifest.json")
-        _write_files([*outputs, (manifest, _manifest(args, inputs, paths))])
+        _write_files([*outputs, (manifest, _manifest(args, inputs, paths))], inputs)
         return 0
     except _NUMERICAL_ERRORS as exc:
         print(f"wernerlab: numerical failure: {exc}", file=sys.stderr)

@@ -47,10 +47,16 @@ def jones_vector(arm) -> np.ndarray:
     return np.array([math.cos(theta), math.sin(theta)], dtype=complex)
 
 
+def _arm_projectors(arms) -> np.ndarray:
+    """The ``(k, 2, 2)`` stack of the projectors of ``k`` arms: each is
+    ``np.outer``'s one multiply of the Jones vector by its conjugate."""
+    v = np.array([jones_vector(arm) for arm in arms], dtype=complex).reshape(-1, 2)
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
 def projector(arm) -> np.ndarray:
     """Rank-one polarization projector for one analyzer arm."""
-    v = jones_vector(arm)
-    return np.outer(v, v.conj())
+    return _arm_projectors([arm])[0]
 
 
 @dataclass(frozen=True)
@@ -76,8 +82,14 @@ class AnalyzerSetting:
 
 def _projector_stack(settings) -> np.ndarray:
     """Rows ``settings[i].projector().T.ravel()`` of all one- or all two-photon
-    settings: ``stack @ rho.ravel()`` is each ``tr(rho P)`` (complex)."""
-    return np.array([s.projector().T.ravel() for s in settings])
+    settings, bit for bit: ``stack @ rho.ravel()`` is each ``tr(rho P)``
+    (complex).  Every outer product is one broadcast multiply, and so is
+    every Kronecker product of a two-photon schedule."""
+    stack = _arm_projectors([s.arm1 for s in settings])
+    if any(s.arm2 is not None for s in settings):
+        stack = kron(stack, _arm_projectors([s.arm2 for s in settings]))
+    n = stack.shape[-1]
+    return stack.swapaxes(-1, -2).reshape(len(stack), n * n)
 
 
 @functools.lru_cache(maxsize=_SCHEDULES_KEPT)

@@ -1,7 +1,7 @@
 """Small dense Hermitian linear algebra used throughout the package.
 
 Everything here targets the 2x2 and 4x4 complex matrices of two-photon
-polarization work; the checks, ``herm_eig``, ``psd_sqrt`` and
+polarization work; the checks, ``kron``, ``herm_eig``, ``psd_sqrt`` and
 ``min_eigenvalue`` also take ``(..., n, n)`` stacks of them.
 Eigendecompositions come from ``np.linalg.eigh`` with a fixed ordering and
 eigenvector phase convention on top.
@@ -21,15 +21,17 @@ _PHASE_EPS = 1e-12
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices, with complex dtype.
+    """Kronecker product of two matrices, or of each pair of matrices of two
+    ``(..., m, n)`` and ``(..., p, q)`` stacks, with complex dtype.
 
     One broadcast multiply, the one ``np.kron`` performs after its any-rank
-    bookkeeping, so each entry is the same single product and the result
-    equals ``np.kron``'s bit for bit.
+    bookkeeping, so each entry is the same single product and each matrix
+    of the result equals ``np.kron``'s of its pair bit for bit.
     """
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], m * p, n * q)
 
 
 def check_square(m: np.ndarray) -> np.ndarray:

@@ -106,11 +106,13 @@ def _invert(records, settings, counts, n_total):
     accidentals over the pair flux ``n_total``, or of each row of an ``(R,
     16)`` stack of counts over an ``(R, 1)`` flux: ``(rho, lowest eigenvalue)``.
 
-    The stack takes one solve, with the rows as right-hand sides, and one
+    The stack takes one solve, which broadcasts the design over the rows
+    and gives each row its own one-column right-hand side (a solve of many
+    columns at once can round differently on some BLAS kernels), and one
     stacked eigendecomposition; each row gives the values it gives alone.
     """
     probs = (counts - _accidentals(records)) / n_total
-    stokes = np.linalg.solve(_design(settings), probs.T).T
+    stokes = np.linalg.solve(_design(settings), probs[..., None])[..., 0]
     # matmul, not tensordot, so a stack gives the same values as one vector
     rho = np.matmul(stokes[..., None, :], _PAULI_OPS.reshape(16, -1))
     rho = rho.reshape(*stokes.shape[:-1], 4, 4)
@@ -279,14 +281,13 @@ class MaximumLikelihood:
     one evaluation and an empty history.
     """
 
-    def _cost_function(self, records, proj, n_total):
+    def _cost_function(self, records, counts, proj, n_total):
         """The objective and its gradient as functions of the density
-        matrix: ``cost(rho)`` returns ``(f, sum_i N g_i P_i)`` with ``g_i``
-        the derivative of the setting's term by its mean.  Where the
-        probability sits at the floor, ``g_i`` is taken at the floored mean:
-        a state's probabilities only rise from 0, and with accidentals the
-        cost can rise with them."""
-        counts = np.array([r.count for r in records], dtype=float)
+        matrix, for the records' ``counts`` (:func:`_counts`): ``cost(rho)``
+        returns ``(f, sum_i N g_i P_i)`` with ``g_i`` the derivative of the
+        setting's term by its mean.  Where the probability sits at the floor,
+        ``g_i`` is taken at the floored mean: a state's probabilities only
+        rise from 0, and with accidentals the cost can rise with them."""
         accidentals = _accidentals(records)
         counts_sq = counts * counts
         proj_conj = proj.conj()
@@ -303,13 +304,14 @@ class MaximumLikelihood:
         return cost
 
     def fit(self, records, seed_matrix: np.ndarray | None = None):
-        n_total = _normalization(records)
+        counts = _counts(records)
+        n_total = _normalization(records, counts)
         settings = tuple(r.setting for r in records)
-        cost = self._cost_function(records, polarimetry._two_photon_stack(settings), n_total)
+        cost = self._cost_function(records, counts, polarimetry._two_photon_stack(settings), n_total)
         linear = lowest = None
         try:
             _check_record_count(records)
-            linear, lowest = _invert(records, settings, _counts(records), n_total)
+            linear, lowest = _invert(records, settings, counts, n_total)
         except SingularSystemError:
             if seed_matrix is None:
                 raise

@@ -569,3 +569,22 @@ def test_a_path_named_twice_or_a_directory_is_refused_before_writing(
     assert sorted(os.listdir("d")) == []
     err = capsys.readouterr().err
     assert ("is a directory" if report == "d" else "two of this run's files name") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "counts.json", "--out", "counts.json"],
+    ["reconstruct", "counts.json", "--out", "r.json", "--report", "./counts.json"],
+    ["metrics", "state.json", "--counts", "counts.json", "--bootstrap", 5,
+     "--out", "counts.json"],
+    ["simulate", "state.json", "--out", "state.json"],
+], ids=["out", "report", "second-input", "simulate"])
+def test_an_output_that_names_an_input_is_refused_before_writing(
+        tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_inputs()
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir()}
+    capsys.readouterr()
+    assert run(argv) == 2
+    # the input keeps its bytes, and no output, manifest or .tmp file exists
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir()} == before
+    assert "is an input of this run" in capsys.readouterr().err

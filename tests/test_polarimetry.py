@@ -103,20 +103,34 @@ def _mixed_schedules():
     return [[AnalyzerSetting(arm(), arm()) for _ in range(16)] for _ in range(8)]
 
 
+def _outer(arm):
+    v = jones_vector(arm)
+    return np.outer(v, v.conj())
+
+
 @pytest.mark.parametrize(
     "settings",
     [tomographic_settings()]
     + [chsh_schedule(angles_for_target(kind)) for kind in BELL_KINDS]
-    + _mixed_schedules(),
+    + _mixed_schedules()
+    + [[AnalyzerSetting(arm) for arm in POLARIZATION_LABELS],
+       [AnalyzerSetting(arm) for arm in (0.0, 22.5, -45.0, 90.0, 137.3, -11.25)],
+       [AnalyzerSetting(arm) for arm in "HVDR"]],
     ids=["tomographic"] + [f"chsh-{kind}" for kind in BELL_KINDS]
-    + [f"mixed-{i}" for i in range(8)],
+    + [f"mixed-{i}" for i in range(8)]
+    + ["one-photon-labels", "one-photon-angles", "one-photon-hvdr"],
 )
 def test_projector_stack_rows_equal_numpy_kron_bit_for_bit(settings):
+    # np.outer and np.kron are the reference; a one-photon row is the outer
+    # product alone, and so is the one-arm projector
     stack = polarimetry._projector_stack(settings)
-    expected = np.array([np.kron(projector(s.arm1), projector(s.arm2)).T.ravel()
+    expected = np.array([(_outer(s.arm1) if s.arm2 is None
+                          else np.kron(_outer(s.arm1), _outer(s.arm2))).T.ravel()
                          for s in settings])
     assert stack.dtype == expected.dtype
     assert stack.tobytes() == expected.tobytes()
+    for s in settings:
+        assert projector(s.arm1).tobytes() == _outer(s.arm1).tobytes()
 
 
 def test_born_probability_bell_examples():
@@ -272,6 +286,7 @@ def test_simulate_counts_empty_and_mixed_schedules():
     rho = werner_phi_minus(0.801)
     assert simulate_counts(rho, [], SourceConfig()) == []
     assert simulate_counts(rho, [], SourceConfig(), exact=True) == []
+    assert simulate_counts(_reduced(rho), [], SourceConfig()) == []
     mixed = tomographic_settings()[:4] + [AnalyzerSetting("H")]
     with pytest.raises(UnknownLabelError):
         simulate_counts(rho, mixed, SourceConfig())

@@ -28,6 +28,23 @@ def test_kron_matches_numpy(rng):
             assert np.array_equal(out, np.kron(a, b))
 
 
+def test_kron_of_stacks_pairs_their_matrices(rng):
+    # each matrix of a stacked kron is np.kron of its pair, bit for bit,
+    # with the leading axes broadcast against each other
+    for shape_a, shape_b in [((5, 2, 2), (5, 2, 2)), ((3, 4, 4), (2, 2)),
+                             ((2, 3, 2, 2), (3, 2, 4)), ((0, 2, 2), (0, 2, 2))]:
+        a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+        b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+        out = kron(a, b)
+        lead = np.broadcast_shapes(shape_a[:-2], shape_b[:-2])
+        assert out.shape == lead + (shape_a[-2] * shape_b[-2], shape_a[-1] * shape_b[-1])
+        pairs = zip(np.broadcast_to(a, lead + shape_a[-2:]).reshape(-1, *shape_a[-2:]),
+                    np.broadcast_to(b, lead + shape_b[-2:]).reshape(-1, *shape_b[-2:]))
+        expected = [np.kron(x, y) for x, y in pairs]
+        assert out.reshape(-1, *out.shape[-2:]).tobytes() == np.array(
+            expected, dtype=complex).tobytes()
+
+
 def test_kron_basis_ordering():
     # |0><0| (x) |1><1| occupies the second diagonal slot: ordering is
     # first-factor-major, matching the HH, HV, VH, VV label convention.

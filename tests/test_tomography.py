@@ -148,6 +148,14 @@ def test_a_non_finite_count_is_refused(index, count):
             reconstruct(recs)
 
 
+def test_a_non_finite_count_is_refused_on_the_search_path():
+    # 15 records cannot be inverted, so a seed matrix sends them to the search
+    recs = exact_records(werner_phi_minus(0.5))[:15]
+    recs[5] = dataclasses.replace(recs[5], count=float("nan"))
+    with pytest.raises(OutOfRangeError, match="record 6 of 15 has a non-finite"):
+        mle_reconstruct(recs, seed_matrix=werner_phi_minus(0.5))
+
+
 # --------------------------------------------------------------- MLE path
 
 def test_mle_exact_data_recovers_state():
@@ -286,8 +294,8 @@ def test_mle_collapsed_step_is_not_convergence(monkeypatch):
     # at a state that is not stationary.
     cost_function = MaximumLikelihood._cost_function
 
-    def uphill(self, records, proj, n_total):
-        cost = cost_function(self, records, proj, n_total)
+    def uphill(self, *args):
+        cost = cost_function(self, *args)
 
         def flipped(rho):
             f, grad = cost(rho)
@@ -407,7 +415,7 @@ def test_mle_cost_and_gradient_match_a_per_setting_sum():
     at_floor = (np.eye(4) - hh) / 3.0
     n_total = tomography._normalization(recs)
     proj = polarimetry._two_photon_stack(tuple(r.setting for r in recs))
-    cost = MaximumLikelihood()._cost_function(recs, proj, n_total)
+    cost = MaximumLikelihood()._cost_function(recs, tomography._counts(recs), proj, n_total)
     for rho, n_floored in ((searched.rho_, None), (at_floor, 1)):
         f_ref, grad_ref, floored = 0.0, np.zeros((4, 4), dtype=complex), 0
         for r in recs:
