@@ -19,7 +19,9 @@ subcommand, in this order:
 - ``fit-werner`` at each target, on the same states as ``metrics``;
 - ``simulate`` on the source state of each seed-0 run: the tomography
   schedule, and the CHSH schedule at each target's angles and at
-  ``--angles 3,51,-17.5,80``, each with and without ``--exact``;
+  ``--angles 3,51,-17.5,80``, each with and without ``--exact``; and the
+  tomography schedule and the ``phi-minus`` CHSH schedule with
+  ``--accidentals 0``, whose counts files have no ``accidentals_per_s``;
 - ``chsh --counts`` on every CHSH counts file;
 - ``reconstruct --method linear`` and ``--method mle`` on every tomography
   counts file, the pipelines' included;
@@ -105,9 +107,12 @@ def commands() -> list[list[str]]:
     schedules += [("chsh-custom", ["--schedule", "chsh", "--angles", CUSTOM_ANGLES])]
     for x in MIXES:
         for name, options in schedules:
-            for exact in ([], ["--exact"]):
-                run = f"simulate/x{x}-{name}{'-exact' if exact else ''}"
-                argvs.append(["simulate", f"pipeline/x{x}-s0/state.json", *options, *exact,
+            variants = [([], ""), (["--exact"], "-exact")]
+            if name in ("tomo", "chsh-phi-minus"):
+                variants.append((["--accidentals", "0"], "-no-accidentals"))
+            for extra, suffix in variants:
+                run = f"simulate/x{x}-{name}{suffix}"
+                argvs.append(["simulate", f"pipeline/x{x}-s0/state.json", *options, *extra,
                               "--out", f"{run}/counts.json"])
                 (chsh if name.startswith("chsh") else tomo).append(run)
     argvs += [["chsh", "--counts", f"{run}/counts.json",

@@ -243,11 +243,12 @@ class ChshEstimate:
     angles: ChshAngles
 
 
-def chsh_from_counts(records: list) -> ChshEstimate:
-    """Estimate S and its uncertainty from the 16 records of a CHSH run.
+def chsh_from_counts(records) -> ChshEstimate:
+    """Estimate S and its uncertainty from a CHSH run of 16 settings (a run,
+    or its 16 records).
 
     The settings must be the :func:`chsh_schedule` of the angles on the arms
-    of records 1, 5 and 9, which the estimate reports; other records raise
+    of settings 1, 5 and 9, which the estimate reports; other settings raise
     :class:`UnknownLabelError` before any count is read.  Each correlation's
     variance comes from first-order propagation of independent Poisson counts
     through the ratio estimator: ``var(E) = 4*(B'**2*A + A'**2*B) / T'**4``
@@ -255,22 +256,25 @@ def chsh_from_counts(records: list) -> ChshEstimate:
     primes marking those sums less their expected accidentals, and
     ``T' = A' + B'``.  Without accidentals this is ``4*A*B / T**3``.
     """
-    if len(records) != 16:
-        raise OutOfRangeError(f"a CHSH run has 16 records, got {len(records)}")
-    arms = [records[i].setting.arm1 for i in (0, 4)] + [records[i].setting.arm2 for i in (0, 8)]
+    run = polarimetry._as_run(records)
+    if len(run) != 16:
+        raise OutOfRangeError(f"a CHSH run has 16 records, got {len(run)}")
+    settings = run.settings
+    arms = [settings[i].arm1 for i in (0, 4)] + [settings[i].arm2 for i in (0, 8)]
     if not all(isinstance(a, float) for a in arms):
         raise UnknownLabelError("CHSH counts need polarizer angles on both arms")
     angles = ChshAngles(*arms)
-    if tuple(r.setting for r in records) != chsh_schedule(angles):
+    if settings != chsh_schedule(angles):
         raise UnknownLabelError("counts do not follow the CHSH schedule of their angles")
+    counts = run.counts.tolist()
+    pairs = (run.counts - run.accidentals).tolist()
     es, variances = [], []
-    for q in range(4):
-        quad = records[4 * q : 4 * q + 4]
-        es.append(polarimetry.correlation_E(quad))
-        a = float(quad[0].count + quad[1].count)
-        b = float(quad[2].count + quad[3].count)
-        a_pairs = a - quad[0].accidentals - quad[1].accidentals
-        b_pairs = b - quad[2].accidentals - quad[3].accidentals
+    for q in range(0, 16, 4):
+        es.append(polarimetry._correlation(pairs[q : q + 4]))
+        a = float(counts[q] + counts[q + 1])
+        b = float(counts[q + 2] + counts[q + 3])
+        a_pairs = a - run.accidentals - run.accidentals
+        b_pairs = b - run.accidentals - run.accidentals
         t = a_pairs + b_pairs
         if t <= 0.0:
             raise EmptyDataError("a CHSH quadruple has no pair counts")

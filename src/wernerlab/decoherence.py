@@ -158,7 +158,7 @@ def curve_to_csv(curve: np.ndarray) -> str:
 class SinglePhotonRun:
     """Outcome of a simulated single-photon decoherence measurement."""
 
-    records: list = field(repr=False)
+    records: object = field(repr=False)  # a polarimetry.CountRun
     rho: np.ndarray = field(repr=False)
     gamma_abs: float = 0.0
 

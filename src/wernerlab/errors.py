@@ -38,7 +38,9 @@ class EmptyDataError(WernerlabError):
 
 
 class UnphysicalStateError(WernerlabError):
-    """Reconstructed single-qubit data lies far outside the Bloch ball."""
+    """Reconstructed data lies too far outside the states: a single-qubit
+    Bloch vector far outside the ball, or a two-photon search start whose
+    projection onto the states is lost to round-off."""
 
 
 class DegenerateDiagonalError(WernerlabError):

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ _JONES = {
 
 POLARIZATION_LABELS = tuple(_JONES)
 _SCHEDULES_KEPT = 32  # schedules whose projector stack and design are memoized
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # the counts a run holds
 
 
 def jones_vector(arm) -> np.ndarray:
@@ -50,7 +53,9 @@ def jones_vector(arm) -> np.ndarray:
 def _arm_projectors(arms) -> np.ndarray:
     """The ``(k, 2, 2)`` stack of the projectors of ``k`` arms: each is
     ``np.outer``'s one multiply of the Jones vector by its conjugate."""
-    v = np.array([jones_vector(arm) for arm in arms], dtype=complex).reshape(-1, 2)
+    # a label's stored vector is read in place: the gather copies it anyway
+    v = np.array([_JONES[arm] if isinstance(arm, str) and arm in _JONES else jones_vector(arm)
+                  for arm in arms], dtype=complex).reshape(-1, 2)
     return v[:, :, None] * v.conj()[:, None, :]
 
 
@@ -179,6 +184,102 @@ class CoincidenceRecord:
         return self.accidental_rate * self.duration
 
 
+@dataclass(frozen=True, eq=False)
+class CountRun(Sequence):
+    """The counts of one run: a count per setting, every setting integrated
+    for ``duration`` seconds over one accidental rate (1/s), the count model
+    of James, Kwiat, Munro & White, PRA 64, 052312 (2001).
+
+    ``counts`` is held as a read-only int64 copy, of shape ``(n,)`` for the
+    ``n`` settings or ``(R, n)`` for ``R`` runs on one schedule.  A one-row
+    run is a read-only sequence of :class:`CoincidenceRecord` rows (a slice
+    is a list of them), and equals a run or a sequence with the same rows.
+    """
+
+    settings: tuple
+    counts: np.ndarray
+    duration: float
+    accidental_rate: float = 0.0
+
+    def __post_init__(self):
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu":
+            raise TypeError(f"counts must be integers, got {counts.dtype}")
+        settings = tuple(self.settings)
+        if counts.ndim not in (1, 2) or counts.shape[-1] != len(settings):
+            raise ValueError(f"counts of shape {counts.shape} do not fit {len(settings)} settings")
+        counts = counts.astype(np.int64)  # a copy, so no caller can write it
+        counts.flags.writeable = False
+        object.__setattr__(self, "settings", settings)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "duration", float(self.duration))
+        object.__setattr__(self, "accidental_rate", float(self.accidental_rate))
+
+    @property
+    def accidentals(self) -> float:
+        """Expected accidental count of each setting."""
+        return self.accidental_rate * self.duration
+
+    def _row(self) -> list:
+        if self.counts.ndim != 1:
+            raise TypeError("a stack of runs is not a sequence of records")
+        return self.counts.tolist()
+
+    def __len__(self):
+        return len(self.settings)
+
+    def __iter__(self):
+        for setting, count in zip(self.settings, self._row()):
+            yield CoincidenceRecord(setting, self.duration, count, self.accidental_rate)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        count = self._row()[index]
+        return CoincidenceRecord(self.settings[index], self.duration, count, self.accidental_rate)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
+def _whole_count(count, i: int, n: int) -> int:
+    """The count of record ``i`` of ``n`` as an int that int64 holds."""
+    if not isinstance(count, numbers.Integral):
+        value = float(count)
+        if not value.is_integer():  # nor are nan and inf
+            kind = "non-integer" if math.isfinite(value) else "non-finite"
+            raise OutOfRangeError(f"record {i} of {n} has a {kind} count {value}")
+        count = value
+    count = int(count)
+    if not _INT64_MIN <= count <= _INT64_MAX:
+        raise OutOfRangeError(f"record {i} of {n} has a count {count} that int64 cannot hold")
+    return count
+
+
+def _as_run(records) -> CountRun:
+    """``records`` as one :class:`CountRun`: a run is returned as it is, and a
+    sequence of records is converted once.  Records of one run share one
+    integration time (to 1e-9 s) and one accidental rate; a non-finite or
+    non-integer count, or one that int64 cannot hold, is refused and its
+    record named.  A stack of runs is refused: it is one run per row."""
+    if isinstance(records, CountRun):
+        if records.counts.ndim != 1:
+            raise OutOfRangeError(f"expected one run of counts, got a stack of {len(records.counts)}")
+        return records
+    records = list(records)
+    if not records:
+        return CountRun((), np.zeros(0, dtype=np.int64), 0.0)
+    durations = [float(r.duration) for r in records]
+    if max(durations) - min(durations) > 1e-9:
+        raise OutOfRangeError("records of one run must share one integration time")
+    if len({float(r.accidental_rate) for r in records}) > 1:
+        raise OutOfRangeError("records of one run must share one accidental rate")
+    n = len(records)
+    counts = [_whole_count(r.count, i, n) for i, r in enumerate(records, 1)]
+    return CountRun(tuple(r.setting for r in records), np.array(counts, dtype=np.int64),
+                    records[0].duration, records[0].accidental_rate)
+
+
 def poisson_sample(rng: np.random.Generator, mean):
     """One Poisson draw of the given mean, or an integer array of draws of an
     array of means.  An array is drawn in C order with one generator call, so
@@ -195,45 +296,52 @@ def simulate_counts(
     settings: list[AnalyzerSetting],
     config: SourceConfig,
     exact: bool = False,
-) -> list[CoincidenceRecord]:
-    """Simulate coincidence counts for each setting.
+) -> CountRun:
+    """Simulate coincidence counts for each setting, as one :class:`CountRun`
+    with the configured duration and accidental rate.
 
     Each count is Poisson with mean ``pair_rate * duration * p + accidental_rate
     * duration`` where ``p`` is the Born probability, read for the whole
     schedule from one projector-stack product; one :func:`poisson_sample`
     call draws all counts.  With ``exact=True`` the mean rounded half to even
-    is returned instead.  Every record carries the configured accidental rate.
+    is returned instead; a mean that int64 cannot hold is refused either way.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed))
     floor = config.accidental_rate * config.duration
     flux = config.pair_rate * config.duration
     means = flux * _born_probabilities(rho, settings) + floor
-    counts = np.rint(means) if exact else poisson_sample(rng, means)
-    return [
-        CoincidenceRecord(setting, config.duration, int(count), config.accidental_rate)
-        for setting, count in zip(settings, counts)
-    ]
+    if exact:
+        if not (means < 2.0**63).all():  # nan compares False too
+            raise OutOfRangeError("an expected count exceeds the int64 range")
+        counts = np.rint(means).astype(np.int64)
+    else:
+        counts = poisson_sample(rng, means)
+    return CountRun(tuple(settings), counts, config.duration, config.accidental_rate)
 
 
-def correlation_E(quad: list[CoincidenceRecord]) -> float:
-    """Polarization correlation from the four counts of an analyzer quadruple.
+def _correlation(pairs) -> float:
+    """``E`` of a quadruple's four pair counts, each a count less its
+    expected accidentals, in :func:`correlation_E`'s order."""
+    total = pairs[0] + pairs[1] + pairs[2] + pairs[3]
+    if total <= 0.0:
+        raise EmptyDataError(
+            "the four correlation counts do not exceed their expected accidentals"
+        )
+    return (pairs[0] + pairs[1] - pairs[2] - pairs[3]) / total
+
+
+def correlation_E(quad) -> float:
+    """Polarization correlation from the four counts of an analyzer quadruple
+    (four records, or a four-setting run).
 
     The quadruple is ordered ``(a, b), (a_perp, b_perp), (a_perp, b), (a,
     b_perp)`` so that ``E = (C1 + C2 - C3 - C4) / (C1 + C2 + C3 + C4)``, with
     each ``Ci`` the count less its expected accidentals.
     """
-    if len(quad) != 4:
-        raise OutOfRangeError(f"a correlation needs exactly 4 records, got {len(quad)}")
-    durations = {float(r.duration) for r in quad}
-    if max(durations) - min(durations) > 1e-9:
-        raise OutOfRangeError("correlation records must share one integration time")
-    counts = [float(r.count) - r.accidentals for r in quad]
-    total = sum(counts)
-    if total <= 0.0:
-        raise EmptyDataError(
-            "the four correlation counts do not exceed their expected accidentals"
-        )
-    return (counts[0] + counts[1] - counts[2] - counts[3]) / total
+    run = _as_run(quad)
+    if len(run) != 4:
+        raise OutOfRangeError(f"a correlation needs exactly 4 records, got {len(run)}")
+    return _correlation((run.counts - run.accidentals).tolist())
 
 
 def _arm_to_json(arm):
@@ -250,29 +358,20 @@ def _arm_from_json(value):
     raise ValueError(f"malformed analyzer arm {value!r}")
 
 
-def records_to_json(records: list[CoincidenceRecord]) -> dict:
-    """JSON-ready form of a list of coincidence records.
+def records_to_json(records) -> dict:
+    """JSON-ready form of a run, or of a list of coincidence records.
 
     A nonzero accidental rate is written as ``accidentals_per_s``.
     """
-    if not records:
+    run = _as_run(records)
+    if not len(run):
         raise EmptyDataError("no records to serialize")
-    durations = {float(r.duration) for r in records}
-    if max(durations) - min(durations) > 1e-9:
-        raise OutOfRangeError("records of one run must share one integration time")
-    rates = {float(r.accidental_rate) for r in records}
-    if len(rates) > 1:
-        raise OutOfRangeError("records of one run must share one accidental rate")
-    doc = {"duration_s": float(records[0].duration)}
-    if records[0].accidental_rate:
-        doc["accidentals_per_s"] = float(records[0].accidental_rate)
+    doc = {"duration_s": run.duration}
+    if run.accidental_rate:
+        doc["accidentals_per_s"] = run.accidental_rate
     doc["records"] = [
-        {
-            "arm1": _arm_to_json(r.setting.arm1),
-            "arm2": _arm_to_json(r.setting.arm2),
-            "count": int(r.count),
-        }
-        for r in records
+        {"arm1": _arm_to_json(s.arm1), "arm2": _arm_to_json(s.arm2), "count": count}
+        for s, count in zip(run.settings, run.counts.tolist())
     ]
     return doc
 
@@ -296,8 +395,8 @@ def _finite_number(doc: dict, key: str, default=None) -> float:
     return float(value)
 
 
-def records_from_json(doc: dict) -> list[CoincidenceRecord]:
-    """Parse the JSON form produced by :func:`records_to_json`.
+def records_from_json(doc: dict) -> CountRun:
+    """Parse the JSON form produced by :func:`records_to_json` into a run.
 
     A missing ``accidentals_per_s`` means no accidental floor.
     """
@@ -311,13 +410,13 @@ def records_from_json(doc: dict) -> list[CoincidenceRecord]:
         raise ValueError(f"accidentals_per_s must be non-negative, got {accidental_rate!r}")
     if not isinstance(doc["records"], list):
         raise ValueError(f"records must be a list, got {doc['records']!r}")
-    records = []
+    settings, counts = [], []
     for item in doc["records"]:
         if not isinstance(item, dict) or item.get("arm1") is None or "count" not in item:
             raise ValueError(f"malformed count record {item!r}")
         count = item["count"]
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise ValueError(f"count must be a non-negative integer, got {count!r}")
+        if isinstance(count, bool) or not isinstance(count, int) or not 0 <= count <= _INT64_MAX:
+            raise ValueError(f"count must be a non-negative integer that int64 holds, got {count!r}")
         setting = AnalyzerSetting(
             _arm_from_json(item["arm1"]), _arm_from_json(item.get("arm2"))
         )
@@ -325,7 +424,8 @@ def records_from_json(doc: dict) -> list[CoincidenceRecord]:
         jones_vector(setting.arm1)
         if setting.arm2 is not None:
             jones_vector(setting.arm2)
-        records.append(CoincidenceRecord(setting, duration, count, accidental_rate))
-    if not records:
+        settings.append(setting)
+        counts.append(count)
+    if not settings:
         raise EmptyDataError("counts document contains no records")
-    return records
+    return CountRun(tuple(settings), np.array(counts, dtype=np.int64), duration, accidental_rate)

@@ -1,8 +1,10 @@
 """Two-photon state reconstruction from coincidence counts.
 
-Two estimators with a ``fit`` method are provided: a direct linear
-(Stokes) inversion of the 16-setting schedule, and a maximum-likelihood fit
-by accelerated projected gradient over the density matrices.
+Every function takes a :class:`polarimetry.CountRun`, or a list of records
+that it converts into one.  Two estimators with a ``fit`` method are
+provided: a direct linear (Stokes) inversion of the 16-setting schedule,
+and a maximum-likelihood fit by accelerated projected gradient over the
+density matrices.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,27 +39,19 @@ _MAX_REPLICAS = 100_000  # largest bootstrap; its counts alone take 13 MB
 _PAULI_OPS = np.array([kron(a, b) for a in PAULIS for b in PAULIS]) / 4.0
 
 
-def _normalization(records, counts=None):
-    """Total pair flux: the summed counts of the (HH, HV, VV, VH) block less
-    their expected accidentals.  ``counts`` replaces the records' counts; an
-    ``(R, n)`` stack of the counts of ``R`` replicas of the ``n`` records
-    gives one flux per replica, and a replica without flux is named by its
-    position (1 to ``R``) when it raises.  Records without the block are a
-    schedule that cannot be normalized, an input error."""
-    if counts is None:
-        counts = [r.count for r in records]
-    keys = [(r.setting.arm1, r.setting.arm2) for r in records]
-    if not set(polarimetry.NORMALIZATION_BLOCK) <= set(keys):
-        raise UnknownLabelError(
-            "records do not contain the HH/HV/VV/VH normalization block"
-        )
-    block = [key in polarimetry.NORMALIZATION_BLOCK for key in keys]
-    accidentals = sum(r.accidentals for r, in_block in zip(records, block) if in_block)
-    block_sum = np.asarray(counts)[..., block].sum(axis=-1)
+def _normalization(run):
+    """Total pair flux: the summed counts of the normalization block less
+    their expected accidentals.  A run of ``R`` rows gives one flux per row,
+    and a row without flux is named by its position (1 to ``R``) when it
+    raises."""
+    block = _block(run.settings)
+    # summed as the block's records would be, one accidental term at a time
+    accidentals = sum([run.accidentals] * len(block))
+    block_sum = run.counts[..., block].sum(axis=-1, dtype=float)
     n = block_sum - accidentals
-    empty = np.flatnonzero(n <= 0.0)
-    if empty.size:
-        i = empty[0]
+    empty = n <= 0.0
+    if empty.any():
+        i = np.flatnonzero(empty)[0]
         where = f"replica {i + 1} of {n.size}: " if np.ndim(n) else ""
         found = float(np.ravel(block_sum)[i])
         raise EmptyDataError(
@@ -67,24 +61,26 @@ def _normalization(records, counts=None):
     return _scalar(n)
 
 
-def _counts(records) -> np.ndarray:
-    """The records' counts as floats; a NaN or infinite count is refused."""
-    counts = np.array([r.count for r in records], dtype=float)
-    for i in np.flatnonzero(~np.isfinite(counts))[:1]:
-        raise OutOfRangeError(f"record {i + 1} of {len(records)} has a non-finite count {counts[i]}")
-    return counts
-
-
-def _accidentals(records) -> np.ndarray:
-    """Expected accidental count of each record."""
-    return np.array([r.accidentals for r in records], dtype=float)
-
-
-def _check_record_count(records) -> None:
-    if len(records) != _N_PARAMS:
+def _check_record_count(run) -> None:
+    if len(run) != _N_PARAMS:
         raise SingularSystemError(
-            f"linear inversion needs exactly 16 settings, got {len(records)}"
+            f"linear inversion needs exactly 16 settings, got {len(run)}"
         )
+
+
+@functools.lru_cache(maxsize=polarimetry._SCHEDULES_KEPT)
+def _block(settings: tuple) -> np.ndarray:
+    """Positions of the (HH, HV, VV, VH) normalization block in a tuple of
+    settings, found once per process and read-only; a schedule without the
+    block cannot be normalized, an input error raised on every call."""
+    keys = [(s.arm1, s.arm2) for s in settings]
+    if not set(polarimetry.NORMALIZATION_BLOCK) <= set(keys):
+        raise UnknownLabelError(
+            "records do not contain the HH/HV/VV/VH normalization block"
+        )
+    block = np.flatnonzero([key in polarimetry.NORMALIZATION_BLOCK for key in keys])
+    block.flags.writeable = False
+    return block
 
 
 @functools.lru_cache(maxsize=polarimetry._SCHEDULES_KEPT)
@@ -101,18 +97,18 @@ def _design(settings: tuple) -> np.ndarray:
     return design
 
 
-def _invert(records, settings, counts, n_total):
-    """Linear inversion of the counts of ``records`` less their expected
-    accidentals over the pair flux ``n_total``, or of each row of an ``(R,
-    16)`` stack of counts over an ``(R, 1)`` flux: ``(rho, lowest eigenvalue)``.
+def _invert(run, n_total):
+    """Linear inversion of a run's counts less their expected accidentals
+    over the pair flux ``n_total``, or of each row of an ``(R, 16)`` run over
+    an ``(R, 1)`` flux: ``(rho, lowest eigenvalue)``.
 
     The stack takes one solve, which broadcasts the design over the rows
     and gives each row its own one-column right-hand side (a solve of many
     columns at once can round differently on some BLAS kernels), and one
     stacked eigendecomposition; each row gives the values it gives alone.
     """
-    probs = (counts - _accidentals(records)) / n_total
-    stokes = np.linalg.solve(_design(settings), probs[..., None])[..., 0]
+    probs = (run.counts - run.accidentals) / n_total
+    stokes = np.linalg.solve(_design(run.settings), probs[..., None])[..., 0]
     # matmul, not tensordot, so a stack gives the same values as one vector
     rho = np.matmul(stokes[..., None, :], _PAULI_OPS.reshape(16, -1))
     rho = rho.reshape(*stokes.shape[:-1], 4, 4)
@@ -140,11 +136,10 @@ class LinearInversion:
     """
 
     def fit(self, records):
-        _check_record_count(records)
-        counts = _counts(records)
-        self.n_total_ = _normalization(records, counts)
-        settings = tuple(r.setting for r in records)
-        self.matrix_, lowest = _invert(records, settings, counts, self.n_total_)
+        run = polarimetry._as_run(records)
+        _check_record_count(run)
+        self.n_total_ = _normalization(run)
+        self.matrix_, lowest = _invert(run, self.n_total_)
         self.min_eigenvalue_ = float(lowest)
         return self
 
@@ -169,11 +164,15 @@ def _project_to_states(m: np.ndarray) -> np.ndarray:
     total = 0.0
     for k, wk in enumerate(w[::-1].tolist(), 1):
         total += wk
-        if wk > (total - 1.0) / k:
+        # k = 1 always qualifies, even where an eigenvalue above 2**53 hides the 1
+        if k == 1 or wk > (total - 1.0) / k:
             shift = (total - 1.0) / k
     w = np.maximum(w - shift, 0.0)
     rho = (v * w) @ v.conj().T
-    return rho / rho.trace().real
+    trace = rho.trace().real
+    if not trace > 0.0:  # the shift left no weight: no state, in NaNs
+        return np.full_like(rho, np.nan)
+    return rho / trace
 
 
 def _projected_gradient(cost, rho):
@@ -209,7 +208,8 @@ def _projected_gradient(cost, rho):
         fz, gz = cost(z)
         evals += 1
         d = z - y
-        if fz > fy + np.vdot(gy, d).real + np.vdot(d, d).real / (2.0 * step):
+        # negated, so a trial that projects to no state (a NaN cost) backtracks
+        if not fz <= fy + np.vdot(gy, d).real + np.vdot(d, d).real / (2.0 * step):
             step *= 0.5
             continue
         if fz >= f:
@@ -257,8 +257,8 @@ class MaximumLikelihood:
 
         ``sum((mu - n)**2 / (2 mu))`` with ``mu = N p + a``
 
-    over the settings, where ``N`` is the pair flux, ``a`` the record's
-    expected accidental count and ``p`` floored at ``1e-12``.
+    over the settings, where ``N`` is the pair flux, ``a`` the run's
+    expected accidental count per setting and ``p`` floored at ``1e-12``.
 
     A physical linear inversion (no negative eigenvalue) is returned without
     a search: it reproduces every floor-corrected count, so ``mu = n`` on
@@ -281,14 +281,15 @@ class MaximumLikelihood:
     one evaluation and an empty history.
     """
 
-    def _cost_function(self, records, counts, proj, n_total):
+    def _cost_function(self, run, proj, n_total):
         """The objective and its gradient as functions of the density
-        matrix, for the records' ``counts`` (:func:`_counts`): ``cost(rho)``
-        returns ``(f, sum_i N g_i P_i)`` with ``g_i`` the derivative of the
-        setting's term by its mean.  Where the probability sits at the floor,
-        ``g_i`` is taken at the floored mean: a state's probabilities only
-        rise from 0, and with accidentals the cost can rise with them."""
-        accidentals = _accidentals(records)
+        matrix, for the counts of ``run``: ``cost(rho)`` returns ``(f, sum_i
+        N g_i P_i)`` with ``g_i`` the derivative of the setting's term by its
+        mean.  Where the probability sits at the floor, ``g_i`` is taken at
+        the floored mean: a state's probabilities only rise from 0, and with
+        accidentals the cost can rise with them."""
+        accidentals = run.accidentals
+        counts = run.counts.astype(float)  # floats before any product
         counts_sq = counts * counts
         proj_conj = proj.conj()
 
@@ -304,14 +305,13 @@ class MaximumLikelihood:
         return cost
 
     def fit(self, records, seed_matrix: np.ndarray | None = None):
-        counts = _counts(records)
-        n_total = _normalization(records, counts)
-        settings = tuple(r.setting for r in records)
-        cost = self._cost_function(records, counts, polarimetry._two_photon_stack(settings), n_total)
+        run = polarimetry._as_run(records)
+        n_total = _normalization(run)
+        cost = self._cost_function(run, polarimetry._two_photon_stack(run.settings), n_total)
         linear = lowest = None
         try:
-            _check_record_count(records)
-            linear, lowest = _invert(records, settings, counts, n_total)
+            _check_record_count(run)
+            linear, lowest = _invert(run, n_total)
         except SingularSystemError:
             if seed_matrix is None:
                 raise
@@ -327,6 +327,10 @@ class MaximumLikelihood:
         if seed_matrix is None:
             seed_matrix = linear
         start = _project_to_states(np.asarray(seed_matrix, dtype=complex))
+        if np.isnan(start).any():
+            raise UnphysicalStateError(
+                "the search's starting matrix lies too far outside the states to project onto them"
+            )
         rho, f, evals, iters, converged, history = _projected_gradient(cost, start)
         self.rho_ = rho
         self.cost_ = f
@@ -364,11 +368,11 @@ def single_qubit_reconstruct(records) -> np.ndarray:
     Bloch vector up to 5 % outside the unit ball is rescaled onto it, anything
     worse raises ``UnphysicalStateError``.
     """
-    by_label = {}
-    for r in records:
-        if r.setting.arm2 is not None:
-            raise UnknownLabelError("single-photon records take one analyzer arm")
-        by_label[r.setting.arm1] = float(r.count) - r.accidentals
+    run = polarimetry._as_run(records)
+    if any(s.arm2 is not None for s in run.settings):
+        raise UnknownLabelError("single-photon records take one analyzer arm")
+    pairs = (run.counts - run.accidentals).tolist()
+    by_label = dict(zip((s.arm1 for s in run.settings), pairs))
     missing = {"H", "V", "D", "R"} - set(by_label)
     if missing:
         raise UnknownLabelError(
@@ -410,12 +414,12 @@ def bootstrap_errors(
 
     One :func:`polarimetry.poisson_sample` call redraws every count of every
     replica at the observed count as mean, with the values that drawing
-    replica after replica would give; every other record field, such as the
-    accidental rate, is kept.  Each replica is reconstructed as
+    replica after replica would give, on the run's settings, duration and
+    accidental rate.  Each replica is reconstructed as
     :func:`mle_reconstruct` reconstructs the original data: one linear solve
     inverts all replicas, a physical inversion is the maximum-likelihood
     state as it stands, and only the replicas with a negative eigenvalue run
-    the maximum-likelihood search.  :func:`analysis.state_metrics` scores
+    the maximum-likelihood search, each as a one-row run.  :func:`analysis.state_metrics` scores
     the point and the replicas in one call on their stack, the point first,
     and gives the point the values it gets alone.  Returns ``(values,
     errors)``: the point's metrics, and the sample standard deviation of each
@@ -431,22 +435,23 @@ def bootstrap_errors(
         raise OutOfRangeError("bootstrap needs at least 2 replicas")
     if n_replicas > _MAX_REPLICAS:
         raise OutOfRangeError(f"bootstrap takes at most {_MAX_REPLICAS} replicas, got {n_replicas}")
-    observed = _counts(records)
-    _normalization(records, observed)
+    run = polarimetry._as_run(records)
+    _normalization(run)
     rng = np.random.Generator(np.random.PCG64(seed))
-    counts = polarimetry.poisson_sample(rng, np.broadcast_to(observed, (n_replicas, observed.size)))
+    observed = np.broadcast_to(run.counts, (n_replicas, len(run)))
+    replicas = polarimetry.CountRun(run.settings, polarimetry.poisson_sample(rng, observed),
+                                    run.duration, run.accidental_rate)
     try:
-        n_total = _normalization(records, counts)
+        n_total = _normalization(replicas)
     except EmptyDataError as exc:
         raise EmptyDataError(f"bootstrap at seed {seed}: {exc}") from exc
-    settings = tuple(r.setting for r in records)
-    polarimetry._two_photon_stack(settings)  # a one-photon setting raises before the count check
-    _check_record_count(records)
-    rho, lowest = _invert(records, settings, counts, n_total[:, None])
+    polarimetry._two_photon_stack(run.settings)  # a one-photon setting raises before the count check
+    _check_record_count(run)
+    rho, lowest = _invert(replicas, n_total[:, None])
     nonconverged = 0
     for i in np.flatnonzero(lowest < 0.0):
-        redrawn = [replace(r, count=int(c)) for r, c in zip(records, counts[i])]
-        result = mle_reconstruct(redrawn)
+        result = mle_reconstruct(polarimetry.CountRun(
+            run.settings, replicas.counts[i], run.duration, run.accidental_rate))
         rho[i] = result.rho
         nonconverged += not result.converged
     samples = analysis.state_metrics(np.concatenate([[point], rho]), target, angles)

@@ -319,6 +319,32 @@ def test_counts_without_normalization_block_are_bad_input(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("count, block, code", [(10**11, None, 0), (2**62, 1, 3)],
+                         ids=["searched", "refused"])
+def test_reconstruct_of_a_huge_count_exits_without_a_traceback(tmp_path, capsys, count,
+                                                               block, code):
+    state, counts = tmp_path / "state.json", tmp_path / "counts.json"
+    assert run(["gen-state", "werner-phi-minus", "0.8", "--out", state]) == 0
+    assert run(["simulate", state, "--out", counts]) == 0
+    doc = read_json(counts)
+    if block is not None:  # a flux of 4 pairs, without accidentals
+        del doc["accidentals_per_s"]
+        for i, record in enumerate(doc["records"]):
+            record["count"] = block if i < 4 else 1000
+    doc["records"][5]["count"] = count
+    counts.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["reconstruct", counts, "--out", tmp_path / "rho.json"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("wernerlab: numerical failure: the search's starting matrix")
+        assert err.count("\n") == 1
+    else:
+        assert err == ""
+        report = read_json(tmp_path / "rho.json.report.json")
+        assert report["path"] == "search" and np.isfinite(report["cost"])
+
+
 def test_metrics_counts_need_a_bootstrap(tmp_path, capsys):
     """Only the bootstrap reads ``--counts``: without one the command is bad
     input, refused before any file is read or written.  Neither input file

@@ -129,7 +129,7 @@ def test_the_command_set_runs_every_subcommand(outputs):
     # every counts file that simulate writes is read: CHSH runs by chsh --counts,
     # tomography runs by both reconstruction methods
     simulated = [a[a.index("--out") + 1] for a in argvs if a[0] == "simulate"]
-    assert len(simulated) == 48
+    assert len(simulated) == 56
     chsh = {a[2] for a in argvs if a[:2] == ["chsh", "--counts"]}
     methods = {(a[1], a[3]) for a in argvs if a[0] == "reconstruct"}
     for path in simulated:
@@ -138,6 +138,10 @@ def test_the_command_set_runs_every_subcommand(outputs):
         else:
             assert {(path, "linear"), (path, "mle")} <= methods
     assert {"3,51,-17.5,80", "--exact"} <= {x for a in argvs if a[0] == "simulate" for x in a}
+    # runs without accidentals on the tomography and the phi-minus CHSH schedules
+    no_floor = [a for a in argvs if a[0] == "simulate" and "--accidentals" in a]
+    assert len(no_floor) == 8
+    assert all(a[a.index("--accidentals") + 1] == "0" for a in no_floor)
 
 
 def test_a_failed_command_is_reported_and_the_rest_still_run(outputs, monkeypatch, tmp_path):

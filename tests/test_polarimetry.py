@@ -362,7 +362,7 @@ def test_records_json_rejects_malformed():
         records_from_json({"records": [{"arm1": "H", "arm2": "V", "count": 3}]})
     with pytest.raises(ValueError):
         records_from_json({"duration_s": 10.0, "records": [{"arm1": "H", "arm2": "V"}]})
-    for bad_count in (-1, 2.5, True):
+    for bad_count in (-1, 2.5, True, 2**63):
         doc = {"duration_s": 10.0, "records": [{"arm1": "H", "arm2": "V", "count": bad_count}]}
         with pytest.raises(ValueError):
             records_from_json(doc)

@@ -140,7 +140,7 @@ def test_normalization_block_below_accidentals_is_empty():
 
 @pytest.mark.parametrize("index, count", [(0, float("nan")), (5, float("nan")), (5, float("inf"))])
 def test_a_non_finite_count_is_refused(index, count):
-    recs = exact_records(werner_phi_minus(0.5))
+    recs = list(exact_records(werner_phi_minus(0.5)))
     recs[index] = dataclasses.replace(recs[index], count=count)
     bootstrap = functools.partial(bootstrap_errors, point=werner_phi_minus(0.5), n_replicas=2)
     for reconstruct in (linear_reconstruct, mle_reconstruct, bootstrap):
@@ -154,6 +154,40 @@ def test_a_non_finite_count_is_refused_on_the_search_path():
     recs[5] = dataclasses.replace(recs[5], count=float("nan"))
     with pytest.raises(OutOfRangeError, match="record 6 of 15 has a non-finite"):
         mle_reconstruct(recs, seed_matrix=werner_phi_minus(0.5))
+
+
+def huge_count_run(count, block=None):
+    """The seed-0 x = 0.8 run with record 6's count replaced; when ``block``
+    is given, without accidentals and with every other count set to
+    ``block`` on the normalization block and 1000 elsewhere."""
+    run = simulate_counts(werner_phi_minus(0.8), SCHEDULE, SourceConfig())
+    counts, rate = run.counts.copy(), run.accidental_rate
+    if block is not None:
+        counts[:], counts[:4], rate = 1000, block, 0.0
+    counts[5] = count
+    return polarimetry.CountRun(run.settings, counts, run.duration, rate)
+
+
+@pytest.mark.parametrize("count", [10**10, 10**11, 10**17, 2**62])
+def test_a_huge_count_is_searched_to_a_state(count):
+    # a search trial's eigenvalue above 2**53 hides the 1 of the simplex shift
+    # at k = 1, which left no shift at all; such a trial now projects to NaNs
+    # and is backtracked
+    result = mle_reconstruct(huge_count_run(count))
+    assert result.path == "search"
+    assert np.isfinite(result.rho).all()
+    assert result.rho.trace().real == pytest.approx(1.0, abs=1e-12)
+    assert min_eigenvalue(result.rho) >= -1e-12
+    assert np.isfinite(result.cost)
+
+
+def test_a_search_start_that_projects_to_no_state_is_refused():
+    # a flux of 4 pairs puts the inversion's eigenvalues near 1e18, far above
+    # 2**53, so the projection of the search's start keeps no weight
+    run = huge_count_run(2**62, block=1)
+    assert linear_reconstruct(run).min_eigenvalue < -2.0**53
+    with pytest.raises(UnphysicalStateError, match="too far outside the states"):
+        mle_reconstruct(run)
 
 
 # --------------------------------------------------------------- MLE path
@@ -415,7 +449,7 @@ def test_mle_cost_and_gradient_match_a_per_setting_sum():
     at_floor = (np.eye(4) - hh) / 3.0
     n_total = tomography._normalization(recs)
     proj = polarimetry._two_photon_stack(tuple(r.setting for r in recs))
-    cost = MaximumLikelihood()._cost_function(recs, tomography._counts(recs), proj, n_total)
+    cost = MaximumLikelihood()._cost_function(recs, proj, n_total)
     for rho, n_floored in ((searched.rho_, None), (at_floor, 1)):
         f_ref, grad_ref, floored = 0.0, np.zeros((4, 4), dtype=complex), 0
         for r in recs:
@@ -437,6 +471,7 @@ def test_mle_cost_and_gradient_match_a_per_setting_sum():
 def clear_schedule_memo():
     polarimetry._two_photon_stack.cache_clear()
     tomography._design.cache_clear()
+    tomography._block.cache_clear()
 
 
 @pytest.mark.parametrize("settings",
