@@ -22,6 +22,11 @@ subcommand, in this order:
   ``--angles 3,51,-17.5,80``, each with and without ``--exact``; and the
   tomography schedule and the ``phi-minus`` CHSH schedule with
   ``--accidentals 0``, whose counts files have no ``accidentals_per_s``;
+- ``simulate`` of the ``rho1`` and ``rho2`` fixtures at seeds 0-7, read from
+  a copy of each side's fixture file placed at ``fixtures/<name>.json`` in
+  its run directory, so the manifests compare: the counts behind
+  ``tomo-boundary``'s ``rho1`` trials, whose linear inversion is often
+  unphysical, so the maximum-likelihood search runs;
 - ``chsh --counts`` on every CHSH counts file;
 - ``reconstruct --method linear`` and ``--method mle`` on every tomography
   counts file, the pipelines' included;
@@ -45,6 +50,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -56,6 +62,7 @@ ROOT = pairs.ROOT
 MIXES = ("0.0", "0.405", "0.801", "1.0")
 SEEDS = range(8)
 TARGETS = ("phi-plus", "phi-minus", "psi-plus", "psi-minus")
+FIXTURES = ("rho1", "rho2")
 CUSTOM_ANGLES = "3,51,-17.5,80"
 
 # Runs each argv of the JSON list argv[1] through wernerlab.cli.main, with
@@ -115,6 +122,12 @@ def commands() -> list[list[str]]:
                 argvs.append(["simulate", f"pipeline/x{x}-s0/state.json", *options, *extra,
                               "--out", f"{run}/counts.json"])
                 (chsh if name.startswith("chsh") else tomo).append(run)
+    for name in FIXTURES:
+        for seed in SEEDS:
+            run = f"simulate/{name}-s{seed}"
+            argvs.append(["simulate", f"fixtures/{name}.json", "--seed", str(seed),
+                          "--out", f"{run}/counts.json"])
+            tomo.append(run)
     argvs += [["chsh", "--counts", f"{run}/counts.json",
                "--out", f"chsh-counts/{run.replace('/', '-')}/chsh.json"] for run in chsh]
     argvs += [["reconstruct", f"{run}/counts.json", "--method", method,
@@ -127,9 +140,14 @@ def commands() -> list[list[str]]:
 
 
 def run_commands(src: Path, workdir: Path) -> list[str]:
-    """Run :func:`commands` in ``workdir`` on the package in ``src``; returns
+    """Run :func:`commands` in ``workdir`` on the package in ``src``, with
+    that package's fixture files copied into ``workdir/fixtures``; returns
     the commands that failed, each with its exit status or traceback."""
     argvs = commands()
+    (workdir / "fixtures").mkdir(parents=True, exist_ok=True)
+    for name in FIXTURES:
+        shutil.copyfile(src / "wernerlab" / "fixtures" / f"{name}.json",
+                        workdir / "fixtures" / f"{name}.json")
     for argv in argvs:
         if "--out" in argv:
             (workdir / argv[argv.index("--out") + 1]).parent.mkdir(parents=True, exist_ok=True)

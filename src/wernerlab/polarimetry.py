@@ -191,7 +191,8 @@ class CountRun(Sequence):
     of James, Kwiat, Munro & White, PRA 64, 052312 (2001).
 
     ``counts`` is held as a read-only int64 copy, of shape ``(n,)`` for the
-    ``n`` settings or ``(R, n)`` for ``R`` runs on one schedule.  A one-row
+    ``n`` settings or ``(R, n)`` for ``R`` runs on one schedule; an unsigned
+    count that int64 cannot hold is refused, and its record named.  A one-row
     run is a read-only sequence of :class:`CoincidenceRecord` rows (a slice
     is a list of them), and equals a run or a sequence with the same rows.
     """
@@ -208,6 +209,13 @@ class CountRun(Sequence):
         settings = tuple(self.settings)
         if counts.ndim not in (1, 2) or counts.shape[-1] != len(settings):
             raise ValueError(f"counts of shape {counts.shape} do not fit {len(settings)} settings")
+        if counts.dtype.kind == "u":
+            over = np.flatnonzero(counts > np.uint64(_INT64_MAX))
+            if over.size:
+                row, i = divmod(int(over[0]), len(settings))
+                where = f"row {row + 1} of {len(counts)}: " if counts.ndim == 2 else ""
+                raise OutOfRangeError(f"{where}record {i + 1} of {len(settings)} has a count "
+                                      f"{counts.flat[over[0]]} that int64 cannot hold")
         counts = counts.astype(np.int64)  # a copy, so no caller can write it
         counts.flags.writeable = False
         object.__setattr__(self, "settings", settings)

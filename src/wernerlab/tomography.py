@@ -19,6 +19,7 @@ import numpy as np
 from . import analysis, polarimetry
 from .errors import (
     EmptyDataError,
+    NonHermitianError,
     OutOfRangeError,
     SingularSystemError,
     UnknownLabelError,
@@ -175,24 +176,29 @@ def _project_to_states(m: np.ndarray) -> np.ndarray:
     return rho / trace
 
 
-def _projected_gradient(cost, rho):
+def _projected_gradient(cost, gradient, rho):
     """Accelerated projected gradient (FISTA) over density matrices.
 
-    ``cost(rho)`` returns the objective and its gradient as a Hermitian
-    matrix.  The step is halved until the quadratic model bounds the cost
-    (backtracking), and tried 25 % longer on the next iteration; the
-    momentum restarts from the best state when the cost rises.  The search
-    converges when an accepted iteration improves the cost by less than
-    ``_FTOL`` (relative once the cost exceeds 1) at a stationary state: one
-    whose projected gradient is below ``sqrt(_FTOL)`` of the gradient at the
-    start.  A small gain alone is no test, since a step that backtracking
-    has cut to nothing gains nothing anywhere.  The search also stops,
-    converged only if stationary, when a step from the best state no longer
-    lowers the cost.  At most ``_MAX_EVALS`` cost evaluations are made.
-    Returns ``(rho, f, evals, iterations, converged, history)`` with
-    ``history`` the best cost after each accepted iteration.
+    ``cost(rho)`` returns the objective and the per-setting means it was
+    taken from, and ``gradient(mu)`` the objective's gradient at those means
+    as a Hermitian matrix.  The gradient is formed only where it is read: at
+    the start, at each extrapolated point, and at an accepted state on a
+    restart, a step without momentum or a stationarity check.  The step is
+    halved until the quadratic model bounds the cost (backtracking), and
+    tried 25 % longer on the next iteration; the momentum restarts from the
+    best state when the cost rises.  The search converges when an accepted
+    iteration improves the cost by less than ``_FTOL`` (relative once the
+    cost exceeds 1) at a stationary state: one whose projected gradient is
+    below ``sqrt(_FTOL)`` of the gradient at the start.  A small gain alone
+    is no test, since a step that backtracking has cut to nothing gains
+    nothing anywhere.  The search also stops, converged only if stationary,
+    when a step from the best state no longer lowers the cost.  At most
+    ``_MAX_EVALS`` cost evaluations are made.  Returns ``(rho, f, evals,
+    iterations, converged, history)`` with ``history`` the best cost after
+    each accepted iteration.
     """
-    f, grad = cost(rho)
+    f, mu = cost(rho)
+    grad = gradient(mu)
     scale = np.linalg.norm(grad) or 1.0
 
     def stationary(rho, grad):
@@ -205,7 +211,7 @@ def _projected_gradient(cost, rho):
     t, step = 1.0, 1.0
     while evals < _MAX_EVALS:
         z = _project_to_states(y - step * gy)
-        fz, gz = cost(z)
+        fz, mu_z = cost(z)
         evals += 1
         d = z - y
         # negated, so a trial that projects to no state (a NaN cost) backtracks
@@ -215,6 +221,8 @@ def _projected_gradient(cost, rho):
         if fz >= f:
             if y is rho:
                 return rho, f, evals, iterations, stationary(rho, grad), history
+            if grad is None:
+                grad = gradient(mu)
             y, fy, gy, t = rho, f, grad, 1.0
             continue
         iterations += 1
@@ -222,16 +230,19 @@ def _projected_gradient(cost, rho):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         previous = rho
-        rho, f, grad, t = z, fz, gz, t_next
+        rho, f, mu, t = z, fz, mu_z, t_next
         history.append(f)
-        if gain < _FTOL * max(1.0, abs(f)) and stationary(rho, grad):
+        small = gain < _FTOL * max(1.0, abs(f))
+        grad = gradient(mu) if small or beta == 0.0 else None
+        if small and stationary(rho, grad):
             return rho, f, evals, iterations, True, history
         step *= 1.25
         if beta == 0.0:
             y, fy, gy = rho, f, grad
         elif evals < _MAX_EVALS:
             y = rho + beta * (rho - previous)
-            fy, gy = cost(y)
+            fy, mu_y = cost(y)
+            gy = gradient(mu_y)
             evals += 1
     return rho, f, evals, iterations, False, history
 
@@ -270,10 +281,12 @@ class MaximumLikelihood:
     backtracking on the step size and a momentum restart when the cost
     rises; convergence when an iteration improves the cost by less than
     ``1e-9`` at a stationary state, and a hard cap of 100,000 objective
-    evaluations.  The estimator takes no options.
-    ``seed_matrix`` is only the search's starting point; records the linear
-    inversion refuses (not 16 settings, or informationally incomplete) are
-    searched from it.
+    evaluations.  An evaluation forms the objective alone, and the search
+    forms the gradient only at the points where it reads it.  The estimator
+    takes no options.
+    ``seed_matrix`` is only the search's starting point, a 4×4 matrix;
+    records the linear inversion refuses (not 16 settings, or
+    informationally incomplete) are searched from it.
 
     Attributes after ``fit``: ``rho_``, ``cost_``, ``iterations_``,
     ``n_evaluations_``, ``converged_``, ``cost_history_`` and ``path_``
@@ -282,11 +295,13 @@ class MaximumLikelihood:
     """
 
     def _cost_function(self, run, proj, n_total):
-        """The objective and its gradient as functions of the density
-        matrix, for the counts of ``run``: ``cost(rho)`` returns ``(f, sum_i
-        N g_i P_i)`` with ``g_i`` the derivative of the setting's term by its
-        mean.  Where the probability sits at the floor, ``g_i`` is taken at
-        the floored mean: a state's probabilities only rise from 0, and with
+        """The objective and its gradient, for the counts of ``run``:
+        ``(cost, gradient)``.  ``cost(rho)`` returns ``(f, mu)``, the
+        objective at the density matrix ``rho`` and the per-setting means
+        ``mu`` it was taken from; ``gradient(mu)`` returns ``sum_i N g_i
+        P_i`` with ``g_i`` the derivative of the setting's term by its mean.
+        Where the probability sits at the floor, ``g_i`` is taken at the
+        floored mean: a state's probabilities only rise from 0, and with
         accidentals the cost can rise with them."""
         accidentals = run.accidentals
         counts = run.counts.astype(float)  # floats before any product
@@ -297,17 +312,19 @@ class MaximumLikelihood:
             p = (proj @ rho.ravel()).real
             mu = n_total * np.maximum(p, _PROB_FLOOR) + accidentals
             resid = mu - counts
-            two_mu = 2.0 * mu
-            f = (resid * resid / two_mu).sum()
-            g = (mu * mu - counts_sq) / (two_mu * mu)
-            return float(f), ((n_total * g) @ proj_conj).reshape(4, 4)
+            return float((resid * resid / (2.0 * mu)).sum()), mu
 
-        return cost
+        def gradient(mu):
+            g = (mu * mu - counts_sq) / (2.0 * mu * mu)
+            return ((n_total * g) @ proj_conj).reshape(4, 4)
+
+        return cost, gradient
 
     def fit(self, records, seed_matrix: np.ndarray | None = None):
         run = polarimetry._as_run(records)
         n_total = _normalization(run)
-        cost = self._cost_function(run, polarimetry._two_photon_stack(run.settings), n_total)
+        cost, gradient = self._cost_function(
+            run, polarimetry._two_photon_stack(run.settings), n_total)
         linear = lowest = None
         try:
             _check_record_count(run)
@@ -326,12 +343,16 @@ class MaximumLikelihood:
             return self
         if seed_matrix is None:
             seed_matrix = linear
-        start = _project_to_states(np.asarray(seed_matrix, dtype=complex))
+        seed_matrix = np.asarray(seed_matrix, dtype=complex)
+        if seed_matrix.shape != (4, 4):
+            raise NonHermitianError(
+                f"the search's seed matrix must be 4x4, got shape {seed_matrix.shape}")
+        start = _project_to_states(seed_matrix)
         if np.isnan(start).any():
             raise UnphysicalStateError(
                 "the search's starting matrix lies too far outside the states to project onto them"
             )
-        rho, f, evals, iters, converged, history = _projected_gradient(cost, start)
+        rho, f, evals, iters, converged, history = _projected_gradient(cost, gradient, start)
         self.rho_ = rho
         self.cost_ = f
         self.iterations_ = iters

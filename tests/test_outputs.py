@@ -129,7 +129,7 @@ def test_the_command_set_runs_every_subcommand(outputs):
     # every counts file that simulate writes is read: CHSH runs by chsh --counts,
     # tomography runs by both reconstruction methods
     simulated = [a[a.index("--out") + 1] for a in argvs if a[0] == "simulate"]
-    assert len(simulated) == 56
+    assert len(simulated) == 72
     chsh = {a[2] for a in argvs if a[:2] == ["chsh", "--counts"]}
     methods = {(a[1], a[3]) for a in argvs if a[0] == "reconstruct"}
     for path in simulated:
@@ -142,6 +142,11 @@ def test_the_command_set_runs_every_subcommand(outputs):
     no_floor = [a for a in argvs if a[0] == "simulate" and "--accidentals" in a]
     assert len(no_floor) == 8
     assert all(a[a.index("--accidentals") + 1] == "0" for a in no_floor)
+    # the fixtures' runs at seeds 0-7, read from their copies in the run directory
+    fixtures = [a for a in argvs if a[0] == "simulate" and a[1].startswith("fixtures/")]
+    assert {(a[1], a[a.index("--seed") + 1]) for a in fixtures} == {
+        (f"fixtures/{name}.json", str(seed)) for name in ("rho1", "rho2") for seed in range(8)}
+    assert len(fixtures) == 16
 
 
 def test_a_failed_command_is_reported_and_the_rest_still_run(outputs, monkeypatch, tmp_path):

@@ -109,6 +109,21 @@ def test_a_run_holds_a_copy_of_its_counts():
         CountRun(tuple(SCHEDULE), counts[:15], 10.0)
 
 
+def test_an_unsigned_count_beyond_int64_is_refused_and_named():
+    counts = np.array([100] * 16, dtype=np.uint64)
+    counts[0] = 2**63
+    with pytest.raises(OutOfRangeError, match=(
+            f"^record 1 of 16 has a count {2**63} that int64 cannot hold$")):
+        CountRun(tuple(SCHEDULE), counts, 100.0)
+    stack = np.ones((2, 16), dtype=np.uint64)
+    stack[1, 9] = 2**64 - 1
+    with pytest.raises(OutOfRangeError, match=(
+            f"^row 2 of 2: record 10 of 16 has a count {2**64 - 1} that int64 cannot hold$")):
+        CountRun(tuple(SCHEDULE), stack, 100.0)
+    counts[0] = 2**63 - 1  # the largest count int64 holds is kept as it is
+    assert CountRun(tuple(SCHEDULE), counts, 100.0).counts[0] == 2**63 - 1
+
+
 def test_an_expected_count_beyond_int64_is_refused():
     huge = SourceConfig(pair_rate=1e300, duration=1e300)  # an infinite flux
     with pytest.raises(OutOfRangeError, match="int64"):

@@ -3,15 +3,18 @@
 The numerical core takes ``(..., 4, 4)`` stacks, and a single matrix is a
 batch of one on the same code, so these tests compare each stacked call with
 a loop of single calls.  The bootstrap is compared with the per-replica loop
-it replaced, kept here as the reference.
+it replaced, and the maximum-likelihood search, which forms its gradient
+only where it reads it, with the search that formed the gradient at every
+evaluation; both are kept here as references.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wernerlab import analysis, polarimetry, tomography
+from wernerlab import analysis, fixtures, polarimetry, tomography
 from wernerlab.polarimetry import SourceConfig, simulate_counts, tomographic_settings
 from wernerlab.qlinalg import herm_eig, min_eigenvalue, psd_sqrt
 from wernerlab.states import bell_state, pure_to_density, werner_phi_minus
@@ -227,3 +230,125 @@ def test_bootstrap_point_gets_its_single_state_values(x, target):
             "chsh_s": analysis.chsh_value(point, angles),
         }
         assert all(type(v) is float for v in values.values())
+
+
+# ------------------------------------------------ the maximum-likelihood search
+
+
+def reference_cost_function(run, proj, n_total):
+    """The objective with its gradient formed at every evaluation: ``cost(rho)``
+    returns ``(f, sum_i N g_i P_i)``."""
+    accidentals = run.accidentals
+    counts = run.counts.astype(float)
+    counts_sq = counts * counts
+    proj_conj = proj.conj()
+
+    def cost(rho):
+        p = (proj @ rho.ravel()).real
+        mu = n_total * np.maximum(p, tomography._PROB_FLOOR) + accidentals
+        resid = mu - counts
+        two_mu = 2.0 * mu
+        f = (resid * resid / two_mu).sum()
+        g = (mu * mu - counts_sq) / (two_mu * mu)
+        return float(f), ((n_total * g) @ proj_conj).reshape(4, 4)
+
+    return cost
+
+
+def reference_projected_gradient(cost, rho):
+    """The FISTA search with one projection per trial and the gradient of
+    every evaluated point, under the package's stopping rules and cap."""
+    project, ftol, max_evals = (tomography._project_to_states, tomography._FTOL,
+                                tomography._MAX_EVALS)
+    f, grad = cost(rho)
+    scale = np.linalg.norm(grad) or 1.0
+
+    def stationary(rho, grad):
+        moved = project(rho - grad / scale) - rho
+        return bool(np.linalg.norm(moved) <= np.sqrt(ftol))
+
+    evals, iterations, history = 1, 0, []
+    y, fy, gy = rho, f, grad
+    t, step = 1.0, 1.0
+    while evals < max_evals:
+        z = project(y - step * gy)
+        fz, gz = cost(z)
+        evals += 1
+        d = z - y
+        if not fz <= fy + np.vdot(gy, d).real + np.vdot(d, d).real / (2.0 * step):
+            step *= 0.5
+            continue
+        if fz >= f:
+            if y is rho:
+                return rho, f, evals, iterations, stationary(rho, grad), history
+            y, fy, gy, t = rho, f, grad, 1.0
+            continue
+        iterations += 1
+        gain = f - fz
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        previous = rho
+        rho, f, grad, t = z, fz, gz, t_next
+        history.append(f)
+        if gain < ftol * max(1.0, abs(f)) and stationary(rho, grad):
+            return rho, f, evals, iterations, True, history
+        step *= 1.25
+        if beta == 0.0:
+            y, fy, gy = rho, f, grad
+        elif evals < max_evals:
+            y = rho + beta * (rho - previous)
+            fy, gy = cost(y)
+            evals += 1
+    return rho, f, evals, iterations, False, history
+
+
+def assert_search_is_the_reference(records, seed_matrix=None):
+    """``MaximumLikelihood`` searches the counts to the reference's bits:
+    state, cost, evaluations, iterations, convergence and history."""
+    run = polarimetry._as_run(records)
+    n_total = tomography._normalization(run)
+    cost = reference_cost_function(run, polarimetry._two_photon_stack(run.settings), n_total)
+    linear, _ = tomography._invert(run, n_total)
+    start = tomography._project_to_states(linear if seed_matrix is None else seed_matrix)
+    rho, f, evals, iterations, converged, history = reference_projected_gradient(cost, start)
+    est = tomography.MaximumLikelihood().fit(records, seed_matrix=seed_matrix)
+    assert est.path_ == "search"
+    assert est.rho_.tobytes() == rho.tobytes()
+    assert (est.cost_, est.n_evaluations_, est.iterations_, est.converged_, est.cost_history_) \
+        == (f, evals, iterations, converged, history)
+    return est
+
+
+SEARCHED = {"x=1.0": werner_phi_minus(1.0), "rho1": fixtures.load("rho1")}
+# seeds whose linear inversion is unphysical at the default count level
+SEARCHED_SEEDS = [("x=1.0", seed) for seed in range(4)] + [("rho1", seed) for seed in (0, 3, 5, 11)]
+
+
+@pytest.mark.parametrize("start", ["linear", "source"])
+@pytest.mark.parametrize("source, seed", SEARCHED_SEEDS)
+def test_search_is_the_eager_gradient_search_bit_for_bit(source, seed, start):
+    rho = SEARCHED[source]
+    records = simulate_counts(rho, SCHEDULE, SourceConfig(seed=seed))
+    est = assert_search_is_the_reference(records, None if start == "linear" else rho)
+    assert est.converged_
+
+
+@pytest.mark.parametrize("seed, first_step", [(4, 8), (1, 10)])
+def test_search_with_an_early_first_step_is_the_reference(seed, first_step, monkeypatch):
+    """At 30 pairs a setting the first step is accepted at evaluation
+    ``first_step`` (the start is the first), after 6 or 8 halvings rather than
+    about 20."""
+    low = SourceConfig(pair_rate=3.0, accidental_rate=0.1, duration=10.0, seed=seed)
+    records = simulate_counts(werner_phi_minus(1.0), SCHEDULE, low)
+    assert_search_is_the_reference(records)
+    for max_evals, iterations in ((first_step - 1, 0), (first_step, 1)):
+        monkeypatch.setattr(tomography, "_MAX_EVALS", max_evals)
+        assert assert_search_is_the_reference(records).iterations_ == iterations
+
+
+@pytest.mark.parametrize("max_evals", [2, 5, 13])
+def test_search_capped_within_its_opening_halvings_is_the_reference(max_evals, monkeypatch):
+    records = simulate_counts(werner_phi_minus(1.0), SCHEDULE, SourceConfig(seed=0))
+    monkeypatch.setattr(tomography, "_MAX_EVALS", max_evals)
+    est = assert_search_is_the_reference(records)
+    assert (est.n_evaluations_, est.iterations_, est.converged_) == (max_evals, 0, False)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from wernerlab import analysis, fixtures, polarimetry, tomography
 from wernerlab.analysis import fidelity
 from wernerlab.errors import (
     EmptyDataError,
+    NonHermitianError,
     OutOfRangeError,
     SingularSystemError,
     UnknownLabelError,
@@ -190,6 +192,15 @@ def test_a_search_start_that_projects_to_no_state_is_refused():
         mle_reconstruct(run)
 
 
+@pytest.mark.parametrize("shape", [(1, 4, 4), (2, 2, 4), (16,), (3, 3)])
+def test_a_seed_matrix_that_is_not_4x4_is_refused(shape):
+    # 15 records cannot be inverted, so the seed sets where the search starts
+    recs = exact_records(werner_phi_minus(0.5))[:15]
+    seed = np.resize(werner_phi_minus(0.5), shape)
+    with pytest.raises(NonHermitianError, match=re.escape(f"must be 4x4, got shape {shape}")):
+        mle_reconstruct(recs, seed_matrix=seed)
+
+
 # --------------------------------------------------------------- MLE path
 
 def test_mle_exact_data_recovers_state():
@@ -329,13 +340,8 @@ def test_mle_collapsed_step_is_not_convergence(monkeypatch):
     cost_function = MaximumLikelihood._cost_function
 
     def uphill(self, *args):
-        cost = cost_function(self, *args)
-
-        def flipped(rho):
-            f, grad = cost(rho)
-            return f, -grad
-
-        return flipped
+        cost, gradient = cost_function(self, *args)
+        return cost, lambda mu: -gradient(mu)
 
     monkeypatch.setattr(MaximumLikelihood, "_cost_function", uphill)
     recs = simulate_counts(
@@ -449,7 +455,7 @@ def test_mle_cost_and_gradient_match_a_per_setting_sum():
     at_floor = (np.eye(4) - hh) / 3.0
     n_total = tomography._normalization(recs)
     proj = polarimetry._two_photon_stack(tuple(r.setting for r in recs))
-    cost = MaximumLikelihood()._cost_function(recs, proj, n_total)
+    cost, gradient = MaximumLikelihood()._cost_function(recs, proj, n_total)
     for rho, n_floored in ((searched.rho_, None), (at_floor, 1)):
         f_ref, grad_ref, floored = 0.0, np.zeros((4, 4), dtype=complex), 0
         for r in recs:
@@ -461,7 +467,8 @@ def test_mle_cost_and_gradient_match_a_per_setting_sum():
             grad_ref += n_total * (mu * mu - r.count * r.count) / (2.0 * mu * mu) * projector
         if n_floored is not None:
             assert floored == n_floored
-        f, grad = cost(rho)
+        f, mu = cost(rho)
+        grad = gradient(mu)
         assert f == pytest.approx(f_ref, rel=1e-12, abs=0.0)
         assert np.linalg.norm(grad - grad_ref) <= 1e-12 * np.linalg.norm(grad_ref)
 
