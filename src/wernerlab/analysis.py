@@ -32,7 +32,7 @@ def _root_spectrum(m: np.ndarray) -> np.ndarray:
         raise NotPSDError(f"fidelity argument has eigenvalue {lowest:.3e}")
     # Eigenvalues at round-off scale are exact zeros; taking their square
     # root would inflate the noise from 1e-16 to 1e-8, so they are dropped.
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     w[w < 1e-14 * np.maximum(1.0, w.max(axis=-1, keepdims=True))] = 0.0
     return np.sqrt(w)
 
@@ -187,7 +187,7 @@ def chsh_value(rho: np.ndarray, angles: ChshAngles = DEFAULT_ANGLES):
     the Born probabilities of a :func:`chsh_schedule` quadruple, read from
     its projector stack (the denominator is ``tr rho = 1``)."""
     rho = check_hermitian(rho)
-    stack = polarimetry._two_photon_stack(chsh_schedule(angles))
+    stack = polarimetry._schedule_stack(chsh_schedule(angles))
     p = np.matmul(stack, rho.reshape(*rho.shape[:-2], 16, 1)).real[..., 0]
     e = p[..., 0::4] + p[..., 1::4] - p[..., 2::4] - p[..., 3::4]
     return _scalar(e[..., 0] + e[..., 1] + e[..., 2] - e[..., 3])
@@ -215,7 +215,7 @@ def state_metrics(rho: np.ndarray, target: str = "phi-minus",
 @functools.lru_cache(maxsize=polarimetry._SCHEDULES_KEPT)
 def chsh_schedule(angles: ChshAngles) -> tuple:
     """The 16 analyzer settings of a counted CHSH run, built once per angle
-    set and process; a tuple, since every caller shares it.
+    set and process; a tuple that hashes once, since every caller shares it.
 
     Each of the four angle pairs contributes a quadruple ordered
     ``(a, b), (a+90, b+90), (a+90, b), (a, b+90)`` to match
@@ -230,7 +230,7 @@ def chsh_schedule(angles: ChshAngles) -> tuple:
             polarimetry.AnalyzerSetting(a + 90.0, b),
             polarimetry.AnalyzerSetting(a, b + 90.0),
         ]
-    return tuple(settings)
+    return polarimetry._Settings(settings)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import polarimetry
 from .errors import (
     DegenerateDiagonalError,
     NonHermitianError,
@@ -154,6 +155,10 @@ def curve_to_csv(curve: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The H, V, D and R settings of a single-photon measurement, built once.
+_PHOTON_SETTINGS = polarimetry._Settings(polarimetry.AnalyzerSetting(b) for b in "HVDR")
+
+
 @dataclass(frozen=True)
 class SinglePhotonRun:
     """Outcome of a simulated single-photon decoherence measurement."""
@@ -176,13 +181,12 @@ def simulate_single_photon_experiment(
     the 2x2 state is reconstructed, and ``|gamma|`` is read off the ratio of
     the coherence to the geometric mean of the populations.
     """
-    from . import polarimetry, tomography
+    from . import tomography
 
     g = gamma(spectrum, element)
     diag = np.full((2, 2), 0.5, dtype=complex)
     rho_true = dephase_single(diag, g, basis="HV")
-    settings = [polarimetry.AnalyzerSetting(b, None) for b in ("H", "V", "D", "R")]
-    records = polarimetry.simulate_counts(rho_true, settings, config, exact=exact)
+    records = polarimetry.simulate_counts(rho_true, _PHOTON_SETTINGS, config, exact=exact)
     rho_hat = tomography.single_qubit_reconstruct(records)
     return SinglePhotonRun(
         records=records,

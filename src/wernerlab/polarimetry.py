@@ -97,12 +97,34 @@ def _projector_stack(settings) -> np.ndarray:
     return stack.swapaxes(-1, -2).reshape(len(stack), n * n)
 
 
+class _Settings(tuple):
+    """A tuple of settings that hashes its items once: it equals the plain
+    tuple and hashes like it, so a schedule memo finds it in one call.  The
+    hash is not pickled, since a label's hash differs between processes.
+    One made of a ``_Settings`` is that one."""
+
+    _hash = None
+
+    def __new__(cls, settings):
+        return settings if type(settings) is cls else super().__new__(cls, settings)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = tuple.__hash__(self)
+        return self._hash
+
+    def __reduce__(self):
+        return _Settings, (tuple(self),)
+
+
 @functools.lru_cache(maxsize=_SCHEDULES_KEPT)
-def _two_photon_stack(settings: tuple) -> np.ndarray:
-    """The projector stack of a tuple of two-photon settings, built once per
-    process and read-only; a one-photon one raises (and is not memoized)."""
-    if any(s.arm2 is None for s in settings):
-        raise UnknownLabelError("two-photon tomography needs both analyzer arms")
+def _schedule_stack(settings: tuple) -> np.ndarray:
+    """The projector stack of a tuple of all one- or all two-photon settings,
+    built once per process and read-only: every Born probability of a
+    schedule, simulated, fitted or exact, is read from it.  A schedule that
+    mixes one- and two-photon settings raises (and is not memoized)."""
+    if len({s.arm2 is None for s in settings}) > 1:
+        raise UnknownLabelError("a schedule mixes one- and two-photon settings")
     stack = _projector_stack(settings)
     stack.flags.writeable = False
     return stack
@@ -110,14 +132,15 @@ def _two_photon_stack(settings: tuple) -> np.ndarray:
 
 def _born_probabilities(rho: np.ndarray, settings) -> np.ndarray:
     """Detection probability of each setting on a one- or two-photon state,
-    read from the projector stack."""
+    read from the schedule's memoized projector stack."""
     rho = check_hermitian(rho)
     if rho.shape not in ((2, 2), (4, 4)):
         raise OutOfRangeError(f"expected a 2x2 or 4x4 state, got shape {rho.shape}")
-    if any((s.arm2 is None) == (rho.shape == (4, 4)) for s in settings):
+    stack = _schedule_stack(_Settings(settings))
+    if len(stack) and stack.shape[1] != rho.size:
         raise UnknownLabelError("a setting needs one analyzer arm per photon of the state")
     # the reshape gives an empty schedule its (0, n) shape
-    p = (_projector_stack(settings).reshape(-1, rho.size) @ rho.ravel()).real
+    p = (stack.reshape(-1, rho.size) @ rho.ravel()).real
     bad = p[(p < -1e-8) | (p > 1.0 + 1e-8)]
     if bad.size:
         raise OutOfRangeError(f"Born probability {bad[0]:.3e} outside [0, 1]")
@@ -190,11 +213,13 @@ class CountRun(Sequence):
     for ``duration`` seconds over one accidental rate (1/s), the count model
     of James, Kwiat, Munro & White, PRA 64, 052312 (2001).
 
-    ``counts`` is held as a read-only int64 copy, of shape ``(n,)`` for the
-    ``n`` settings or ``(R, n)`` for ``R`` runs on one schedule; an unsigned
-    count that int64 cannot hold is refused, and its record named.  A one-row
-    run is a read-only sequence of :class:`CoincidenceRecord` rows (a slice
-    is a list of them), and equals a run or a sequence with the same rows.
+    ``settings`` is held as a tuple that hashes once, the key under which
+    every schedule memo finds the run.  ``counts`` is held as a read-only
+    int64 copy, of shape ``(n,)`` for the ``n`` settings or ``(R, n)`` for
+    ``R`` runs on one schedule; an unsigned count that int64 cannot hold is
+    refused, and its record named.  A one-row run is a read-only sequence of
+    :class:`CoincidenceRecord` rows (a slice is a list of them), and equals
+    a run or a sequence with the same rows.
     """
 
     settings: tuple
@@ -206,7 +231,7 @@ class CountRun(Sequence):
         counts = np.asarray(self.counts)
         if counts.dtype.kind not in "iu":
             raise TypeError(f"counts must be integers, got {counts.dtype}")
-        settings = tuple(self.settings)
+        settings = _Settings(self.settings)
         if counts.ndim not in (1, 2) or counts.shape[-1] != len(settings):
             raise ValueError(f"counts of shape {counts.shape} do not fit {len(settings)} settings")
         if counts.dtype.kind == "u":
@@ -249,6 +274,10 @@ class CountRun(Sequence):
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
+    def __reduce__(self):
+        # rebuilt through __post_init__, so a loaded or copied run's counts are read-only
+        return CountRun, (self.settings, self.counts, self.duration, self.accidental_rate)
+
 
 def _whole_count(count, i: int, n: int) -> int:
     """The count of record ``i`` of ``n`` as an int that int64 holds."""
@@ -284,7 +313,7 @@ def _as_run(records) -> CountRun:
         raise OutOfRangeError("records of one run must share one accidental rate")
     n = len(records)
     counts = [_whole_count(r.count, i, n) for i, r in enumerate(records, 1)]
-    return CountRun(tuple(r.setting for r in records), np.array(counts, dtype=np.int64),
+    return CountRun([r.setting for r in records], np.array(counts, dtype=np.int64),
                     records[0].duration, records[0].accidental_rate)
 
 
@@ -310,10 +339,12 @@ def simulate_counts(
 
     Each count is Poisson with mean ``pair_rate * duration * p + accidental_rate
     * duration`` where ``p`` is the Born probability, read for the whole
-    schedule from one projector-stack product; one :func:`poisson_sample`
-    call draws all counts.  With ``exact=True`` the mean rounded half to even
-    is returned instead; a mean that int64 cannot hold is refused either way.
+    schedule from one product with its memoized projector stack; one
+    :func:`poisson_sample` call draws all counts.  With ``exact=True`` the
+    mean rounded half to even is returned instead; a mean that int64 cannot
+    hold is refused either way.
     """
+    settings = _Settings(settings)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     floor = config.accidental_rate * config.duration
     flux = config.pair_rate * config.duration
@@ -324,7 +355,7 @@ def simulate_counts(
         counts = np.rint(means).astype(np.int64)
     else:
         counts = poisson_sample(rng, means)
-    return CountRun(tuple(settings), counts, config.duration, config.accidental_rate)
+    return CountRun(settings, counts, config.duration, config.accidental_rate)
 
 
 def _correlation(pairs) -> float:
@@ -436,4 +467,4 @@ def records_from_json(doc: dict) -> CountRun:
         counts.append(count)
     if not settings:
         raise EmptyDataError("counts document contains no records")
-    return CountRun(tuple(settings), np.array(counts, dtype=np.int64), duration, accidental_rate)
+    return CountRun(settings, np.array(counts, dtype=np.int64), duration, accidental_rate)

@@ -98,7 +98,7 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     lowest = w[..., -1].min()
     if lowest < -_PSD_CLAMP:
         raise NotPSDError(f"matrix has eigenvalue {lowest:.3e} below -{_PSD_CLAMP:.1e}")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(v)
+    root = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ _adjoint(v)
     return 0.5 * (root + _adjoint(root))
 
 

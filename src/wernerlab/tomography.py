@@ -89,7 +89,7 @@ def _design(settings: tuple) -> np.ndarray:
     """The real 16x16 matrix mapping Stokes parameters to the probabilities
     of a tuple of settings, built once per process and read-only; raises,
     on every call, if it is not invertible."""
-    design = (polarimetry._two_photon_stack(settings) @ _PAULI_OPS.reshape(16, -1).T).real
+    design = (polarimetry._schedule_stack(settings) @ _PAULI_OPS.reshape(16, -1).T).real
     if np.linalg.cond(design) > _COND_LIMIT:
         raise SingularSystemError(
             "the measurement settings are informationally incomplete"
@@ -324,7 +324,7 @@ class MaximumLikelihood:
         run = polarimetry._as_run(records)
         n_total = _normalization(run)
         cost, gradient = self._cost_function(
-            run, polarimetry._two_photon_stack(run.settings), n_total)
+            run, polarimetry._schedule_stack(run.settings), n_total)
         linear = lowest = None
         try:
             _check_record_count(run)
@@ -466,7 +466,7 @@ def bootstrap_errors(
         n_total = _normalization(replicas)
     except EmptyDataError as exc:
         raise EmptyDataError(f"bootstrap at seed {seed}: {exc}") from exc
-    polarimetry._two_photon_stack(run.settings)  # a one-photon setting raises before the count check
+    polarimetry._schedule_stack(run.settings)  # a mixed schedule raises before the count check
     _check_record_count(run)
     rho, lowest = _invert(replicas, n_total[:, None])
     nonconverged = 0

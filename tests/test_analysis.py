@@ -241,7 +241,7 @@ def per_call_chsh(rho, angles):
 def test_chsh_value_is_the_per_call_operator_sum_bit_for_bit(rng, angles):
     # bit for bit against the schedule's stack built on the call, and within
     # round-off of the correlation-operator sum
-    polarimetry._two_photon_stack.cache_clear()
+    polarimetry._schedule_stack.cache_clear()
     singles = [random_density(rng, rank=r) for r in (1, 2, 4)] + [werner_phi_minus(0.801)]
     stack = np.array([random_density(rng) for _ in range(6)])
     for _ in range(2):  # built, then read from the memo
@@ -249,7 +249,7 @@ def test_chsh_value_is_the_per_call_operator_sum_bit_for_bit(rng, angles):
             got = np.asarray(chsh_value(rho, angles), dtype=float)
             assert got.tobytes() == np.asarray(per_call_chsh(rho, angles)).tobytes()
             assert np.max(np.abs(got - operator_sum_chsh(rho, angles))) <= 1e-14
-    assert polarimetry._two_photon_stack.cache_info().misses == 1
+    assert polarimetry._schedule_stack.cache_info().misses == 1
 
 
 def test_chsh_schedule_layout():

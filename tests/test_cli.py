@@ -1,13 +1,17 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from wernerlab import __version__, decoherence, polarimetry
 from wernerlab.cli import build_parser, main
-from wernerlab.states import density_matrix_from_json, werner_phi_minus
+from wernerlab.states import density_matrix_from_json, density_matrix_to_json, werner_phi_minus
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(argv):
@@ -614,3 +618,50 @@ def test_an_output_that_names_an_input_is_refused_before_writing(
     # the input keeps its bytes, and no output, manifest or .tmp file exists
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir()} == before
     assert "is an input of this run" in capsys.readouterr().err
+
+
+# The commands rerun in one process: the schedule memos carry state from one
+# command to the next.  The counts are of x = 1.0, so the search runs.
+RERUN = {
+    "simulate-chsh": ["simulate", "state.json", "--schedule", "chsh",
+                      "--angles", "3,51,-17.5,80", "--out", "chsh.json"],
+    "simulate-tomo": ["simulate", "state.json", "--seed", "3", "--out", "tomo.json"],
+    "reconstruct": ["reconstruct", "counts.json", "--report", "report.json", "--out", "rho.json"],
+    "pipeline": ["pipeline", "--mix", "0.801", "--bootstrap", "5", "--out-dir", "run"],
+}
+
+
+def written(directory, inputs):
+    """Every file under ``directory`` but the inputs, by relative path."""
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file() and p.name not in inputs}
+
+
+def test_commands_rerun_in_one_process_write_what_a_fresh_process_writes(tmp_path, monkeypatch):
+    counts = polarimetry.simulate_counts(werner_phi_minus(1.0), polarimetry.tomographic_settings(),
+                                         polarimetry.SourceConfig(seed=5))
+    inputs = {"state.json": json.dumps(density_matrix_to_json(werner_phi_minus(0.801))),
+              "counts.json": json.dumps(polarimetry.records_to_json(counts))}
+
+    def workdir(*parts):
+        directory = tmp_path.joinpath(*parts)
+        directory.mkdir(parents=True)
+        for name, text in inputs.items():
+            (directory / name).write_text(text)
+        return directory
+
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    fresh = {}
+    for name, argv in RERUN.items():
+        directory = workdir("fresh", name)
+        subprocess.run([sys.executable, "-m", "wernerlab", *argv], cwd=directory, check=True,
+                       capture_output=True, env=dict(os.environ, PYTHONPATH=path))
+        fresh[name] = written(directory, inputs)
+        assert fresh[name]
+    assert json.loads(fresh["reconstruct"]["report.json"])["path"] == "search"
+    for round_ in (1, 2):
+        for name, argv in RERUN.items():
+            directory = workdir(f"run-{round_}", name)
+            monkeypatch.chdir(directory)
+            assert run(argv) == 0
+            assert written(directory, inputs) == fresh[name], (name, round_)

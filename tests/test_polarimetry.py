@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wernerlab import fixtures, polarimetry
-from wernerlab.analysis import DEFAULT_ANGLES, angles_for_target, chsh_schedule
+from wernerlab.analysis import DEFAULT_ANGLES, ChshAngles, angles_for_target, chsh_schedule
 from wernerlab.errors import EmptyDataError, OutOfRangeError, UnknownLabelError
 from wernerlab.polarimetry import (
     NORMALIZATION_BLOCK,
@@ -385,3 +385,48 @@ def test_records_json_rejects_malformed():
             records_from_json(
                 {"duration_s": 10.0, "records": [{"arm1": bad_arm, "arm2": "V", "count": 3}]}
             )
+
+
+# ------------------------------------------------ simulation reads the schedule memo
+
+def reference_counts(rho, settings, config):
+    """The counts of ``simulate_counts``, drawn from the schedule's projector
+    stack built on this call."""
+    p = (polarimetry._projector_stack(settings).reshape(-1, rho.size) @ rho.ravel()).real
+    flux = config.pair_rate * config.duration
+    means = flux * np.clip(p, 0.0, 1.0) + config.accidental_rate * config.duration
+    return np.random.Generator(np.random.PCG64(config.seed)).poisson(means).astype(np.int64)
+
+
+def test_simulation_builds_one_stack_per_schedule_and_draws_its_bits(rng):
+    polarimetry._schedule_stack.cache_clear()
+    cases = [
+        (werner_phi_minus(0.801), tomographic_settings()),
+        (werner_phi_minus(0.801), chsh_schedule(ChshAngles(3, 51, -17.5, 80))),
+        (random_density(rng, 2), [AnalyzerSetting(label) for label in "HVDR"]),
+    ]
+    for seed in range(3):
+        for rho, settings in cases:
+            config = SourceConfig(seed=seed)
+            run = simulate_counts(rho, list(settings), config)
+            assert run.counts.tobytes() == reference_counts(rho, settings, config).tobytes()
+            assert run.settings == tuple(settings)
+    assert polarimetry._schedule_stack.cache_info().misses == len(cases)
+    assert polarimetry._schedule_stack.cache_info().hits == 2 * len(cases)
+
+
+def test_a_caller_that_mutates_its_schedule_changes_no_memo_and_no_later_draw():
+    rho, config = werner_phi_minus(0.801), SourceConfig(seed=4)
+    settings = tomographic_settings()
+    first = simulate_counts(rho, settings, config)
+    settings[0] = AnalyzerSetting("D", "A")
+    settings.reverse()
+    assert first.settings == tuple(tomographic_settings())
+    stack = polarimetry._schedule_stack(tuple(tomographic_settings()))
+    assert stack.tobytes() == polarimetry._projector_stack(tomographic_settings()).tobytes()
+    again = simulate_counts(rho, tomographic_settings(), config)
+    assert again.counts.tobytes() == first.counts.tobytes()
+    mutated = simulate_counts(rho, settings, config)
+    assert mutated.counts.tobytes() == reference_counts(rho, settings, config).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 0] = 0.0

@@ -143,6 +143,24 @@ def test_psd_sqrt_clamps_roundoff_negatives():
     np.testing.assert_allclose(root[0, 0], 1.0, atol=1e-10)
 
 
+def test_the_eigenvalue_floor_is_clip_without_an_upper_bound_bit_for_bit(rng):
+    # psd_sqrt and the fidelity's spectrum floor eigenvalues at 0 with
+    # np.maximum, which gives np.clip(w, 0.0, None)'s bits: NaN, both zeros
+    # and negative round-off included
+    w = np.array([np.nan, -np.nan, 0.0, -0.0, -1e-17, -5e-324, 1e-17, 0.25,
+                  -1.0, np.inf, -np.inf])
+    assert np.maximum(w, 0.0).tobytes() == np.clip(w, 0.0, None).tobytes()
+    stack = np.array([random_density(rng, 4, rank=r) for r in (1, 2, 3, 4)])
+    w, v = herm_eig(stack)
+    assert (w[:, -1] < 0.0).any()  # the rank-deficient states hold negative round-off
+    assert np.maximum(w, 0.0).tobytes() == np.clip(w, 0.0, None).tobytes()
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    assert psd_sqrt(stack).tobytes() == (0.5 * (root + root.conj().swapaxes(-1, -2))).tobytes()
+    spectrum = np.clip(np.linalg.eigvalsh(stack)[..., ::-1], 0.0, None)
+    spectrum[spectrum < 1e-14 * np.maximum(1.0, spectrum.max(axis=-1, keepdims=True))] = 0.0
+    assert analysis._root_spectrum(stack).tobytes() == np.sqrt(spectrum).tobytes()
+
+
 def test_psd_sqrt_rejects_genuinely_negative():
     with pytest.raises(NotPSDError):
         psd_sqrt(np.diag([1.0, -1e-3]).astype(complex))

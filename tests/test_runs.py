@@ -5,7 +5,12 @@ estimators also take hand-built ``CoincidenceRecord`` lists, which one
 conversion turns into a run and checks.
 """
 
+import copy
 import json
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from wernerlab.polarimetry import (
 )
 from wernerlab.states import werner_phi_minus
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SCHEDULE = tomographic_settings()
 CHSH = analysis.chsh_schedule(analysis.DEFAULT_ANGLES)
 SINGLES = [AnalyzerSetting(label) for label in "HVDR"]
@@ -179,3 +185,56 @@ def test_every_entry_point_refuses_mixed_durations_and_rates(field, value, messa
                   analysis.chsh_from_counts):
         with pytest.raises(OutOfRangeError, match=message):
             entry(records)
+
+
+# ------------------------------------------------ the settings key
+
+SCHEDULE_MEMOS = (polarimetry._schedule_stack, tomography._design, tomography._block)
+
+# Simulates an x = 1.0 run, whose inversion is unphysical, reconstructs it
+# (so its settings key has hashed), and writes the pickled hash of its
+# settings, the run and both reconstructions to stdout.
+CHILD = """
+import pickle, sys
+from wernerlab import polarimetry, tomography
+from wernerlab.states import werner_phi_minus
+run = polarimetry.simulate_counts(werner_phi_minus(1.0), polarimetry.tomographic_settings(),
+                                  polarimetry.SourceConfig(seed=5))
+linear, mle = tomography.linear_reconstruct(run), tomography.mle_reconstruct(run)
+sys.stdout.buffer.write(pickle.dumps((hash(run.settings), run, linear, mle)))
+"""
+
+
+def test_a_settings_key_equals_and_hashes_like_the_plain_tuple():
+    run = simulate_counts(werner_phi_minus(0.5), SCHEDULE, SourceConfig(seed=1))
+    plain = tuple(SCHEDULE)
+    assert run.settings == plain and plain == run.settings
+    assert hash(run.settings) == hash(plain) == hash(run.settings)
+    assert CountRun(run.settings, run.counts, 1.0).settings is run.settings
+    assert polarimetry._as_run(by_hand(run)).settings == plain
+    assert analysis.chsh_schedule(analysis.DEFAULT_ANGLES) == tuple(CHSH)
+    assert pickle.loads(pickle.dumps(run.settings)) == plain
+
+
+def test_a_loaded_or_copied_run_keeps_its_counts_read_only():
+    run = simulate_counts(werner_phi_minus(0.5), SCHEDULE, SourceConfig(seed=1))
+    for loaded in (pickle.loads(pickle.dumps(run)), copy.deepcopy(run)):
+        assert loaded == run and loaded.counts.tobytes() == run.counts.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.counts[0] = 0
+
+
+def test_a_run_pickled_under_another_hash_seed_reads_the_memo_with_its_bits():
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, check=True,
+                           env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path))
+    child_hash, run, linear, mle = pickle.loads(child.stdout)
+    assert mle.path == "search"
+    assert child_hash != hash(tuple(SCHEDULE))  # the labels hash differently there
+    assert hash(run.settings) == hash(tuple(run.settings))
+    tomography.mle_reconstruct(simulate_counts(werner_phi_minus(1.0), SCHEDULE, SourceConfig()))
+    misses = [memo.cache_info().misses for memo in SCHEDULE_MEMOS]
+    assert bits(tomography.linear_reconstruct(run)) == bits(linear)
+    assert bits(tomography.mle_reconstruct(run)) == bits(mle)
+    assert [memo.cache_info().misses for memo in SCHEDULE_MEMOS] == misses

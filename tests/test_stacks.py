@@ -307,7 +307,7 @@ def assert_search_is_the_reference(records, seed_matrix=None):
     state, cost, evaluations, iterations, convergence and history."""
     run = polarimetry._as_run(records)
     n_total = tomography._normalization(run)
-    cost = reference_cost_function(run, polarimetry._two_photon_stack(run.settings), n_total)
+    cost = reference_cost_function(run, polarimetry._schedule_stack(run.settings), n_total)
     linear, _ = tomography._invert(run, n_total)
     start = tomography._project_to_states(linear if seed_matrix is None else seed_matrix)
     rho, f, evals, iterations, converged, history = reference_projected_gradient(cost, start)

@@ -454,7 +454,7 @@ def test_mle_cost_and_gradient_match_a_per_setting_sum():
     hh = SCHEDULE[0].projector()
     at_floor = (np.eye(4) - hh) / 3.0
     n_total = tomography._normalization(recs)
-    proj = polarimetry._two_photon_stack(tuple(r.setting for r in recs))
+    proj = polarimetry._schedule_stack(tuple(r.setting for r in recs))
     cost, gradient = MaximumLikelihood()._cost_function(recs, proj, n_total)
     for rho, n_floored in ((searched.rho_, None), (at_floor, 1)):
         f_ref, grad_ref, floored = 0.0, np.zeros((4, 4), dtype=complex), 0
@@ -476,29 +476,30 @@ def test_mle_cost_and_gradient_match_a_per_setting_sum():
 # ------------------------------------------------ schedule memo
 
 def clear_schedule_memo():
-    polarimetry._two_photon_stack.cache_clear()
+    polarimetry._schedule_stack.cache_clear()
     tomography._design.cache_clear()
     tomography._block.cache_clear()
 
 
 @pytest.mark.parametrize("settings",
-                         [SCHEDULE, analysis.chsh_schedule(analysis.DEFAULT_ANGLES)],
-                         ids=["tomographic", "angles"])
+                         [SCHEDULE, analysis.chsh_schedule(analysis.DEFAULT_ANGLES),
+                          [AnalyzerSetting(label) for label in "HVDR"]],
+                         ids=["tomographic", "angles", "one-photon"])
 def test_memoized_stack_is_the_projector_stack_bit_for_bit(settings):
     clear_schedule_memo()
     key = tuple(settings)
     expected = polarimetry._projector_stack(list(settings)).tobytes()
     for _ in range(2):  # built, then read from the memo
-        stack = polarimetry._two_photon_stack(key)
+        stack = polarimetry._schedule_stack(key)
         assert stack.tobytes() == expected
         with pytest.raises(ValueError, match="read-only"):
             stack[0, 0] = 0.0
-    assert polarimetry._two_photon_stack.cache_info().hits == 1
+    assert polarimetry._schedule_stack.cache_info().hits == 1
 
 
 def test_memoized_stack_and_design_are_read_only():
     key = tuple(SCHEDULE)
-    stack = polarimetry._two_photon_stack(key)
+    stack = polarimetry._schedule_stack(key)
     design = tomography._design(key)
     with pytest.raises(ValueError, match="read-only"):
         stack[0, 0] = 0.0
