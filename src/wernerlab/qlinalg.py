@@ -3,8 +3,17 @@
 Everything here targets the 2x2 and 4x4 complex matrices of two-photon
 polarization work; the checks, ``kron``, ``herm_eig``, ``psd_sqrt`` and
 ``min_eigenvalue`` also take ``(..., n, n)`` stacks of them.
-Eigendecompositions come from ``np.linalg.eigh`` with a fixed ordering and
-eigenvector phase convention on top.
+Eigendecompositions come from LAPACK through numpy's own gufunc, with a
+fixed ordering and eigenvector phase convention on top.
+
+``_eigh`` and ``_solve`` are the calls that ``np.linalg.eigh`` and
+``np.linalg.solve`` make for complex128 and float64 input,
+``_umath_linalg.eigh_lo(m, signature="D->dD")`` and
+``_umath_linalg.solve(a, b, signature="dd->d")``, without the per-call
+bookkeeping around them, so they give numpy's bits on every kernel.  They
+take finite input only, which each caller guarantees: a non-finite entry is
+refused before them, and a LAPACK failure on finite input gives NaNs with
+numpy's invalid-value RuntimeWarning instead of a ``LinAlgError``.
 """
 
 from __future__ import annotations
@@ -12,12 +21,25 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NonHermitianError, NotPSDError
 
 _HERMITICITY_TOL = 1e-8  # largest allowed entry of m - m.conj().T
 _PSD_CLAMP = 1e-9  # eigenvalues above -_PSD_CLAMP of a PSD matrix count as zero
 _PHASE_EPS = 1e-12
+
+
+def _eigh(m: np.ndarray):
+    """``np.linalg.eigh(m)`` of a finite complex128 matrix or stack:
+    ascending eigenvalues and the eigenvectors in columns."""
+    return _umath_linalg.eigh_lo(m, signature="D->dD")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` of finite float64 ``(..., n, n)`` and
+    ``(..., n, k)`` arrays."""
+    return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,7 +89,7 @@ def check_hermitian(m: np.ndarray) -> np.ndarray:
 
 def herm_eig(m: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, or of each matrix of a
-    ``(..., n, n)`` stack, by ``np.linalg.eigh``.
+    ``(..., n, n)`` stack, by ``np.linalg.eigh``'s LAPACK call (``_eigh``).
 
     Returns ``(w, v)`` with eigenvalues ``w`` sorted in descending order and
     orthonormal eigenvectors in the columns of ``v``.  Each eigenvector is
@@ -76,7 +98,7 @@ def herm_eig(m: np.ndarray):
     eigenvalues any orthonormal basis of the eigenspace may be returned.
     A stack gives the same values as its matrices one at a time.
     """
-    w, v = np.linalg.eigh(check_hermitian(m))
+    w, v = _eigh(check_hermitian(m))
     w, v = w[..., ::-1], v[..., ::-1]
     # Each column's first entry of non-negligible magnitude, gathered from
     # the stack seen as (k, n, n); cheaper than take_along_axis on one matrix.
@@ -105,4 +127,4 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 def min_eigenvalue(m: np.ndarray):
     """Smallest eigenvalue of a Hermitian matrix, or the array of them for a
     stack: bit for bit :func:`herm_eig`'s last, without eigenvectors to fix."""
-    return _scalar(np.linalg.eigh(check_hermitian(m))[0][..., 0])
+    return _scalar(_eigh(check_hermitian(m))[0][..., 0])

@@ -25,7 +25,7 @@ from .errors import (
     UnknownLabelError,
     UnphysicalStateError,
 )
-from .qlinalg import _scalar, kron, min_eigenvalue
+from .qlinalg import _eigh, _scalar, _solve, kron, min_eigenvalue
 from .states import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _N_PARAMS = 16
@@ -109,7 +109,7 @@ def _invert(run, n_total):
     stacked eigendecomposition; each row gives the values it gives alone.
     """
     probs = (run.counts - run.accidentals) / n_total
-    stokes = np.linalg.solve(_design(run.settings), probs[..., None])[..., 0]
+    stokes = _solve(_design(run.settings), probs[..., None])[..., 0]
     # matmul, not tensordot, so a stack gives the same values as one vector
     rho = np.matmul(stokes[..., None, :], _PAULI_OPS.reshape(16, -1))
     rho = rho.reshape(*stokes.shape[:-1], 4, 4)
@@ -160,20 +160,29 @@ def _project_to_states(m: np.ndarray) -> np.ndarray:
     of a cumulative sum: with ``css_k`` the sum of the ``k`` largest
     eigenvalues less 1, it is ``css_k / k`` at the last ``k`` whose ``k``-th
     largest eigenvalue exceeds ``css_k / k``.
+
+    ``m`` must be finite (``_eigh`` takes no other input); a LAPACK failure
+    gives NaN eigenvalues, and so no state.  The arithmetic runs in place,
+    each step giving the bits of its out-of-place form.
     """
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    h = m + m.conj().T
+    h *= 0.5
+    w, v = _eigh(h)
     total = 0.0
     for k, wk in enumerate(w[::-1].tolist(), 1):
         total += wk
         # k = 1 always qualifies, even where an eigenvalue above 2**53 hides the 1
         if k == 1 or wk > (total - 1.0) / k:
             shift = (total - 1.0) / k
-    w = np.maximum(w - shift, 0.0)
+    w -= shift
+    np.maximum(w, 0.0, out=w)
     rho = (v * w) @ v.conj().T
+    # numpy's trace: a Python sum of the diagonal need not add in its order
     trace = rho.trace().real
     if not trace > 0.0:  # the shift left no weight: no state, in NaNs
         return np.full_like(rho, np.nan)
-    return rho / trace
+    rho /= trace
+    return rho
 
 
 def _projected_gradient(cost, gradient, rho):
@@ -312,7 +321,9 @@ class MaximumLikelihood:
             p = (proj @ rho.ravel()).real
             mu = n_total * np.maximum(p, _PROB_FLOOR) + accidentals
             resid = mu - counts
-            return float((resid * resid / (2.0 * mu)).sum()), mu
+            resid *= resid
+            resid /= 2.0 * mu
+            return float(np.add.reduce(resid)), mu
 
         def gradient(mu):
             g = (mu * mu - counts_sq) / (2.0 * mu * mu)
@@ -347,6 +358,8 @@ class MaximumLikelihood:
         if seed_matrix.shape != (4, 4):
             raise NonHermitianError(
                 f"the search's seed matrix must be 4x4, got shape {seed_matrix.shape}")
+        if not np.isfinite(seed_matrix).all():
+            raise NonHermitianError("the search's seed matrix has a non-finite entry")
         start = _project_to_states(seed_matrix)
         if np.isnan(start).any():
             raise UnphysicalStateError(

@@ -5,7 +5,9 @@ batch of one on the same code, so these tests compare each stacked call with
 a loop of single calls.  The bootstrap is compared with the per-replica loop
 it replaced, and the maximum-likelihood search, which forms its gradient
 only where it reads it, with the search that formed the gradient at every
-evaluation; both are kept here as references.
+evaluation; both are kept here as references.  The package's raw LAPACK
+calls, ``qlinalg._eigh`` and ``_solve``, are compared byte for byte with
+``np.linalg.eigh`` and ``np.linalg.solve``.
 """
 
 import math
@@ -13,8 +15,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
-from wernerlab import analysis, fixtures, polarimetry, tomography
+from wernerlab import analysis, fixtures, polarimetry, qlinalg, tomography
 from wernerlab.polarimetry import SourceConfig, simulate_counts, tomographic_settings
 from wernerlab.qlinalg import herm_eig, min_eigenvalue, psd_sqrt
 from wernerlab.states import bell_state, pure_to_density, werner_phi_minus
@@ -22,6 +25,7 @@ from wernerlab.states import bell_state, pure_to_density, werner_phi_minus
 from conftest import random_density
 
 SCHEDULE = tomographic_settings()
+SCHEDULE_RUN = simulate_counts(werner_phi_minus(1.0), SCHEDULE, SourceConfig(seed=0))
 
 
 def state_stack():
@@ -53,6 +57,32 @@ def test_herm_eig_and_psd_sqrt_of_a_stack_equal_single_calls():
     w2, v2 = herm_eig(STACK[:6].reshape(2, 3, 4, 4))
     assert np.array_equal(w2.reshape(6, 4), w[:6])
     assert np.array_equal(v2.reshape(6, 4, 4), v[:6])
+
+
+def same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (21,), (1000,)])
+def test_the_raw_eigh_is_numpys_eigh_byte_for_byte(shape):
+    # no skip: a numpy whose _umath_linalg lacks the gufunc fails here
+    assert hasattr(_umath_linalg, "eigh_lo")
+    rng = np.random.default_rng(4711)
+    g = rng.normal(size=shape + (4, 4)) + 1j * rng.normal(size=shape + (4, 4))
+    m = 0.5 * (g + g.conj().swapaxes(-1, -2))
+    w, v = qlinalg._eigh(m)
+    want_w, want_v = np.linalg.eigh(m)
+    assert same_bytes(w, want_w)
+    assert same_bytes(v, want_v)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 20])
+def test_the_raw_solve_is_numpys_solve_byte_for_byte(rows):
+    assert hasattr(_umath_linalg, "solve")
+    design = tomography._design(SCHEDULE_RUN.settings)
+    rng = np.random.default_rng(4712)
+    b = rng.uniform(size=(16, 1) if rows is None else (rows, 16, 1))
+    assert same_bytes(qlinalg._solve(design, b), np.linalg.solve(design, b))
 
 
 WERNER = werner_phi_minus(0.6)

@@ -201,6 +201,17 @@ def test_a_seed_matrix_that_is_not_4x4_is_refused(shape):
         mle_reconstruct(recs, seed_matrix=seed)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)])
+def test_a_non_finite_seed_matrix_is_refused_and_named(entry):
+    # the eigensolver takes finite input only: refused before any projection
+    recs = exact_records(werner_phi_minus(0.5))[:15]
+    seed = werner_phi_minus(0.5).astype(complex)
+    seed[1, 2] = entry
+    with pytest.raises(NonHermitianError, match="seed matrix has a non-finite entry"):
+        mle_reconstruct(recs, seed_matrix=seed)
+
+
 # --------------------------------------------------------------- MLE path
 
 def test_mle_exact_data_recovers_state():
@@ -434,7 +445,15 @@ def test_project_to_states_matches_the_sorted_cumsum_projection(rng):
     hermitian = [random_hermitian(rng) for _ in range(20)]
     offset = [random_hermitian(rng) + c * np.eye(4) for c in (-50.0, 50.0, 1e3)]
     offset.append(random_density(rng) - 1e3 * np.eye(4))
-    for m in physical + tied + hermitian + offset:
+    # what the search projects: a state less a step times a gradient, whose
+    # product is not Hermitian to round-off and reaches 1e9 at the default
+    # count level (a gradient norm near 2**13)
+    non_hermitian = [
+        random_density(rng) + 1j * size * random_hermitian(rng)
+        for size in (1e-16, 1e-12, 1e-8, 1e-5, 1e-3)
+    ]
+    scaled = [scale * random_hermitian(rng) for scale in (1e3, 1e5, 1e7, 1e9) for _ in range(3)]
+    for m in physical + tied + hermitian + offset + non_hermitian + scaled:
         rho = tomography._project_to_states(m)
         assert np.array_equal(rho, reference_projection(m))
         assert min_eigenvalue(rho) >= -1e-15
