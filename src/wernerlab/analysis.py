@@ -4,6 +4,7 @@ measures, and CHSH correlations."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -13,7 +14,10 @@ from .errors import EmptyDataError, NotPSDError, OutOfRangeError, UnknownLabelEr
 from .qlinalg import _PSD_CLAMP, _scalar, check_hermitian, kron, psd_sqrt
 from .states import SIGMA_Y, bell_state, pure_to_density
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# the golden fraction of Brent's fallback step, and the Werner fit's tolerance:
+# its search stops with every point of its bracket within 2 * _X_TOL < 1e-5
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+_X_TOL = 1e-5 / 3.0
 
 _X_LO = -1.0 / 3.0
 _X_HI = 1.0
@@ -89,56 +93,119 @@ class WernerFit:
     target: str
 
 
+def _brent(lo: float, hi: float):
+    """Brent's minimization on ``[lo, hi]`` (*Algorithms for Minimization
+    without Derivatives*, 1973, ch. 5) as a generator in Python floats: it
+    yields each trial ``x``, is sent the function's value there, and returns
+    the best ``(x, value)`` it evaluated once every point of the bracket
+    around that ``x`` lies within ``2 * _X_TOL`` of it, with an end of
+    ``[lo, hi]`` that the bracket still reaches evaluated last."""
+    a, b = lo, hi
+    x = w = v = a + _CGOLD * (b - a)
+    fx = fw = fv = yield x
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * _X_TOL - 0.5 * (b - a):
+            break
+        # the vertex p / q of the parabola through x, w and v is taken only if
+        # it falls inside the bracket and moves under half the step before
+        # last (e); otherwise a golden step goes into the larger part
+        parabolic = False
+        if abs(e) > _X_TOL:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            parabolic = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
+            e = d
+        if parabolic:
+            d = p / q
+            if x + d - a < 2.0 * _X_TOL or b - x - d < 2.0 * _X_TOL:
+                d = _X_TOL if x < m else -_X_TOL
+        else:
+            e = (b if x < m else a) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= _X_TOL else (_X_TOL if d > 0.0 else -_X_TOL))
+        fu = yield u
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    # Brent never steps onto an end; where the bracket still reaches one, the
+    # minimum may lie on it, where the function need not be flat, so the end
+    # is tried once
+    end = hi if b == hi else lo if a == lo else None
+    if end is not None:
+        f_end = yield end
+        if f_end <= fx:
+            return end, f_end
+    return x, fx
+
+
 def fit_werner(rho: np.ndarray, target: str = "phi-minus") -> WernerFit:
     """Maximize the fidelity between ``rho`` and the Werner family of the
     given Bell state over the mixing parameter.
 
-    A golden section over the whole interval ``[-1/3, 1]`` locates the
-    optimum to 1e-5 in ``x``, with no bracketing scan.  None is needed: the
-    family ``sigma(x) = x*|t><t| + (1-x)/4 * I`` is affine in ``x``, and the
-    root fidelity ``sqrt(F(rho, sigma))`` is concave in ``sigma`` (Uhlmann),
-    so ``F`` along the family has a single maximum on the interval (or a
-    flat top of equal values).  The fidelity is symmetric (Jozsa, J. Mod.
-    Opt. 41, 2315 (1994)), so each step evaluates ``F(sigma(x), rho)`` on
-    the one square root of ``rho`` taken before the search; a state with an
+    Brent's search (parabolic steps with a golden fallback) over the whole
+    interval ``[-1/3, 1]`` locates the optimum to 1e-5 in ``x``, with no
+    bracketing scan.  None is needed: the family ``sigma(x) = x*|t><t| +
+    (1-x)/4 * I`` is affine in ``x``, and the root fidelity ``sqrt(F(rho,
+    sigma))`` is concave in ``sigma`` (Uhlmann), so ``F`` along the family
+    has a single maximum on the interval (or a flat top of equal values).
+    The search stops once the bracket around its best ``x`` lies within
+    ``2e-5 / 3`` of it.  It never steps onto an end of the interval, so
+    where the bracket still reaches one it evaluates that end once: a state
+    of low rank can have its optimum there, where ``F`` is steep in ``x``.
+    The fit returns the best ``x`` evaluated and the fidelity there, with no
+    further evaluation.  The fidelity is symmetric (Jozsa, J. Mod. Opt. 41,
+    2315 (1994)), so each step evaluates ``F(sigma(x), rho)`` on the one
+    square root of ``rho`` taken before the search; a state with an
     eigenvalue below ``-1e-9`` raises :class:`NotPSDError` there.  The inner
     matrix ``sqrt(rho) sigma(x) sqrt(rho)`` is affine in ``x`` too, so it is
     formed at each step as ``x*A1 + (1-x)*A0`` from ``A1 = sqrt(rho) P
     sqrt(rho)`` and ``A0 = sqrt(rho) sqrt(rho) / 4``, both taken once.
 
-    A ``(..., 4, 4)`` stack runs the sections of all its states in lockstep,
-    with one stacked fidelity evaluation per step.  Each section follows its
-    own comparisons; every section starts on the same interval and shrinks
-    by the same factor, so all of them reach the width 1e-5 on the same step
-    (the 25th), and every state gets the values it gets alone.
+    A ``(..., 4, 4)`` stack runs the searches of all its states in lockstep:
+    each state follows its own search in Python floats, each turn makes one
+    stacked fidelity evaluation on the states still searching, and a state
+    leaves the stack when it stops, so every state gets the values it gets
+    alone.
     """
     root = psd_sqrt(rho)
-    a1 = root @ pure_to_density(bell_state(target)) @ root
-    a0 = root @ root / 4.0
-
-    def fid(x: np.ndarray):
-        x = x[..., None, None]
-        return _fidelity(x * a1 + (1.0 - x) * a0)
-
-    a = np.full(root.shape[:-2], _X_LO)
-    b = np.full(root.shape[:-2], _X_HI)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fid(c), fid(d)
-    while (b - a > 1e-5).any():
-        # Where fc >= fd the maximum lies in [a, d]: d becomes the upper end,
-        # c the upper inner point, and a new lower inner point is probed.
-        # Elsewhere the same happens mirrored on [c, b].
-        left = fc >= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
-        step = _GOLDEN * (b - a)
-        probe = np.where(left, b - step, a + step)
-        f = fid(probe)
-        c, fc = np.where(left, probe, kept), np.where(left, f, f_kept)
-        d, fd = np.where(left, kept, probe), np.where(left, f_kept, f)
-    x_best = 0.5 * (a + b)
-    return WernerFit(x=_scalar(x_best), fidelity=fid(x_best), target=target)
+    shape = root.shape[:-2]
+    a1 = (root @ pure_to_density(bell_state(target)) @ root).reshape(-1, 4, 4)
+    a0 = (root @ root / 4.0).reshape(-1, 4, 4)
+    searches = [_brent(_X_LO, _X_HI) for _ in range(len(a1))]
+    trials = {i: next(search) for i, search in enumerate(searches)}
+    best = [None] * len(searches)
+    while trials:
+        live = list(trials)
+        x = np.array([trials[i] for i in live])[:, None, None]
+        f = _fidelity(x * a1[live] + (1.0 - x) * a0[live])
+        for i, fi in zip(live, f.tolist()):
+            try:
+                trials[i] = searches[i].send(-fi)
+            except StopIteration as stop:
+                del trials[i]
+                best[i] = stop.value
+    x_best, f_best = np.array(best).T
+    return WernerFit(x=_scalar(x_best.reshape(shape)), fidelity=_scalar(-f_best.reshape(shape)),
+                     target=target)
 
 
 @dataclass(frozen=True)

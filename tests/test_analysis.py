@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wernerlab import analysis, polarimetry
+from wernerlab import analysis, polarimetry, tomography
 from wernerlab.analysis import (
     DEFAULT_ANGLES,
     ChshAngles,
@@ -142,8 +142,10 @@ def test_fit_werner_fidelity_is_maximum(rng, rank, target):
     """No grid value of x should beat the reported optimum.
 
     Below full rank the optimum sits at or near an end of the interval, where
-    the fidelity is steep in x, so the search tolerance of 1e-5 in x shows up
-    in the fidelity (worst gap seen on 300 such states: 2.1e-6).
+    the fidelity is steep in x; the search evaluates an end its bracket still
+    reaches, so an optimum on an end is found exactly (worst gap seen on 300
+    such states: 1.6e-15, and 2.4e-6 with the golden section before it,
+    whose tolerance of 1e-5 in x showed up in the fidelity there).
     """
     rho = random_density(rng, rank=rank)
     fit = fit_werner(rho, target=target)
@@ -178,6 +180,86 @@ def test_fit_werner_makes_at_most_30_fidelity_evaluations(monkeypatch, rng):
         fit_werner(rho)
         assert 0 < calls["_root_spectrum"] <= 30
         assert calls["psd_sqrt"] == 1
+
+
+def count_fidelity_evaluations(monkeypatch):
+    """Record the number of states of each call of the fit's spectrum kernel."""
+    rows = []
+    original = analysis._fidelity
+
+    def counted(m):
+        rows.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(analysis, "_fidelity", counted)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_bootstrap_stack_takes_at_most_15_fidelity_evaluations(monkeypatch, seed):
+    """The point and 20 replicas at x = 0.801, scored in one stack as the
+    bootstrap scores them, are fitted in at most 15 stacked evaluations."""
+    run = simulate_counts(werner_phi_minus(0.801), tomographic_settings(),
+                          SourceConfig(seed=seed))
+    point = tomography.mle_reconstruct(run).rho
+    rows = count_fidelity_evaluations(monkeypatch)
+    tomography.bootstrap_errors(run, point, n_replicas=20, seed=100 + seed)
+    assert rows[0] == 21
+    assert len(rows) <= 15
+
+
+def test_a_full_rank_state_takes_at_most_20_fidelity_evaluations(monkeypatch, rng):
+    rows = count_fidelity_evaluations(monkeypatch)
+    for target in BELL_KINDS:
+        for _ in range(10):
+            rows.clear()
+            fit_werner(random_density(rng), target=target)
+            assert 0 < len(rows) <= 20
+
+
+def golden_reference(f, lo=-1.0 / 3.0, hi=1.0, tol=1e-12):
+    """A scalar golden section for the maximum of ``f`` on ``[lo, hi]``, run
+    until the bracket is ``tol`` wide; returns its midpoint and ``f`` there."""
+    g = (5.0**0.5 - 1.0) / 2.0
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - g * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + g * (hi - lo)
+            fd = f(d)
+    x = 0.5 * (lo + hi)
+    return x, f(x)
+
+
+def reference_states():
+    rng = np.random.default_rng(31337)
+    for rank in (1, 2, 3, 4):
+        for target in BELL_KINDS:
+            for _ in range(2):
+                yield f"rank-{rank}", random_density(rng, rank=rank), target
+    for x in (0.0, 0.405, 0.801, 1.0):
+        for seed in range(3):
+            run = simulate_counts(werner_phi_minus(x), tomographic_settings(),
+                                  SourceConfig(seed=seed))
+            yield f"mle-{x}", tomography.mle_reconstruct(run).rho, "phi-minus"
+
+
+def test_fit_werner_finds_the_optimum_of_a_fine_golden_section():
+    """The fit's x lies within 1e-5 of the optimum that a golden section run
+    to 1e-12 finds on the same F(sigma(x), rho), and its fidelity is at most
+    1e-6 below that optimum's."""
+    for name, rho, target in reference_states():
+        proj = pure_to_density(bell_state(target))
+        x_ref, f_ref = golden_reference(
+            lambda x: fidelity(x * proj + (1.0 - x) / 4.0 * np.eye(4), rho))
+        fit = fit_werner(rho, target=target)
+        assert abs(fit.x - x_ref) < 1e-5, (name, target, fit.x, x_ref)
+        assert fit.fidelity >= f_ref - 1e-6, (name, target, fit.fidelity, f_ref)
 
 
 def test_fit_werner_rejects_unphysical():
