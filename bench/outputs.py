@@ -35,8 +35,9 @@ subcommand, in this order:
 
 It prints how many files are byte-identical and, for every JSON leaf that
 differs, named by command, file name and key path (list indices written
-``[]``), the number of runs in which it differs and the largest absolute
-difference.  It exits 1 when anything other than a float's value differs:
+``[]``), the number of runs in which it differs, its largest rise and its
+largest fall (the working tree's value less the parent's, and the parent's
+less the working tree's), so a one-sided bound can be read from it.  It exits 1 when anything other than a float's value differs:
 a file on one side only, a differing file that is not JSON, a changed key,
 length, string, integer, boolean or null, or a command that fails on either
 side, with a nonzero exit status or an exception (the other commands still
@@ -159,7 +160,7 @@ def run_commands(src: Path, workdir: Path) -> list[str]:
 
 def leaf_differences(a, b, path: str = "") -> tuple[list, list]:
     """The differences of two parsed JSON documents: ``(floats, other)``, with
-    ``floats`` the ``(path, |a - b|)`` of each float leaf whose value differs
+    ``floats`` the ``(path, b - a)`` of each float leaf whose value differs
     and ``other`` a description of every other difference."""
     if isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
@@ -172,7 +173,7 @@ def leaf_differences(a, b, path: str = "") -> tuple[list, list]:
     elif type(a) is float and type(b) is float:
         if a == b or (math.isnan(a) and math.isnan(b)):
             return [], []
-        return [(path, abs(a - b))], []
+        return [(path, b - a)], []
     elif type(a) is type(b) and a == b:
         return [], []
     else:
@@ -189,7 +190,8 @@ def compare(parent: Path, change: Path) -> dict:
     """Compare every file under two run directories.  Returns the number of
     ``files`` and of ``identical`` ones, ``leaves``, which maps each differing
     float leaf ``"<command>/<file name> <key path>"`` to ``[runs, largest
-    absolute difference]``, and the ``other`` differences."""
+    rise, largest fall]``, each 0.0 where the leaf never moves that way, and
+    the ``other`` differences."""
     names = sorted({p.relative_to(root).as_posix()
                     for root in (parent, change) for p in root.rglob("*") if p.is_file()})
     identical, leaves, other = 0, {}, []
@@ -212,20 +214,23 @@ def compare(parent: Path, change: Path) -> dict:
         if not (floats or others):
             other.append(f"{name}: the same values written differently")
         parts = name.split("/")
-        largest = {}
+        moved = {}
         for path, diff in floats:
-            largest[path] = max(largest.get(path, 0.0), diff)
-        for path, diff in largest.items():
-            entry = leaves.setdefault(f"{parts[0]}/{parts[-1]} {path}", [0, 0.0])
+            rise, fall = moved.get(path, (0.0, 0.0))
+            moved[path] = (max(rise, diff), max(fall, -diff))
+        for path, (rise, fall) in moved.items():
+            entry = leaves.setdefault(f"{parts[0]}/{parts[-1]} {path}", [0, 0.0, 0.0])
             entry[0] += 1
-            entry[1] = max(entry[1], diff)
+            entry[1] = max(entry[1], rise)
+            entry[2] = max(entry[2], fall)
     return {"files": len(names), "identical": identical, "leaves": leaves, "other": other}
 
 
 def print_report(report: dict) -> None:
     print(f"{report['identical']} of {report['files']} files byte-identical")
-    for key, (runs, diff) in sorted(report["leaves"].items()):
-        print(f"  float {key}: differs in {runs} runs, by at most {diff:.3g}")
+    for key, (runs, rise, fall) in sorted(report["leaves"].items()):
+        print(f"  float {key}: differs in {runs} runs, rises by at most {rise:.3g}"
+              f" and falls by at most {fall:.3g}")
     for line in report["other"]:
         print(f"  DIFFERS {line}")
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import polarimetry
 from .errors import EmptyDataError, NotPSDError, OutOfRangeError, UnknownLabelError
-from .qlinalg import _PSD_CLAMP, _scalar, check_hermitian, kron, psd_sqrt
+from .qlinalg import _PSD_CLAMP, _eigvalsh, _scalar, check_hermitian, kron, psd_sqrt
 from .states import SIGMA_Y, bell_state, pure_to_density
 
 # the golden fraction of Brent's fallback step, and the Werner fit's tolerance:
@@ -29,8 +29,11 @@ _SPIN_FLIP = kron(SIGMA_Y, SIGMA_Y)
 def _root_spectrum(m: np.ndarray) -> np.ndarray:
     """Descending square roots of the spectrum of ``m``, the inner matrix of
     the fidelity or the concurrence (or a stack of them); only eigenvalues
-    are used, so ``np.linalg.eigvalsh`` reads them without eigenvectors."""
-    w = np.linalg.eigvalsh(m)[..., ::-1]
+    are used, so ``_eigvalsh`` reads them without eigenvectors.  ``m`` is a
+    product of matrices that passed ``check_hermitian``: only an overflow in
+    that product, which numpy reports with its RuntimeWarning, leaves it
+    non-finite, and the spectrum is then NaN."""
+    w = _eigvalsh(m)[..., ::-1]
     lowest = w[..., -1].min()
     if lowest < -_PSD_CLAMP:
         raise NotPSDError(f"fidelity argument has eigenvalue {lowest:.3e}")
@@ -311,8 +314,7 @@ class ChshEstimate:
 
 
 def chsh_from_counts(records) -> ChshEstimate:
-    """Estimate S and its uncertainty from a CHSH run of 16 settings (a run,
-    or its 16 records).
+    """Estimate S and its uncertainty from a CHSH run of 16 settings.
 
     The settings must be the :func:`chsh_schedule` of the angles on the arms
     of settings 1, 5 and 9, which the estimate reports; other settings raise

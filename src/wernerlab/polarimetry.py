@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +29,7 @@ _JONES = {
 
 POLARIZATION_LABELS = tuple(_JONES)
 _SCHEDULES_KEPT = 32  # schedules whose projector stack and design are memoized
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # the counts a run holds
+_INT64_MAX = 2**63 - 1  # the largest count a run holds
 
 
 def jones_vector(arm) -> np.ndarray:
@@ -189,26 +187,8 @@ class SourceConfig:
             raise OutOfRangeError("integration time must be finite and positive")
 
 
-@dataclass(frozen=True)
-class CoincidenceRecord:
-    """Counts accumulated at one analyzer setting for ``duration`` seconds.
-
-    ``accidental_rate`` is the known rate (1/s) of accidental coincidences
-    included in ``count``; ``accidentals`` is their expected number.
-    """
-
-    setting: AnalyzerSetting
-    duration: float
-    count: int
-    accidental_rate: float = 0.0
-
-    @property
-    def accidentals(self) -> float:
-        return self.accidental_rate * self.duration
-
-
 @dataclass(frozen=True, eq=False)
-class CountRun(Sequence):
+class CountRun:
     """The counts of one run: a count per setting, every setting integrated
     for ``duration`` seconds over one accidental rate (1/s), the count model
     of James, Kwiat, Munro & White, PRA 64, 052312 (2001).
@@ -217,9 +197,8 @@ class CountRun(Sequence):
     every schedule memo finds the run.  ``counts`` is held as a read-only
     int64 copy, of shape ``(n,)`` for the ``n`` settings or ``(R, n)`` for
     ``R`` runs on one schedule; an unsigned count that int64 cannot hold is
-    refused, and its record named.  A one-row run is a read-only sequence of
-    :class:`CoincidenceRecord` rows (a slice is a list of them), and equals
-    a run or a sequence with the same rows.
+    refused, and its position named.  Every estimator takes one run, and
+    ``len`` gives its number of settings.
     """
 
     settings: tuple
@@ -253,68 +232,23 @@ class CountRun(Sequence):
         """Expected accidental count of each setting."""
         return self.accidental_rate * self.duration
 
-    def _row(self) -> list:
-        if self.counts.ndim != 1:
-            raise TypeError("a stack of runs is not a sequence of records")
-        return self.counts.tolist()
-
     def __len__(self):
         return len(self.settings)
-
-    def __iter__(self):
-        for setting, count in zip(self.settings, self._row()):
-            yield CoincidenceRecord(setting, self.duration, count, self.accidental_rate)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        count = self._row()[index]
-        return CoincidenceRecord(self.settings[index], self.duration, count, self.accidental_rate)
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
     def __reduce__(self):
         # rebuilt through __post_init__, so a loaded or copied run's counts are read-only
         return CountRun, (self.settings, self.counts, self.duration, self.accidental_rate)
 
 
-def _whole_count(count, i: int, n: int) -> int:
-    """The count of record ``i`` of ``n`` as an int that int64 holds."""
-    if not isinstance(count, numbers.Integral):
-        value = float(count)
-        if not value.is_integer():  # nor are nan and inf
-            kind = "non-integer" if math.isfinite(value) else "non-finite"
-            raise OutOfRangeError(f"record {i} of {n} has a {kind} count {value}")
-        count = value
-    count = int(count)
-    if not _INT64_MIN <= count <= _INT64_MAX:
-        raise OutOfRangeError(f"record {i} of {n} has a count {count} that int64 cannot hold")
-    return count
-
-
-def _as_run(records) -> CountRun:
-    """``records`` as one :class:`CountRun`: a run is returned as it is, and a
-    sequence of records is converted once.  Records of one run share one
-    integration time (to 1e-9 s) and one accidental rate; a non-finite or
-    non-integer count, or one that int64 cannot hold, is refused and its
-    record named.  A stack of runs is refused: it is one run per row."""
-    if isinstance(records, CountRun):
-        if records.counts.ndim != 1:
-            raise OutOfRangeError(f"expected one run of counts, got a stack of {len(records.counts)}")
-        return records
-    records = list(records)
-    if not records:
-        return CountRun((), np.zeros(0, dtype=np.int64), 0.0)
-    durations = [float(r.duration) for r in records]
-    if max(durations) - min(durations) > 1e-9:
-        raise OutOfRangeError("records of one run must share one integration time")
-    if len({float(r.accidental_rate) for r in records}) > 1:
-        raise OutOfRangeError("records of one run must share one accidental rate")
-    n = len(records)
-    counts = [_whole_count(r.count, i, n) for i, r in enumerate(records, 1)]
-    return CountRun([r.setting for r in records], np.array(counts, dtype=np.int64),
-                    records[0].duration, records[0].accidental_rate)
+def _as_run(run) -> CountRun:
+    """``run``, checked to be one run of counts: anything but a
+    :class:`CountRun` raises ``TypeError``, and a stack of runs, which is one
+    run per row, ``OutOfRangeError``."""
+    if not isinstance(run, CountRun):
+        raise TypeError(f"expected a CountRun, got {type(run).__name__}")
+    if run.counts.ndim != 1:
+        raise OutOfRangeError(f"expected one run of counts, got a stack of {len(run.counts)}")
+    return run
 
 
 def poisson_sample(rng: np.random.Generator, mean):
@@ -370,8 +304,8 @@ def _correlation(pairs) -> float:
 
 
 def correlation_E(quad) -> float:
-    """Polarization correlation from the four counts of an analyzer quadruple
-    (four records, or a four-setting run).
+    """Polarization correlation from the four counts of an analyzer quadruple,
+    a four-setting run.
 
     The quadruple is ordered ``(a, b), (a_perp, b_perp), (a_perp, b), (a,
     b_perp)`` so that ``E = (C1 + C2 - C3 - C4) / (C1 + C2 + C3 + C4)``, with
@@ -398,7 +332,7 @@ def _arm_from_json(value):
 
 
 def records_to_json(records) -> dict:
-    """JSON-ready form of a run, or of a list of coincidence records.
+    """JSON-ready form of a run, its counts listed under ``records``.
 
     A nonzero accidental rate is written as ``accidentals_per_s``.
     """

@@ -6,9 +6,11 @@ polarization work; the checks, ``kron``, ``herm_eig``, ``psd_sqrt`` and
 Eigendecompositions come from LAPACK through numpy's own gufunc, with a
 fixed ordering and eigenvector phase convention on top.
 
-``_eigh`` and ``_solve`` are the calls that ``np.linalg.eigh`` and
-``np.linalg.solve`` make for complex128 and float64 input,
-``_umath_linalg.eigh_lo(m, signature="D->dD")`` and
+``_eigh``, ``_eigvalsh`` and ``_solve`` are the calls that
+``np.linalg.eigh`` and ``np.linalg.eigvalsh`` make for complex128 input and
+``np.linalg.solve`` for float64 input,
+``_umath_linalg.eigh_lo(m, signature="D->dD")``,
+``_umath_linalg.eigvalsh_lo(m, signature="D->d")`` and
 ``_umath_linalg.solve(a, b, signature="dd->d")``, without the per-call
 bookkeeping around them, so they give numpy's bits on every kernel.  They
 take finite input only, which each caller guarantees: a non-finite entry is
@@ -34,6 +36,12 @@ def _eigh(m: np.ndarray):
     """``np.linalg.eigh(m)`` of a finite complex128 matrix or stack:
     ascending eigenvalues and the eigenvectors in columns."""
     return _umath_linalg.eigh_lo(m, signature="D->dD")
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(m)`` of a finite complex128 matrix or stack:
+    ascending eigenvalues."""
+    return _umath_linalg.eigvalsh_lo(m, signature="D->d")
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

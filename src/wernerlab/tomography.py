@@ -1,10 +1,9 @@
 """Two-photon state reconstruction from coincidence counts.
 
-Every function takes a :class:`polarimetry.CountRun`, or a list of records
-that it converts into one.  Two estimators with a ``fit`` method are
-provided: a direct linear (Stokes) inversion of the 16-setting schedule,
-and a maximum-likelihood fit by accelerated projected gradient over the
-density matrices.
+Every function takes one run of counts, a :class:`polarimetry.CountRun`.
+Two estimators with a ``fit`` method are provided: a direct linear (Stokes)
+inversion of the 16-setting schedule, and a maximum-likelihood fit by
+accelerated projected gradient over the density matrices.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .errors import (
     UnknownLabelError,
     UnphysicalStateError,
 )
-from .qlinalg import _eigh, _scalar, _solve, kron, min_eigenvalue
+from .qlinalg import _eigh, _scalar, _solve, kron
 from .states import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _N_PARAMS = 16
@@ -46,7 +45,8 @@ def _normalization(run):
     and a row without flux is named by its position (1 to ``R``) when it
     raises."""
     block = _block(run.settings)
-    # summed as the block's records would be, one accidental term at a time
+    # a sum of one term per block setting, not a product: its rounding is the
+    # one the package's outputs were written with
     accidentals = sum([run.accidentals] * len(block))
     block_sum = run.counts[..., block].sum(axis=-1, dtype=float)
     n = block_sum - accidentals
@@ -107,6 +107,10 @@ def _invert(run, n_total):
     and gives each row its own one-column right-hand side (a solve of many
     columns at once can round differently on some BLAS kernels), and one
     stacked eigendecomposition; each row gives the values it gives alone.
+    The lowest eigenvalue is read from ``_eigh`` without a second Hermiticity
+    check: the matrix is Hermitian by its symmetrization, and finite because
+    its counts are int64 (a ``CountRun``), its flux passed
+    ``_normalization`` and its design passed the condition check.
     """
     probs = (run.counts - run.accidentals) / n_total
     stokes = _solve(_design(run.settings), probs[..., None])[..., 0]
@@ -114,7 +118,7 @@ def _invert(run, n_total):
     rho = np.matmul(stokes[..., None, :], _PAULI_OPS.reshape(16, -1))
     rho = rho.reshape(*stokes.shape[:-1], 4, 4)
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-    return rho, min_eigenvalue(rho)
+    return rho, _scalar(_eigh(rho)[0][..., 0])
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,8 @@ class LinearInversion:
 
 
 def linear_reconstruct(records) -> LinearReconstruction:
-    """Functional wrapper around :class:`LinearInversion`."""
+    """Linear inversion of a run: functional wrapper around
+    :class:`LinearInversion`."""
     est = LinearInversion().fit(records)
     return LinearReconstruction(matrix=est.matrix_, min_eigenvalue=est.min_eigenvalue_)
 
@@ -294,8 +299,8 @@ class MaximumLikelihood:
     forms the gradient only at the points where it reads it.  The estimator
     takes no options.
     ``seed_matrix`` is only the search's starting point, a 4×4 matrix;
-    records the linear inversion refuses (not 16 settings, or
-    informationally incomplete) are searched from it.
+    a run the linear inversion refuses (not 16 settings, or
+    informationally incomplete) is searched from it.
 
     Attributes after ``fit``: ``rho_``, ``cost_``, ``iterations_``,
     ``n_evaluations_``, ``converged_``, ``cost_history_`` and ``path_``
@@ -377,8 +382,8 @@ class MaximumLikelihood:
 
 
 def mle_reconstruct(records, seed_matrix: np.ndarray | None = None) -> MLEResult:
-    """Functional wrapper around :class:`MaximumLikelihood`, which takes no
-    options.
+    """Maximum-likelihood state of a run: functional wrapper around
+    :class:`MaximumLikelihood`, which takes no options.
 
     A physical linear inversion is returned as it is (``path="linear"``);
     ``seed_matrix`` only sets where the search starts when one runs.
@@ -395,7 +400,7 @@ def mle_reconstruct(records, seed_matrix: np.ndarray | None = None) -> MLEResult
 
 
 def single_qubit_reconstruct(records) -> np.ndarray:
-    """Single-photon state from counts in the H, V, D and R settings.
+    """Single-photon state from a run with the H, V, D and R settings.
 
     Each count is read less its expected accidentals.  The H and V counts fix
     the flux; the Stokes vector follows from the normalized count ratios.  A
@@ -444,7 +449,8 @@ def bootstrap_errors(
     angles: analysis.ChshAngles | None = None,
 ) -> tuple[dict, dict]:
     """The derived state metrics of the state ``point`` and their bootstrap
-    uncertainties, in one stacked pass over the point and the replicas.
+    uncertainties from a run of counts, in one stacked pass over the point
+    and the replicas.
 
     One :func:`polarimetry.poisson_sample` call redraws every count of every
     replica at the observed count as mean, with the values that drawing
@@ -459,7 +465,7 @@ def bootstrap_errors(
     errors)``: the point's metrics, and the sample standard deviation of each
     metric over the replicas with, under ``"nonconverged"``, the number of
     replicas whose maximum-likelihood search did not converge (their metrics
-    are still used).  Records whose normalization block has no flux raise
+    are still used).  A run whose normalization block has no flux raises
     ``EmptyDataError`` as in the estimators; a replica without flux raises
     it naming the replica and the bootstrap's seed.
     """

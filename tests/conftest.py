@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,3 +21,19 @@ def random_hermitian(rng, dim=4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def take(run, index):
+    """The run of the settings of ``run`` at ``index``, a slice or a list of
+    positions, in that order."""
+    positions = np.arange(len(run))[index]
+    return dataclasses.replace(run, settings=[run.settings[i] for i in positions],
+                               counts=run.counts[positions])
+
+
+def same_run(a, b) -> bool:
+    """Whether two runs hold the same settings, count bits, duration and
+    accidental rate."""
+    return (a.settings == b.settings and a.counts.shape == b.counts.shape
+            and a.counts.tobytes() == b.counts.tobytes()
+            and (a.duration, a.accidental_rate) == (b.duration, b.accidental_rate))

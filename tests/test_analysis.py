@@ -34,7 +34,7 @@ from wernerlab.states import (
     werner_singlet,
 )
 
-from conftest import random_density
+from conftest import random_density, take
 
 RT8 = 2.0 * np.sqrt(2.0)
 
@@ -386,13 +386,11 @@ def test_angles_are_held_as_floats():
 def test_chsh_sigma_equal_counts():
     """With all 16 counts equal to c, each holding a expected accidentals,
     the propagated error is sqrt(c)/(c - a): 1/sqrt(c) without accidentals."""
-    from wernerlab.polarimetry import AnalyzerSetting, CoincidenceRecord
-
     c = 400
     sched = chsh_schedule(DEFAULT_ANGLES)
     for accidental_rate in (0.0, 1.0):
         a = 100.0 * accidental_rate
-        recs = [CoincidenceRecord(s, 100.0, c, accidental_rate) for s in sched]
+        recs = polarimetry.CountRun(sched, np.full(16, c), 100.0, accidental_rate)
         est = chsh_from_counts(recs)
         assert est.s == pytest.approx(0.0, abs=1e-12)
         assert est.sigma == pytest.approx(np.sqrt(c) / (c - a), rel=1e-12)
@@ -402,7 +400,7 @@ def test_chsh_from_counts_needs_16_records():
     sched = chsh_schedule(DEFAULT_ANGLES)
     recs = simulate_counts(werner_phi_minus(0.5), sched, SourceConfig(seed=0))
     with pytest.raises(OutOfRangeError):
-        chsh_from_counts(recs[:12])
+        chsh_from_counts(take(recs, slice(12)))
 
 
 ANGLE_SETS = [*(angles_for_target(k) for k in BELL_KINDS), ChshAngles(3, 51, -17.5, 80)]
@@ -410,7 +408,7 @@ ANGLE_IDS = [*BELL_KINDS, "custom"]
 
 
 def not_a_chsh_run(kind):
-    """16 records that are not the CHSH schedule of their own angles."""
+    """A run of 16 settings that are not the CHSH schedule of their own angles."""
     rho, config = werner_phi_minus(0.801), SourceConfig(seed=0)
     if kind == "tomography":
         return simulate_counts(rho, tomographic_settings(), config)
@@ -418,13 +416,14 @@ def not_a_chsh_run(kind):
         # the run at angles (0, 45, 0, 45), with every arm named by its label
         label = {0.0: "H", 90.0: "V", 45.0: "D", 135.0: "A"}
         run = simulate_counts(rho, chsh_schedule(ChshAngles(0, 45, 0, 45)), config)
-        return [replace(r, setting=AnalyzerSetting(label[r.setting.arm1], label[r.setting.arm2]))
-                for r in run]
+        return replace(run, settings=[AnalyzerSetting(label[s.arm1], label[s.arm2])
+                                      for s in run.settings])
     run = simulate_counts(rho, chsh_schedule(DEFAULT_ANGLES), config)
     if kind == "swapped":  # quadruples 2 and 3
-        return run[:4] + run[8:12] + run[4:8] + run[12:]
-    moved = replace(run[5].setting, arm2=run[5].setting.arm2 + 1.0)
-    return run[:5] + [replace(run[5], setting=moved)] + run[6:]
+        return take(run, [*range(4), *range(8, 12), *range(4, 8), *range(12, 16)])
+    settings = list(run.settings)
+    settings[5] = replace(settings[5], arm2=settings[5].arm2 + 1.0)
+    return replace(run, settings=settings)
 
 
 @pytest.mark.parametrize("kind", ["tomography", "swapped", "moved", "labels"])
@@ -434,7 +433,7 @@ def test_chsh_from_counts_refuses_records_that_are_not_a_chsh_run(kind):
         chsh_from_counts(records)
     # the schedule is checked before any count is read
     with pytest.raises(UnknownLabelError):
-        chsh_from_counts([replace(r, count=0) for r in records])
+        chsh_from_counts(replace(records, counts=np.zeros(16, dtype=np.int64)))
 
 
 @pytest.mark.parametrize("angles", ANGLE_SETS, ids=ANGLE_IDS)

@@ -218,7 +218,7 @@ def test_single_photon_run_exact_recovers_gamma():
         assert run.gamma_abs == pytest.approx(expected, abs=1e-9)
         assert run.rho.shape == (2, 2)
         assert len(run.records) == 4
-        assert all(r.setting.arm2 is None for r in run.records)
+        assert all(s.arm2 is None for s in run.records.settings)
 
 
 def test_single_photon_run_subtracts_accidental_floor():

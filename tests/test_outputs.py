@@ -68,10 +68,12 @@ def test_float_values_are_counted_by_leaf_and_pass(outputs, tmp_path):
     leaves = report["leaves"]
     assert set(leaves) == {"pipeline/metrics.json chsh.S", "pipeline/metrics.json x",
                            "pipeline/state.json matrix[][][]"}
-    assert leaves["pipeline/metrics.json chsh.S"] == [2, 2.0**-51]
+    # chsh.S rises in one run and falls in the other
+    assert leaves["pipeline/metrics.json chsh.S"] == [2, 2.0**-51, 2.0**-52]
     assert leaves["pipeline/metrics.json x"][0] == 1
-    # two entries of one file count as one run, at the larger difference
-    assert leaves["pipeline/state.json matrix[][][]"] == [1, 3e-17]
+    assert leaves["pipeline/metrics.json x"][2] == 0.0
+    # two entries of one file count as one run, at the larger rise
+    assert leaves["pipeline/state.json matrix[][][]"] == [1, 3e-17, 0.0]
 
 
 @pytest.mark.parametrize("change", [

@@ -10,7 +10,7 @@ from wernerlab.polarimetry import (
     NORMALIZATION_BLOCK,
     POLARIZATION_LABELS,
     AnalyzerSetting,
-    CoincidenceRecord,
+    CountRun,
     SourceConfig,
     born_probability,
     correlation_E,
@@ -24,7 +24,7 @@ from wernerlab.polarimetry import (
 )
 from wernerlab.states import BELL_KINDS, bell_state, pure_to_density, werner_phi_minus
 
-from conftest import random_density
+from conftest import random_density, same_run, take
 
 RT2 = np.sqrt(2.0)
 
@@ -211,10 +211,10 @@ def test_simulate_counts_exact_mode():
     recs = simulate_counts(rho, tomographic_settings(), cfg, exact=True)
     assert len(recs) == 16
     flux = 300.0 * 100.0
-    for rec in recs:
-        p = born_probability(rho, rec.setting)
-        assert rec.count == round(flux * p + 1.0 * 100.0)
-        assert rec.duration == 100.0
+    for setting, count in zip(recs.settings, recs.counts.tolist()):
+        p = born_probability(rho, setting)
+        assert count == round(flux * p + 1.0 * 100.0)
+    assert recs.duration == 100.0
 
 
 def test_simulate_counts_deterministic():
@@ -222,16 +222,16 @@ def test_simulate_counts_deterministic():
     cfg = SourceConfig(seed=3)
     a = simulate_counts(rho, tomographic_settings(), cfg)
     b = simulate_counts(rho, tomographic_settings(), cfg)
-    assert [r.count for r in a] == [r.count for r in b]
+    assert a.counts.tolist() == b.counts.tolist()
     c = simulate_counts(rho, tomographic_settings(), SourceConfig(seed=4))
-    assert [r.count for r in a] != [r.count for r in c]
+    assert a.counts.tolist() != c.counts.tolist()
 
 
 def test_simulate_counts_scales_with_duration():
     rho = werner_phi_minus(0.0)
     long = simulate_counts(rho, tomographic_settings(), SourceConfig(duration=400.0, seed=0), exact=True)
     short = simulate_counts(rho, tomographic_settings(), SourceConfig(duration=100.0, seed=0), exact=True)
-    assert sum(r.count for r in long) == 4 * sum(r.count for r in short)
+    assert sum(long.counts.tolist()) == 4 * sum(short.counts.tolist())
 
 
 def _reference_counts(rho, settings, config, exact):
@@ -276,17 +276,17 @@ def test_simulate_counts_equals_the_per_setting_born_rule(rho, exact):
         config = SourceConfig(seed=seed)
         for state, settings in schedules:
             records = simulate_counts(state, settings, config, exact=exact)
-            assert [r.setting for r in records] == list(settings)
-            counts = [r.count for r in records]
+            assert list(records.settings) == list(settings)
+            counts = records.counts.tolist()
             assert all(type(c) is int for c in counts)
             assert counts == _reference_counts(state, settings, config, exact)
 
 
 def test_simulate_counts_empty_and_mixed_schedules():
     rho = werner_phi_minus(0.801)
-    assert simulate_counts(rho, [], SourceConfig()) == []
-    assert simulate_counts(rho, [], SourceConfig(), exact=True) == []
-    assert simulate_counts(_reduced(rho), [], SourceConfig()) == []
+    for state, exact in ((rho, False), (rho, True), (_reduced(rho), False)):
+        empty = simulate_counts(state, [], SourceConfig(), exact=exact)
+        assert empty.settings == () and empty.counts.shape == (0,)
     mixed = tomographic_settings()[:4] + [AnalyzerSetting("H")]
     with pytest.raises(UnknownLabelError):
         simulate_counts(rho, mixed, SourceConfig())
@@ -296,28 +296,20 @@ def test_simulate_counts_empty_and_mixed_schedules():
 
 def test_correlation_from_counts():
     counts = {"HH": 854, "VV": 854, "VH": 146, "HV": 146}
-    quad = [
-        CoincidenceRecord(AnalyzerSetting(a, b), 100.0, counts[a + b])
-        for a, b in (("H", "H"), ("V", "V"), ("V", "H"), ("H", "V"))
-    ]
+    pairs = (("H", "H"), ("V", "V"), ("V", "H"), ("H", "V"))
+    quad = CountRun([AnalyzerSetting(a, b) for a, b in pairs],
+                    np.array([counts[a + b] for a, b in pairs]), 100.0)
     # (854 + 854 - 146 - 146) / 2000
     assert correlation_E(quad) == pytest.approx(0.708)
 
 
 def test_correlation_error_paths():
-    quad = [
-        CoincidenceRecord(AnalyzerSetting("H", "H"), 100.0, 0),
-        CoincidenceRecord(AnalyzerSetting("V", "V"), 100.0, 0),
-        CoincidenceRecord(AnalyzerSetting("V", "H"), 100.0, 0),
-        CoincidenceRecord(AnalyzerSetting("H", "V"), 100.0, 0),
-    ]
+    quad = CountRun([AnalyzerSetting(a, b) for a, b in ("HH", "VV", "VH", "HV")],
+                    np.zeros(4, dtype=np.int64), 100.0)
     with pytest.raises(EmptyDataError):
         correlation_E(quad)
     with pytest.raises(OutOfRangeError):
-        correlation_E(quad[:3])
-    mixed = quad[:3] + [CoincidenceRecord(AnalyzerSetting("H", "V"), 50.0, 10)]
-    with pytest.raises(OutOfRangeError):
-        correlation_E(mixed)
+        correlation_E(take(quad, slice(3)))
 
 
 def test_records_json_roundtrip():
@@ -327,31 +319,27 @@ def test_records_json_roundtrip():
     assert doc["duration_s"] == 100.0
     assert doc["accidentals_per_s"] == 1.0
     back = records_from_json(json.loads(json.dumps(doc)))
-    assert [(r.setting.arm1, r.setting.arm2, r.count) for r in back] == [
-        (r.setting.arm1, r.setting.arm2, r.count) for r in recs
-    ]
-    assert back == recs  # including the accidental rate
+    assert [(s.arm1, s.arm2) for s in back.settings] == [(s.arm1, s.arm2) for s in recs.settings]
+    assert back.counts.tolist() == recs.counts.tolist()
+    assert same_run(back, recs)  # including the accidental rate
 
 
 def test_records_json_accidentals_field():
-    recs = [CoincidenceRecord(AnalyzerSetting("H", "V"), 10.0, 3)]
+    recs = CountRun([AnalyzerSetting("H", "V")], [3], 10.0)
     assert "accidentals_per_s" not in records_to_json(recs)
     doc = {"duration_s": 10.0, "records": [{"arm1": "H", "arm2": "V", "count": 3}]}
-    assert records_from_json(doc)[0].accidental_rate == 0.0
+    assert records_from_json(doc).accidental_rate == 0.0
     for bad in (-1.0, float("nan"), float("inf"), True, "1", None):
         with pytest.raises(ValueError):
             records_from_json({**doc, "accidentals_per_s": bad})
-    mixed = recs + [CoincidenceRecord(AnalyzerSetting("H", "H"), 10.0, 5, 2.0)]
-    with pytest.raises(OutOfRangeError):
-        records_to_json(mixed)
 
 
 def test_records_json_numeric_arm():
-    recs = [CoincidenceRecord(AnalyzerSetting(22.5), 10.0, 42)]
+    recs = CountRun([AnalyzerSetting(22.5)], [42], 10.0)
     doc = records_to_json(recs)
     back = records_from_json(doc)
-    assert back[0].setting.arm1 == pytest.approx(22.5)
-    assert back[0].setting.arm2 is None
+    assert back.settings[0].arm1 == pytest.approx(22.5)
+    assert back.settings[0].arm2 is None
 
 
 def test_records_json_rejects_malformed():

@@ -1,12 +1,11 @@
-"""A run of counts and the list of records it equals give the same results.
+"""A run of counts is one ``CountRun``: a schedule's int64 counts on one
+duration and one accidental rate.
 
-``simulate_counts`` and ``records_from_json`` return a ``CountRun``; the
-estimators also take hand-built ``CoincidenceRecord`` lists, which one
-conversion turns into a run and checks.
+``simulate_counts`` and ``records_from_json`` return one, and every
+estimator takes one run and refuses anything else.
 """
 
 import copy
-import json
 import os
 import pickle
 import subprocess
@@ -18,8 +17,6 @@ import pytest
 from wernerlab import analysis, polarimetry, tomography
 from wernerlab.errors import OutOfRangeError
 from wernerlab.polarimetry import (
-    AnalyzerSetting,
-    CoincidenceRecord,
     CountRun,
     SourceConfig,
     records_from_json,
@@ -29,16 +26,11 @@ from wernerlab.polarimetry import (
 )
 from wernerlab.states import werner_phi_minus
 
+from conftest import same_run
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SCHEDULE = tomographic_settings()
 CHSH = analysis.chsh_schedule(analysis.DEFAULT_ANGLES)
-SINGLES = [AnalyzerSetting(label) for label in "HVDR"]
-
-
-def by_hand(run):
-    """The records of a run, built one by one."""
-    return [CoincidenceRecord(s, run.duration, int(c), run.accidental_rate)
-            for s, c in zip(run.settings, run.counts)]
 
 
 def bits(value):
@@ -53,48 +45,15 @@ def bits(value):
     return repr(value)
 
 
-@pytest.mark.parametrize("x, path", [(0.801, "linear"), (1.0, "search")])
-def test_estimators_give_a_run_and_its_records_the_same_bits(x, path):
-    run = simulate_counts(werner_phi_minus(x), SCHEDULE, SourceConfig(seed=7))
-    records = by_hand(run)
-    mle = tomography.mle_reconstruct(run)
-    assert mle.path == path
-    assert bits(tomography.mle_reconstruct(records)) == bits(mle)
-    assert bits(tomography.linear_reconstruct(records)) == bits(tomography.linear_reconstruct(run))
-    assert json.dumps(records_to_json(records)) == json.dumps(records_to_json(run))
-
-
-def test_bootstrap_at_the_boundary_gives_a_run_and_its_records_the_same_bits():
-    # at x = 1.0 every replica's inversion is unphysical, so every one searches
-    run = simulate_counts(werner_phi_minus(1.0), SCHEDULE, SourceConfig(seed=2))
-    point = tomography.mle_reconstruct(run).rho
-    from_run = tomography.bootstrap_errors(run, point, n_replicas=6, seed=3)
-    from_records = tomography.bootstrap_errors(by_hand(run), point, n_replicas=6, seed=3)
-    assert bits(from_records) == bits(from_run)
-
-
-@pytest.mark.parametrize("rate", [0.0, 5.0])
-def test_chsh_and_single_photon_give_a_run_and_its_records_the_same_bits(rate):
-    config = SourceConfig(accidental_rate=rate, seed=4)
-    run = simulate_counts(werner_phi_minus(0.801), CHSH, config)
-    assert bits(analysis.chsh_from_counts(by_hand(run))) == bits(analysis.chsh_from_counts(run))
-    one = simulate_counts(np.array([[0.6, 0.3], [0.3, 0.4]]), SINGLES, config)
-    assert (tomography.single_qubit_reconstruct(by_hand(one)).tobytes()
-            == tomography.single_qubit_reconstruct(one).tobytes())
-
-
-def test_a_run_is_a_read_only_sequence_of_its_records():
+def test_a_run_is_read_only_and_reads_back_from_its_json():
     run = simulate_counts(werner_phi_minus(0.5), SCHEDULE, SourceConfig(seed=1))
-    records = by_hand(run)
     assert len(run) == 16
-    assert list(run) == records
-    assert run[3] == records[3] and run[-1] == records[-1]
-    assert run[2:5] == records[2:5] and isinstance(run[2:5], list)
-    assert run == records and records == run
-    assert run == records_from_json(records_to_json(run))
-    assert run != by_hand(simulate_counts(werner_phi_minus(0.5), SCHEDULE, SourceConfig(seed=2)))
+    assert same_run(records_from_json(records_to_json(run)), run)
+    assert not same_run(simulate_counts(werner_phi_minus(0.5), SCHEDULE, SourceConfig(seed=2)), run)
     with pytest.raises(TypeError):
-        run[0] = records[1]
+        iter(run)  # a run is no sequence of per-setting rows
+    with pytest.raises(TypeError):
+        run[0]
     with pytest.raises(ValueError, match="read-only"):
         run.counts[0] = 0
     with pytest.raises(ValueError, match="read-only"):
@@ -138,53 +97,38 @@ def test_an_expected_count_beyond_int64_is_refused():
         simulate_counts(werner_phi_minus(0.5), SCHEDULE, huge)
 
 
-def test_a_stack_of_runs_is_no_sequence_and_no_single_run():
-    stack = CountRun(tuple(SCHEDULE), np.ones((3, 16), dtype=int), 1.0)
-    with pytest.raises(TypeError, match="stack"):
-        list(stack)
-    with pytest.raises(OutOfRangeError, match="a stack of 3"):
-        tomography.linear_reconstruct(stack)
+POINT = werner_phi_minus(0.5)
+ENTRY_POINTS = {
+    "linear_reconstruct": tomography.linear_reconstruct,
+    "mle_reconstruct": tomography.mle_reconstruct,
+    "single_qubit_reconstruct": tomography.single_qubit_reconstruct,
+    "bootstrap_errors": lambda run: tomography.bootstrap_errors(run, POINT, n_replicas=2),
+    "chsh_from_counts": analysis.chsh_from_counts,
+    "correlation_E": polarimetry.correlation_E,
+    "records_to_json": records_to_json,
+}
 
 
-@pytest.mark.parametrize("count, message", [
-    (float("nan"), "has a non-finite count nan"),
-    (float("-inf"), "has a non-finite count -inf"),
-    (2.5, "has a non-integer count 2.5"),
-    (2**63, f"has a count {2**63} that int64 cannot hold"),
-    (-(2**63) - 1, f"has a count {-(2**63) - 1} that int64 cannot hold"),
-], ids=["nan", "-inf", "non-integer", "above-int64", "below-int64"])
-def test_the_conversion_names_the_record_of_a_bad_count(count, message):
-    run = simulate_counts(werner_phi_minus(0.5), SCHEDULE, SourceConfig(seed=0))
-    records = by_hand(run)
-    records[9] = CoincidenceRecord(records[9].setting, run.duration, count, run.accidental_rate)
-    for entry in (tomography.linear_reconstruct, tomography.mle_reconstruct, records_to_json):
-        with pytest.raises(OutOfRangeError, match=f"^record 10 of 16 {message}$"):
-            entry(records)
+def not_one_run(kind):
+    """The seed-0 run's counts as a plain list, or a stack of runs: two rows
+    of the run's counts, or three rows of ones."""
+    run = simulate_counts(POINT, SCHEDULE, SourceConfig(seed=0))
+    if kind == "list":
+        return run.counts.tolist()
+    rows = np.stack([run.counts, run.counts]) if kind == "stack-of-2" else np.ones((3, 16), dtype=int)
+    return CountRun(run.settings, rows, run.duration, run.accidental_rate)
 
 
-def test_a_whole_float_count_is_taken_as_its_integer():
-    run = simulate_counts(werner_phi_minus(0.5), SCHEDULE, SourceConfig(seed=0))
-    floats = [CoincidenceRecord(r.setting, r.duration, float(r.count), r.accidental_rate)
-              for r in run]
-    assert polarimetry._as_run(floats) == run
-
-
-@pytest.mark.parametrize("field, value, message", [
-    ("duration", 50.0, "share one integration time"),
-    ("accidental_rate", 2.0, "share one accidental rate"),
-], ids=["duration", "rate"])
-def test_every_entry_point_refuses_mixed_durations_and_rates(field, value, message):
-    run = simulate_counts(werner_phi_minus(0.5), SCHEDULE, SourceConfig(seed=0))
-    records = by_hand(run)
-    fields = {"setting": records[15].setting, "duration": run.duration,
-              "count": records[15].count, "accidental_rate": run.accidental_rate, field: value}
-    records[15] = CoincidenceRecord(**fields)
-    point = werner_phi_minus(0.5)
-    for entry in (tomography.linear_reconstruct, tomography.mle_reconstruct, records_to_json,
-                  lambda r: tomography.bootstrap_errors(r, point, n_replicas=2),
-                  analysis.chsh_from_counts):
-        with pytest.raises(OutOfRangeError, match=message):
-            entry(records)
+@pytest.mark.parametrize("kind", ["list", "stack-of-2", "stack-of-3"])
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_every_entry_point_refuses_what_is_not_one_run(name, kind):
+    entry, value = ENTRY_POINTS[name], not_one_run(kind)
+    if kind == "list":
+        with pytest.raises(TypeError, match="^expected a CountRun, got list$"):
+            entry(value)
+    else:
+        with pytest.raises(OutOfRangeError, match=f"a stack of {len(value.counts)}$"):
+            entry(value)
 
 
 # ------------------------------------------------ the settings key
@@ -211,7 +155,7 @@ def test_a_settings_key_equals_and_hashes_like_the_plain_tuple():
     assert run.settings == plain and plain == run.settings
     assert hash(run.settings) == hash(plain) == hash(run.settings)
     assert CountRun(run.settings, run.counts, 1.0).settings is run.settings
-    assert polarimetry._as_run(by_hand(run)).settings == plain
+    assert CountRun(list(SCHEDULE), run.counts, 1.0).settings == plain
     assert analysis.chsh_schedule(analysis.DEFAULT_ANGLES) == tuple(CHSH)
     assert pickle.loads(pickle.dumps(run.settings)) == plain
 
@@ -219,7 +163,7 @@ def test_a_settings_key_equals_and_hashes_like_the_plain_tuple():
 def test_a_loaded_or_copied_run_keeps_its_counts_read_only():
     run = simulate_counts(werner_phi_minus(0.5), SCHEDULE, SourceConfig(seed=1))
     for loaded in (pickle.loads(pickle.dumps(run)), copy.deepcopy(run)):
-        assert loaded == run and loaded.counts.tobytes() == run.counts.tobytes()
+        assert same_run(loaded, run) and loaded.counts.tobytes() == run.counts.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             loaded.counts[0] = 0
 

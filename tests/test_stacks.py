@@ -74,6 +74,8 @@ def test_the_raw_eigh_is_numpys_eigh_byte_for_byte(shape):
     want_w, want_v = np.linalg.eigh(m)
     assert same_bytes(w, want_w)
     assert same_bytes(v, want_v)
+    assert hasattr(_umath_linalg, "eigvalsh_lo")
+    assert same_bytes(qlinalg._eigvalsh(m), np.linalg.eigvalsh(m))
 
 
 @pytest.mark.parametrize("rows", [None, 1, 20])
@@ -206,11 +208,8 @@ def reference_bootstrap(records, n_replicas, seed, target="phi-minus"):
     samples = {k: [] for k in ("x", "fidelity", "linear_entropy", "tangle", "chsh_s")}
     nonconverged = 0
     for _ in range(n_replicas):
-        redrawn = [
-            replace(r, count=polarimetry.poisson_sample(rng, float(r.count)))
-            for r in records
-        ]
-        result = tomography.mle_reconstruct(redrawn)
+        redrawn = [polarimetry.poisson_sample(rng, float(c)) for c in records.counts.tolist()]
+        result = tomography.mle_reconstruct(replace(records, counts=np.array(redrawn)))
         nonconverged += not result.converged
         rho = result.rho
         fit = analysis.fit_werner(rho, target=target)
@@ -332,16 +331,15 @@ def reference_projected_gradient(cost, rho):
     return rho, f, evals, iterations, False, history
 
 
-def assert_search_is_the_reference(records, seed_matrix=None):
-    """``MaximumLikelihood`` searches the counts to the reference's bits:
-    state, cost, evaluations, iterations, convergence and history."""
-    run = polarimetry._as_run(records)
+def assert_search_is_the_reference(run, seed_matrix=None):
+    """``MaximumLikelihood`` searches the run's counts to the reference's
+    bits: state, cost, evaluations, iterations, convergence and history."""
     n_total = tomography._normalization(run)
     cost = reference_cost_function(run, polarimetry._schedule_stack(run.settings), n_total)
     linear, _ = tomography._invert(run, n_total)
     start = tomography._project_to_states(linear if seed_matrix is None else seed_matrix)
     rho, f, evals, iterations, converged, history = reference_projected_gradient(cost, start)
-    est = tomography.MaximumLikelihood().fit(records, seed_matrix=seed_matrix)
+    est = tomography.MaximumLikelihood().fit(run, seed_matrix=seed_matrix)
     assert est.path_ == "search"
     assert est.rho_.tobytes() == rho.tobytes()
     assert (est.cost_, est.n_evaluations_, est.iterations_, est.converged_, est.cost_history_) \

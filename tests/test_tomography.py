@@ -1,5 +1,5 @@
 import dataclasses
-import functools
+import json
 import re
 
 import numpy as np
@@ -17,7 +17,7 @@ from wernerlab.errors import (
 )
 from wernerlab.polarimetry import (
     AnalyzerSetting,
-    CoincidenceRecord,
+    CountRun,
     SourceConfig,
     born_probability,
     simulate_counts,
@@ -34,7 +34,7 @@ from wernerlab.tomography import (
     single_qubit_reconstruct,
 )
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, take
 
 SCHEDULE = tomographic_settings()
 
@@ -74,30 +74,26 @@ def test_linear_inversion_wrong_record_count():
     rho = werner_phi_minus(0.5)
     recs = exact_records(rho)
     with pytest.raises(SingularSystemError):
-        LinearInversion().fit(recs[:15])
+        LinearInversion().fit(take(recs, slice(15)))
     with pytest.raises(SingularSystemError):
-        LinearInversion().fit([])
+        LinearInversion().fit(CountRun((), np.zeros(0, dtype=np.int64), 1.0))
 
 
 def test_linear_inversion_missing_normalization_block():
     # replace the HH/HV/VV/VH block with repeated diagonal settings
     recs = exact_records(werner_phi_minus(0.5))
-    broken = [
-        CoincidenceRecord(AnalyzerSetting("D", "D"), r.duration, r.count) for r in recs
-    ]
+    broken = dataclasses.replace(recs, settings=[AnalyzerSetting("D", "D")] * 16)
     with pytest.raises((UnknownLabelError, SingularSystemError)):
         LinearInversion().fit(broken)
 
 
 def test_estimators_refuse_one_photon_records():
-    # the normalization block and twelve one-photon records: 16 records with
+    # the normalization block and twelve one-photon settings: 16 settings with
     # a valid flux, which only the two-photon check refuses
-    block = exact_records(werner_phi_minus(0.5))[:4]
-    singles = [
-        CoincidenceRecord(AnalyzerSetting(label), 1.0, 1000)
-        for label in ("H", "V", "D", "A", "R", "L") * 2
-    ]
-    recs = block + singles
+    block = take(exact_records(werner_phi_minus(0.5)), slice(4))
+    singles = [AnalyzerSetting(label) for label in ("H", "V", "D", "A", "R", "L") * 2]
+    recs = CountRun(block.settings + tuple(singles),
+                    np.concatenate([block.counts, np.full(12, 1000)]), 1.0)
     assert len(recs) == 16
     with pytest.raises(UnknownLabelError):
         linear_reconstruct(recs)
@@ -109,7 +105,7 @@ def test_estimators_refuse_one_photon_records():
 
 def test_linear_inversion_duplicate_settings_singular():
     recs = exact_records(werner_phi_minus(0.5))
-    dup = list(recs[:4]) + [recs[4]] * 12
+    dup = take(recs, [0, 1, 2, 3] + [4] * 12)
     with pytest.raises(SingularSystemError):
         LinearInversion().fit(dup)
 
@@ -124,42 +120,39 @@ def test_linear_inversion_negative_eigenvalue_on_noisy_pure_state():
 def test_linear_inversion_subtracts_accidentals():
     rho = werner_phi_minus(1.0)
     recs = exact_records(rho, accidentals=1e4)
-    assert all(r.accidentals == 1e4 for r in recs)
+    assert recs.accidentals == 1e4
     est = LinearInversion().fit(recs)
     np.testing.assert_allclose(est.matrix_, rho, atol=2e-6)
     assert est.n_total_ == pytest.approx(1e6, abs=2.0)
     # the same counts read as pure pair counts come back as a mixed state
-    bare = [CoincidenceRecord(r.setting, r.duration, r.count) for r in recs]
+    bare = dataclasses.replace(recs, accidental_rate=0.0)
     assert fidelity(LinearInversion().fit(bare).matrix_, rho) < 0.99
 
 
 def test_normalization_block_below_accidentals_is_empty():
     recs = exact_records(werner_phi_minus(0.5))
-    recs = [dataclasses.replace(r, accidental_rate=1e7) for r in recs]
+    recs = dataclasses.replace(recs, accidental_rate=1e7)
     with pytest.raises(EmptyDataError):
         LinearInversion().fit(recs)
 
 
 @pytest.mark.parametrize("index, count", [(0, float("nan")), (5, float("nan")), (5, float("inf"))])
 def test_a_non_finite_count_is_refused(index, count):
-    recs = list(exact_records(werner_phi_minus(0.5)))
-    recs[index] = dataclasses.replace(recs[index], count=count)
-    bootstrap = functools.partial(bootstrap_errors, point=werner_phi_minus(0.5), n_replicas=2)
-    for reconstruct in (linear_reconstruct, mle_reconstruct, bootstrap):
-        with pytest.raises(OutOfRangeError, match=f"record {index + 1} of 16 has a non-finite"):
-            reconstruct(recs)
-
-
-def test_a_non_finite_count_is_refused_on_the_search_path():
-    # 15 records cannot be inverted, so a seed matrix sends them to the search
-    recs = exact_records(werner_phi_minus(0.5))[:15]
-    recs[5] = dataclasses.replace(recs[5], count=float("nan"))
-    with pytest.raises(OutOfRangeError, match="record 6 of 15 has a non-finite"):
-        mle_reconstruct(recs, seed_matrix=werner_phi_minus(0.5))
+    # a run holds int64 counts only, and the counts document holds integers
+    # only, so no estimator is handed a non-finite count
+    run = exact_records(werner_phi_minus(0.5))
+    counts = run.counts.astype(float)
+    counts[index] = count
+    with pytest.raises(TypeError, match="counts must be integers"):
+        CountRun(run.settings, counts, run.duration, run.accidental_rate)
+    doc = polarimetry.records_to_json(run)
+    doc["records"][index]["count"] = count
+    with pytest.raises(ValueError, match="count must be a non-negative integer"):
+        polarimetry.records_from_json(json.loads(json.dumps(doc)))
 
 
 def huge_count_run(count, block=None):
-    """The seed-0 x = 0.8 run with record 6's count replaced; when ``block``
+    """The seed-0 x = 0.8 run with setting 6's count replaced; when ``block``
     is given, without accidentals and with every other count set to
     ``block`` on the normalization block and 1000 elsewhere."""
     run = simulate_counts(werner_phi_minus(0.8), SCHEDULE, SourceConfig())
@@ -183,6 +176,26 @@ def test_a_huge_count_is_searched_to_a_state(count):
     assert np.isfinite(result.cost)
 
 
+@pytest.mark.parametrize("index", [0, 5])
+def test_the_inversion_at_the_int64_extreme_is_finite_with_its_lowest_eigenvalue(index):
+    # one count of 2**63 - 1, on the normalization block or off it: the
+    # inversion's matrix is finite, and its lowest eigenvalue, read without a
+    # second Hermiticity check, is min_eigenvalue's bit for bit, alone and as
+    # a row of a stack
+    run = huge_count_run(0)
+    counts = run.counts.copy()
+    counts[index] = 2**63 - 1
+    run = dataclasses.replace(run, counts=counts)
+    rho, lowest = tomography._invert(run, tomography._normalization(run))
+    assert np.isfinite(rho).all()
+    assert type(lowest) is float and lowest.hex() == min_eigenvalue(rho).hex()
+    rows = dataclasses.replace(run, counts=np.stack([counts, huge_count_run(7).counts]))
+    stacked, lowest_rows = tomography._invert(rows, tomography._normalization(rows)[:, None])
+    assert np.isfinite(stacked).all()
+    assert lowest_rows.tobytes() == min_eigenvalue(stacked).tobytes()
+    assert lowest_rows[0].hex() == lowest.hex()
+
+
 def test_a_search_start_that_projects_to_no_state_is_refused():
     # a flux of 4 pairs puts the inversion's eigenvalues near 1e18, far above
     # 2**53, so the projection of the search's start keeps no weight
@@ -194,8 +207,8 @@ def test_a_search_start_that_projects_to_no_state_is_refused():
 
 @pytest.mark.parametrize("shape", [(1, 4, 4), (2, 2, 4), (16,), (3, 3)])
 def test_a_seed_matrix_that_is_not_4x4_is_refused(shape):
-    # 15 records cannot be inverted, so the seed sets where the search starts
-    recs = exact_records(werner_phi_minus(0.5))[:15]
+    # 15 settings cannot be inverted, so the seed sets where the search starts
+    recs = take(exact_records(werner_phi_minus(0.5)), slice(15))
     seed = np.resize(werner_phi_minus(0.5), shape)
     with pytest.raises(NonHermitianError, match=re.escape(f"must be 4x4, got shape {shape}")):
         mle_reconstruct(recs, seed_matrix=seed)
@@ -205,7 +218,7 @@ def test_a_seed_matrix_that_is_not_4x4_is_refused(shape):
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)])
 def test_a_non_finite_seed_matrix_is_refused_and_named(entry):
     # the eigensolver takes finite input only: refused before any projection
-    recs = exact_records(werner_phi_minus(0.5))[:15]
+    recs = take(exact_records(werner_phi_minus(0.5)), slice(15))
     seed = werner_phi_minus(0.5).astype(complex)
     seed[1, 2] = entry
     with pytest.raises(NonHermitianError, match="seed matrix has a non-finite entry"):
@@ -254,14 +267,12 @@ def test_mle_estimator_attributes_and_history():
 def test_mle_count_scaling_invariance():
     """Scaling every count (and the duration) leaves the estimate unchanged.
 
-    The records keep their accidental rate, so the expected accidentals
+    The run keeps its accidental rate, so the expected accidentals
     scale with the counts.
     """
     rho = werner_phi_minus(0.801)
     recs = simulate_counts(rho, SCHEDULE, SourceConfig(seed=5))
-    scaled = [
-        dataclasses.replace(r, duration=10 * r.duration, count=10 * r.count) for r in recs
-    ]
+    scaled = dataclasses.replace(recs, duration=10 * recs.duration, counts=10 * recs.counts)
     a = mle_reconstruct(recs)
     b = mle_reconstruct(scaled)
     np.testing.assert_allclose(a.rho, b.rho, atol=1e-6)
@@ -402,8 +413,8 @@ def test_mle_searches_records_the_linear_inversion_refuses():
     every_pair = [AnalyzerSetting(a, b) for a in labels for b in labels]
     seeded = simulate_counts(rho, SCHEDULE, SourceConfig(seed=4))
     all_36 = simulate_counts(rho, every_pair, SourceConfig(seed=4))
-    duplicated = list(seeded[:4]) + [seeded[4]] * 12
-    for recs in (seeded[:12], all_36, duplicated):
+    duplicated = take(seeded, [0, 1, 2, 3] + [4] * 12)
+    for recs in (take(seeded, slice(12)), all_36, duplicated):
         with pytest.raises(SingularSystemError):
             mle_reconstruct(recs)
         est = MaximumLikelihood().fit(recs, seed_matrix=rho)
@@ -473,17 +484,17 @@ def test_mle_cost_and_gradient_match_a_per_setting_sum():
     hh = SCHEDULE[0].projector()
     at_floor = (np.eye(4) - hh) / 3.0
     n_total = tomography._normalization(recs)
-    proj = polarimetry._schedule_stack(tuple(r.setting for r in recs))
+    proj = polarimetry._schedule_stack(recs.settings)
     cost, gradient = MaximumLikelihood()._cost_function(recs, proj, n_total)
     for rho, n_floored in ((searched.rho_, None), (at_floor, 1)):
         f_ref, grad_ref, floored = 0.0, np.zeros((4, 4), dtype=complex), 0
-        for r in recs:
-            projector = r.setting.projector()
+        for setting, count in zip(recs.settings, recs.counts.tolist()):
+            projector = setting.projector()
             p = np.trace(projector @ rho).real
             floored += p < tomography._PROB_FLOOR
-            mu = n_total * max(p, tomography._PROB_FLOOR) + r.accidentals
-            f_ref += (mu - r.count) ** 2 / (2.0 * mu)
-            grad_ref += n_total * (mu * mu - r.count * r.count) / (2.0 * mu * mu) * projector
+            mu = n_total * max(p, tomography._PROB_FLOOR) + recs.accidentals
+            f_ref += (mu - count) ** 2 / (2.0 * mu)
+            grad_ref += n_total * (mu * mu - count * count) / (2.0 * mu * mu) * projector
         if n_floored is not None:
             assert floored == n_floored
         f, mu = cost(rho)
@@ -552,7 +563,7 @@ def test_a_second_fit_returns_the_first_fits_bits():
 def test_an_incomplete_schedule_raises_on_every_call():
     rho = werner_phi_minus(0.801)
     seeded = simulate_counts(rho, SCHEDULE, SourceConfig(seed=4))
-    duplicated = list(seeded[:4]) + [seeded[4]] * 12
+    duplicated = take(seeded, [0, 1, 2, 3] + [4] * 12)
     for _ in range(2):  # a refusal is not memoized
         with pytest.raises(SingularSystemError):
             linear_reconstruct(duplicated)
@@ -573,8 +584,8 @@ def test_records_with_array_angle_arms_fit_as_float_arms():
                                 deg if s.arm2 == "D" else s.arm2) for s in SCHEDULE]
 
     recs = simulate_counts(werner_phi_minus(1.0), schedule(45.0), SourceConfig(seed=5))
-    arrays = [dataclasses.replace(r, setting=s) for r, s in zip(recs, schedule(np.array(45.0)))]
-    assert [r.setting for r in arrays] == [r.setting for r in recs]
+    arrays = dataclasses.replace(recs, settings=schedule(np.array(45.0)))
+    assert arrays.settings == recs.settings
     assert linear_reconstruct(arrays).matrix.tobytes() == linear_reconstruct(recs).matrix.tobytes()
     assert mle_reconstruct(arrays).rho.tobytes() == mle_reconstruct(recs).rho.tobytes()
 
@@ -582,10 +593,8 @@ def test_records_with_array_angle_arms_fit_as_float_arms():
 # ------------------------------------------------------------ single qubit
 
 def _single_records(counts, duration=1.0):
-    return [
-        CoincidenceRecord(AnalyzerSetting(label), duration, c)
-        for label, c in counts.items()
-    ]
+    return CountRun([AnalyzerSetting(label) for label in counts],
+                    np.array(list(counts.values())), duration)
 
 
 def test_single_qubit_reconstruct_example():
@@ -620,8 +629,8 @@ def test_single_qubit_reconstruct_error_paths():
         )
     with pytest.raises(UnknownLabelError):
         single_qubit_reconstruct(_single_records({"H": 1, "V": 1, "D": 1}))
-    bad = _single_records({"H": 1, "V": 1, "D": 1})
-    bad.append(CoincidenceRecord(AnalyzerSetting("R", "H"), 1.0, 1))
+    bad = CountRun([AnalyzerSetting(label) for label in "HVD"] + [AnalyzerSetting("R", "H")],
+                   np.ones(4, dtype=np.int64), 1.0)
     with pytest.raises(UnknownLabelError):
         single_qubit_reconstruct(bad)
     with pytest.raises(EmptyDataError):
@@ -652,7 +661,7 @@ def test_bootstrap_identity_resampler_gives_zero_spread(monkeypatch):
 def test_bootstrap_replicas_keep_accidental_rate(monkeypatch):
     # Replicas are reconstructed on the stack, so the property is checked on
     # the reconstructed states: with the counts kept, every replica must be
-    # the maximum-likelihood state of the original records, accidental rate
+    # the maximum-likelihood state of the original run, accidental rate
     # included, and not that of the same counts without accidentals.
     recs = simulate_counts(werner_phi_minus(0.801), SCHEDULE, SourceConfig(seed=0))
     replicas = []
@@ -666,7 +675,7 @@ def test_bootstrap_replicas_keep_accidental_rate(monkeypatch):
     keep_counts(monkeypatch)
     bootstrap_errors(recs, werner_phi_minus(0.801), n_replicas=2)
     expected = mle_reconstruct(recs).rho
-    no_accidentals = [dataclasses.replace(r, accidental_rate=0.0) for r in recs]
+    no_accidentals = dataclasses.replace(recs, accidental_rate=0.0)
     assert not np.allclose(mle_reconstruct(no_accidentals).rho, expected, atol=1e-6)
     (stack,) = replicas
     assert len(stack) == 2
@@ -728,7 +737,7 @@ def test_bootstrap_names_the_replica_without_flux(monkeypatch):
     )):
         bootstrap_errors(recs, werner_phi_minus(0.801), n_replicas=3, seed=7)
     # an observed block without flux is reported as the data's, not a replica's
-    empty = [dataclasses.replace(r, count=0) if i < 4 else r for i, r in enumerate(recs)]
+    empty = dataclasses.replace(recs, counts=np.where(np.arange(16) < 4, 0, recs.counts))
     with pytest.raises(EmptyDataError, match="^normalization block counts sum to 0,"):
         bootstrap_errors(empty, werner_phi_minus(0.801), n_replicas=3, seed=7)
 
