@@ -32,10 +32,15 @@ def _root_spectrum(m: np.ndarray) -> np.ndarray:
     are used, so ``_eigvalsh`` reads them without eigenvectors.  ``m`` is a
     product of matrices that passed ``check_hermitian``: only an overflow in
     that product, which numpy reports with its RuntimeWarning, leaves it
-    non-finite, and the spectrum is then NaN."""
+    non-finite.  Its spectrum is then NaN, and raises ``NotPSDError`` as a
+    negative eigenvalue does."""
     w = _eigvalsh(m)[..., ::-1]
     lowest = w[..., -1].min()
-    if lowest < -_PSD_CLAMP:
+    # negated, so a NaN spectrum raises too
+    if not lowest >= -_PSD_CLAMP:
+        if np.isnan(lowest):
+            raise NotPSDError("fidelity argument has a non-finite spectrum: its matrix "
+                              "overflowed")
         raise NotPSDError(f"fidelity argument has eigenvalue {lowest:.3e}")
     # Eigenvalues at round-off scale are exact zeros; taking their square
     # root would inflate the noise from 1e-16 to 1e-8, so they are dropped.

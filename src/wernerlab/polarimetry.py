@@ -371,7 +371,9 @@ def _finite_number(doc: dict, key: str, default=None) -> float:
 def records_from_json(doc: dict) -> CountRun:
     """Parse the JSON form produced by :func:`records_to_json` into a run.
 
-    A missing ``accidentals_per_s`` means no accidental floor.
+    A missing ``accidentals_per_s`` means no accidental floor.  A record
+    without ``arm1`` or ``count``, or whose count is not a non-negative
+    integer that int64 holds, raises ``ValueError`` naming its position.
     """
     if not isinstance(doc, dict) or "records" not in doc or "duration_s" not in doc:
         raise ValueError("counts document must contain 'duration_s' and 'records'")
@@ -384,12 +386,14 @@ def records_from_json(doc: dict) -> CountRun:
     if not isinstance(doc["records"], list):
         raise ValueError(f"records must be a list, got {doc['records']!r}")
     settings, counts = [], []
-    for item in doc["records"]:
+    for i, item in enumerate(doc["records"], 1):
+        where = f"record {i} of {len(doc['records'])}"
         if not isinstance(item, dict) or item.get("arm1") is None or "count" not in item:
-            raise ValueError(f"malformed count record {item!r}")
+            raise ValueError(f"{where}: malformed count record {item!r}")
         count = item["count"]
         if isinstance(count, bool) or not isinstance(count, int) or not 0 <= count <= _INT64_MAX:
-            raise ValueError(f"count must be a non-negative integer that int64 holds, got {count!r}")
+            raise ValueError(
+                f"{where}: count must be a non-negative integer that int64 holds, got {count!r}")
         setting = AnalyzerSetting(
             _arm_from_json(item["arm1"]), _arm_from_json(item.get("arm2"))
         )

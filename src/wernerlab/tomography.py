@@ -181,9 +181,12 @@ def _project_to_states(m: np.ndarray) -> np.ndarray:
             shift = (total - 1.0) / k
     w -= shift
     np.maximum(w, 0.0, out=w)
-    rho = (v * w) @ v.conj().T
-    # numpy's trace: a Python sum of the diagonal need not add in its order
-    trace = rho.trace().real
+    v_h = v.conj().T
+    v *= w
+    rho = v @ v_h
+    # numpy's trace of a 4x4 complex matrix adds its real diagonal in pairs
+    d0, d1, d2, d3 = rho.diagonal().real.tolist()
+    trace = (d0 + d1) + (d2 + d3)
     if not trace > 0.0:  # the shift left no weight: no state, in NaNs
         return np.full_like(rho, np.nan)
     rho /= trace
@@ -224,7 +227,8 @@ def _projected_gradient(cost, gradient, rho):
     y, fy, gy = rho, f, grad
     t, step = 1.0, 1.0
     while evals < _MAX_EVALS:
-        z = _project_to_states(y - step * gy)
+        trial = step * gy
+        z = _project_to_states(np.subtract(y, trial, out=trial))
         fz, mu_z = cost(z)
         evals += 1
         d = z - y
@@ -254,7 +258,9 @@ def _projected_gradient(cost, gradient, rho):
         if beta == 0.0:
             y, fy, gy = rho, f, grad
         elif evals < _MAX_EVALS:
-            y = rho + beta * (rho - previous)
+            y = rho - previous
+            y *= beta
+            y += rho
             fy, mu_y = cost(y)
             gy = gradient(mu_y)
             evals += 1
@@ -331,8 +337,13 @@ class MaximumLikelihood:
             return float(np.add.reduce(resid)), mu
 
         def gradient(mu):
-            g = (mu * mu - counts_sq) / (2.0 * mu * mu)
-            return ((n_total * g) @ proj_conj).reshape(4, 4)
+            # 2 (mu mu) is (2 mu) mu bit for bit: scaling by 2 is exact
+            mu2 = mu * mu
+            g = mu2 - counts_sq
+            mu2 *= 2.0
+            g /= mu2
+            g *= n_total
+            return (g @ proj_conj).reshape(4, 4)
 
         return cost, gradient
 

@@ -105,6 +105,21 @@ def test_concurrence_separable_zero():
     assert concurrence(np.eye(4, dtype=complex) / 4) == pytest.approx(0.0, abs=1e-12)
 
 
+W = werner_phi_minus(0.8)
+
+
+@pytest.mark.parametrize("metric", [
+    lambda: fidelity(W * 1e200, W * 1e300),
+    lambda: concurrence(W * 1e200),
+    # one overflowing state of a stack
+    lambda: fidelity(np.array([W, W * 1e200]), np.array([W, W * 1e300])),
+], ids=["fidelity", "concurrence", "stack"])
+def test_a_metric_whose_inner_matrix_overflows_raises(metric):
+    # numpy warns of the overflow, which the suite would raise as an error
+    with np.errstate(all="ignore"), pytest.raises(NotPSDError, match="non-finite spectrum"):
+        metric()
+
+
 def test_singlet_concurrence_threshold():
     for f in np.arange(0.0, 1.0 + 1e-9, 0.05):
         expected = max(0.0, 2 * f - 1)

@@ -323,6 +323,26 @@ def test_counts_without_normalization_block_are_bad_input(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("record, error", [
+    ({"arm1": "H", "arm2": "V", "count": float("nan")},
+     "count must be a non-negative integer that int64 holds, got nan"),
+    ({"arm1": "H", "arm2": "V", "count": 2**63},
+     f"count must be a non-negative integer that int64 holds, got {2**63}"),
+    ({"arm1": "H", "arm2": "V"}, "malformed count record {'arm1': 'H', 'arm2': 'V'}"),
+], ids=["nan", "above-int64", "no-count"])
+def test_reconstruct_names_the_bad_record_of_a_counts_file(tmp_path, capsys, record, error):
+    state, counts = tmp_path / "state.json", tmp_path / "counts.json"
+    assert run(["gen-state", "werner-phi-minus", "0.8", "--out", state]) == 0
+    assert run(["simulate", state, "--out", counts]) == 0
+    doc = read_json(counts)
+    doc["records"][9] = record
+    counts.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["reconstruct", counts, "--out", tmp_path / "rho.json"]) == 2
+    assert capsys.readouterr().err == f"wernerlab: error: record 10 of 16: {error}\n"
+    assert not (tmp_path / "rho.json").exists()
+
+
 @pytest.mark.parametrize("count, block, code", [(10**11, None, 0), (2**62, 1, 3)],
                          ids=["searched", "refused"])
 def test_reconstruct_of_a_huge_count_exits_without_a_traceback(tmp_path, capsys, count,

@@ -5,7 +5,8 @@ batch of one on the same code, so these tests compare each stacked call with
 a loop of single calls.  The bootstrap is compared with the per-replica loop
 it replaced, and the maximum-likelihood search, which forms its gradient
 only where it reads it, with the search that formed the gradient at every
-evaluation; both are kept here as references.  The package's raw LAPACK
+evaluation; both are kept here as references, the search with its own
+out-of-place copy of the projection onto the states.  The package's raw LAPACK
 calls, ``qlinalg._eigh`` and ``_solve``, are compared byte for byte with
 ``np.linalg.eigh`` and ``np.linalg.solve``.
 """
@@ -284,11 +285,77 @@ def reference_cost_function(run, proj, n_total):
     return cost
 
 
+def reference_project(m):
+    """The density matrix nearest to the Hermitian part of ``m``, written out
+    of place through ``np.linalg.eigh``: the simplex shift of the eigenvalues
+    in Python floats, then the clipped spectrum over numpy's trace."""
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    total = 0.0
+    for k, wk in enumerate(w[::-1].tolist(), 1):
+        total += wk
+        if k == 1 or wk > (total - 1.0) / k:
+            shift = (total - 1.0) / k
+    w = np.maximum(w - shift, 0.0)
+    rho = (v * w) @ v.conj().T
+    trace = rho.trace().real
+    if not trace > 0.0:
+        return np.full_like(rho, np.nan)
+    return rho / trace
+
+
+def search_inputs(run, seed_matrix=None):
+    """The matrices a seeded search hands the projection, in order."""
+    seen = []
+
+    def recording(m):
+        seen.append(m.copy())
+        return project(m)
+
+    project = tomography._project_to_states
+    tomography._project_to_states = recording
+    try:
+        tomography.MaximumLikelihood().fit(run, seed_matrix=seed_matrix)
+    finally:
+        tomography._project_to_states = project
+    return seen
+
+
+def projection_inputs():
+    """Seeded 4x4 matrices: random complex ones at several scales, Gram
+    matrices of rank 1 to 3, matrices whose spectra are degenerate up to
+    1e-12, and the inputs of two searches (their trials ``y - step * gy``)."""
+    rng = np.random.default_rng(2803)
+    matrices = []
+    for scale in (0.01, 0.3, 1.0, 5.0, 1e3):
+        g = rng.normal(size=(40, 4, 4)) + 1j * rng.normal(size=(40, 4, 4))
+        matrices += list(scale * g)
+    for rank in (1, 2, 3):
+        matrices += [random_density(rng, rank=rank) for _ in range(40)]
+    for _ in range(100):
+        q, _r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        spectrum = rng.choice([0.0, 0.25, 0.5, -0.1], size=4)
+        spectrum = spectrum + 1e-12 * rng.normal(size=4)
+        matrices.append((q * spectrum) @ q.conj().T)
+    matrices += search_inputs(simulate_counts(werner_phi_minus(1.0), SCHEDULE,
+                                              SourceConfig(seed=0)))
+    matrices += search_inputs(simulate_counts(fixtures.load("rho1"), SCHEDULE,
+                                              SourceConfig(seed=3)), fixtures.load("rho1"))
+    return matrices
+
+
+def test_the_projection_is_its_out_of_place_reference_byte_for_byte():
+    matrices = projection_inputs()
+    assert len(matrices) >= 500
+    for m in matrices:
+        want = reference_project(m)
+        assert np.isfinite(want).all()
+        assert same_bytes(tomography._project_to_states(m), want)
+
+
 def reference_projected_gradient(cost, rho):
     """The FISTA search with one projection per trial and the gradient of
     every evaluated point, under the package's stopping rules and cap."""
-    project, ftol, max_evals = (tomography._project_to_states, tomography._FTOL,
-                                tomography._MAX_EVALS)
+    project, ftol, max_evals = reference_project, tomography._FTOL, tomography._MAX_EVALS
     f, grad = cost(rho)
     scale = np.linalg.norm(grad) or 1.0
 
@@ -337,7 +404,7 @@ def assert_search_is_the_reference(run, seed_matrix=None):
     n_total = tomography._normalization(run)
     cost = reference_cost_function(run, polarimetry._schedule_stack(run.settings), n_total)
     linear, _ = tomography._invert(run, n_total)
-    start = tomography._project_to_states(linear if seed_matrix is None else seed_matrix)
+    start = reference_project(linear if seed_matrix is None else seed_matrix)
     rho, f, evals, iterations, converged, history = reference_projected_gradient(cost, start)
     est = tomography.MaximumLikelihood().fit(run, seed_matrix=seed_matrix)
     assert est.path_ == "search"
