@@ -178,8 +178,10 @@ def simulate_single_photon_experiment(
 
     The photon is measured in the H, V, D and R analyzer settings with the
     count statistics described by ``config`` (a ``polarimetry.SourceConfig``),
-    the 2x2 state is reconstructed, and ``|gamma|`` is read off the ratio of
-    the coherence to the geometric mean of the populations.
+    the 2x2 state is reconstructed by the tomography's linear inversion (the
+    nearest state when the inversion is unphysical, so no run is refused),
+    and ``|gamma|`` is read off the ratio of the coherence to the geometric
+    mean of the populations.
     """
     from . import tomography
 

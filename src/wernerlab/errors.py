@@ -38,9 +38,9 @@ class EmptyDataError(WernerlabError):
 
 
 class UnphysicalStateError(WernerlabError):
-    """Reconstructed data lies too far outside the states: a single-qubit
-    Bloch vector far outside the ball, or a two-photon search start whose
-    projection onto the states is lost to round-off."""
+    """Reconstructed data lies too far outside the states: a single-photon
+    linear inversion or a two-photon search start whose projection onto the
+    states is lost to round-off."""
 
 
 class DegenerateDiagonalError(WernerlabError):

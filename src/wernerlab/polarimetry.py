@@ -324,11 +324,13 @@ def _arm_to_json(arm):
 
 
 def _arm_from_json(value):
-    if value is None or isinstance(value, str):
-        return value
     if isinstance(value, dict) and set(value) == {"deg"}:
-        return _finite_number(value, "deg")
-    raise ValueError(f"malformed analyzer arm {value!r}")
+        value = _finite_number(value, "deg")
+    elif value is not None and not isinstance(value, str):
+        raise ValueError(f"malformed analyzer arm {value!r}")
+    if value is not None:
+        jones_vector(value)  # an unknown label fails at parse time
+    return value
 
 
 def records_to_json(records) -> dict:
@@ -373,7 +375,8 @@ def records_from_json(doc: dict) -> CountRun:
 
     A missing ``accidentals_per_s`` means no accidental floor.  A record
     without ``arm1`` or ``count``, or whose count is not a non-negative
-    integer that int64 holds, raises ``ValueError`` naming its position.
+    integer that int64 holds, raises ``ValueError`` naming its position; a
+    bad analyzer arm raises its own error, named the same way.
     """
     if not isinstance(doc, dict) or "records" not in doc or "duration_s" not in doc:
         raise ValueError("counts document must contain 'duration_s' and 'records'")
@@ -394,14 +397,11 @@ def records_from_json(doc: dict) -> CountRun:
         if isinstance(count, bool) or not isinstance(count, int) or not 0 <= count <= _INT64_MAX:
             raise ValueError(
                 f"{where}: count must be a non-negative integer that int64 holds, got {count!r}")
-        setting = AnalyzerSetting(
-            _arm_from_json(item["arm1"]), _arm_from_json(item.get("arm2"))
-        )
-        # Validate labels/angles eagerly so bad input fails at parse time.
-        jones_vector(setting.arm1)
-        if setting.arm2 is not None:
-            jones_vector(setting.arm2)
-        settings.append(setting)
+        try:
+            arms = _arm_from_json(item["arm1"]), _arm_from_json(item.get("arm2"))
+        except (ValueError, UnknownLabelError) as exc:
+            raise type(exc)(f"{where}: {exc}") from None
+        settings.append(AnalyzerSetting(*arms))
         counts.append(count)
     if not settings:
         raise EmptyDataError("counts document contains no records")

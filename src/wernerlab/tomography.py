@@ -1,9 +1,9 @@
-"""Two-photon state reconstruction from coincidence counts.
+"""Polarization state reconstruction from counts.
 
 Every function takes one run of counts, a :class:`polarimetry.CountRun`.
-Two estimators with a ``fit`` method are provided: a direct linear (Stokes)
-inversion of the 16-setting schedule, and a maximum-likelihood fit by
-accelerated projected gradient over the density matrices.
+Two two-photon estimators with a ``fit`` method are provided, a direct
+linear (Stokes) inversion and a maximum-likelihood fit by accelerated
+projected gradient over the states; single photons take the same inversion.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from .errors import (
     UnphysicalStateError,
 )
 from .qlinalg import _eigh, _scalar, _solve, kron
-from .states import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .states import PAULIS
 
-_N_PARAMS = 16
 _COND_LIMIT = 1e10  # largest condition number of an invertible design
 _PROB_FLOOR = 1e-12  # floor of a setting's probability in the likelihood
 _FTOL = 1e-9  # cost gain at which a stationary search stops
@@ -35,8 +34,11 @@ _MAX_EVALS = 100_000  # cost evaluations after which a search stops unconverged
 _MAX_REPLICAS = 100_000  # largest bootstrap; its counts alone take 13 MB
 
 
-# The 16 two-photon Pauli products over 4, in the order of the Stokes vector.
-_PAULI_OPS = np.array([kron(a, b) for a in PAULIS for b in PAULIS]) / 4.0
+# The Paulis over 2 and their two-photon products over 4, in the order of the
+# Stokes vector, one flattened a row: keyed by the row length of the stack.
+_PAULI_OPS = {4: np.array(PAULIS).reshape(4, 4) / 2.0,
+              16: np.array([kron(a, b) for a in PAULIS for b in PAULIS]).reshape(16, 16) / 4.0}
+_BLOCK_NAMES = {4: "H/V", 16: "HH/HV/VV/VH"}
 
 
 def _normalization(run):
@@ -62,34 +64,46 @@ def _normalization(run):
     return _scalar(n)
 
 
-def _check_record_count(run) -> None:
-    if len(run) != _N_PARAMS:
-        raise SingularSystemError(
-            f"linear inversion needs exactly 16 settings, got {len(run)}"
-        )
+def _two_photon_run(records):
+    """``records`` as one run of two-photon settings: a one-photon setting is
+    an input error, raised before any count is read."""
+    run = polarimetry._as_run(records)
+    if any(s.arm2 is None for s in run.settings):
+        raise UnknownLabelError("two-photon tomography takes two analyzer arms a setting")
+    return run
 
 
 @functools.lru_cache(maxsize=polarimetry._SCHEDULES_KEPT)
 def _block(settings: tuple) -> np.ndarray:
-    """Positions of the (HH, HV, VV, VH) normalization block in a tuple of
-    settings, found once per process and read-only; a schedule without the
-    block cannot be normalized, an input error raised on every call."""
-    keys = [(s.arm1, s.arm2) for s in settings]
-    if not set(polarimetry.NORMALIZATION_BLOCK) <= set(keys):
+    """Positions of the normalization block in a tuple of one- or two-photon
+    settings, found once per process and read-only: the settings whose every
+    arm is H or V, (H, V) for one photon and (HH, HV, VV, VH) for two.  A
+    schedule without the whole block cannot be normalized, an input error
+    raised on every call."""
+    width = polarimetry._schedule_stack(settings).shape[1]
+    keys = [(s.arm1,) if s.arm2 is None else (s.arm1, s.arm2) for s in settings]
+    in_block = [set(key) <= {"H", "V"} for key in keys]
+    # the block holds every H/V combination: d of them for a d x d state
+    if len({key for key, hv in zip(keys, in_block) if hv}) != math.isqrt(width):
         raise UnknownLabelError(
-            "records do not contain the HH/HV/VV/VH normalization block"
+            f"records do not contain the {_BLOCK_NAMES[width]} normalization block"
         )
-    block = np.flatnonzero([key in polarimetry.NORMALIZATION_BLOCK for key in keys])
+    block = np.flatnonzero(in_block)
     block.flags.writeable = False
     return block
 
 
 @functools.lru_cache(maxsize=polarimetry._SCHEDULES_KEPT)
 def _design(settings: tuple) -> np.ndarray:
-    """The real 16x16 matrix mapping Stokes parameters to the probabilities
-    of a tuple of settings, built once per process and read-only; raises,
-    on every call, if it is not invertible."""
-    design = (polarimetry._schedule_stack(settings) @ _PAULI_OPS.reshape(16, -1).T).real
+    """The real matrix mapping Stokes parameters to the probabilities of a
+    tuple of settings, 4x4 for one photon and 16x16 for two, built once per
+    process and read-only; raises, on every call, if it is not square and
+    invertible."""
+    stack = polarimetry._schedule_stack(settings)
+    if len(stack) != stack.shape[1]:
+        raise SingularSystemError("linear inversion needs exactly 4 settings for one "
+                                  f"photon or 16 for two, got {len(stack)}")
+    design = (stack @ _PAULI_OPS[len(stack)].T).real
     if np.linalg.cond(design) > _COND_LIMIT:
         raise SingularSystemError(
             "the measurement settings are informationally incomplete"
@@ -99,9 +113,10 @@ def _design(settings: tuple) -> np.ndarray:
 
 
 def _invert(run, n_total):
-    """Linear inversion of a run's counts less their expected accidentals
-    over the pair flux ``n_total``, or of each row of an ``(R, 16)`` run over
-    an ``(R, 1)`` flux: ``(rho, lowest eigenvalue)``.
+    """Linear inversion of a one- or two-photon run's counts less their
+    expected accidentals over the pair flux ``n_total``, or of each row of an
+    ``(R, n)`` run over an ``(R, 1)`` flux: ``(rho, lowest eigenvalue)``,
+    with ``rho`` d x d for the ``n = d * d`` settings.
 
     The stack takes one solve, which broadcasts the design over the rows
     and gives each row its own one-column right-hand side (a solve of many
@@ -115,8 +130,9 @@ def _invert(run, n_total):
     probs = (run.counts - run.accidentals) / n_total
     stokes = _solve(_design(run.settings), probs[..., None])[..., 0]
     # matmul, not tensordot, so a stack gives the same values as one vector
-    rho = np.matmul(stokes[..., None, :], _PAULI_OPS.reshape(16, -1))
-    rho = rho.reshape(*stokes.shape[:-1], 4, 4)
+    rho = np.matmul(stokes[..., None, :], _PAULI_OPS[len(run)])
+    d = math.isqrt(len(run))
+    rho = rho.reshape(*stokes.shape[:-1], d, d)
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     return rho, _scalar(_eigh(rho)[0][..., 0])
 
@@ -141,8 +157,8 @@ class LinearInversion:
     """
 
     def fit(self, records):
-        run = polarimetry._as_run(records)
-        _check_record_count(run)
+        run = _two_photon_run(records)
+        _design(run.settings)  # a schedule it cannot invert raises before the flux
         self.n_total_ = _normalization(run)
         self.matrix_, lowest = _invert(run, self.n_total_)
         self.min_eigenvalue_ = float(lowest)
@@ -185,11 +201,21 @@ def _project_to_states(m: np.ndarray) -> np.ndarray:
     v *= w
     rho = v @ v_h
     # numpy's trace of a 4x4 complex matrix adds its real diagonal in pairs
-    d0, d1, d2, d3 = rho.diagonal().real.tolist()
-    trace = (d0 + d1) + (d2 + d3)
+    d = rho.diagonal().real.tolist()
+    trace = d[0] + d[1] if len(d) == 2 else (d[0] + d[1]) + (d[2] + d[3])
     if not trace > 0.0:  # the shift left no weight: no state, in NaNs
         return np.full_like(rho, np.nan)
     rho /= trace
+    return rho
+
+
+def _nearest_state(m: np.ndarray, what: str) -> np.ndarray:
+    """:func:`_project_to_states` of ``m``; a projection lost to round-off
+    (an eigenvalue far above 2**53) raises ``UnphysicalStateError``."""
+    rho = _project_to_states(m)
+    if np.isnan(rho).any():
+        raise UnphysicalStateError(
+            f"{what} lies too far outside the states to project onto them")
     return rho
 
 
@@ -348,13 +374,12 @@ class MaximumLikelihood:
         return cost, gradient
 
     def fit(self, records, seed_matrix: np.ndarray | None = None):
-        run = polarimetry._as_run(records)
+        run = _two_photon_run(records)
         n_total = _normalization(run)
         cost, gradient = self._cost_function(
             run, polarimetry._schedule_stack(run.settings), n_total)
         linear = lowest = None
         try:
-            _check_record_count(run)
             linear, lowest = _invert(run, n_total)
         except SingularSystemError:
             if seed_matrix is None:
@@ -376,11 +401,7 @@ class MaximumLikelihood:
                 f"the search's seed matrix must be 4x4, got shape {seed_matrix.shape}")
         if not np.isfinite(seed_matrix).all():
             raise NonHermitianError("the search's seed matrix has a non-finite entry")
-        start = _project_to_states(seed_matrix)
-        if np.isnan(start).any():
-            raise UnphysicalStateError(
-                "the search's starting matrix lies too far outside the states to project onto them"
-            )
+        start = _nearest_state(seed_matrix, "the search's starting matrix")
         rho, f, evals, iters, converged, history = _projected_gradient(cost, gradient, start)
         self.rho_ = rho
         self.cost_ = f
@@ -411,44 +432,18 @@ def mle_reconstruct(records, seed_matrix: np.ndarray | None = None) -> MLEResult
 
 
 def single_qubit_reconstruct(records) -> np.ndarray:
-    """Single-photon state from a run with the H, V, D and R settings.
-
-    Each count is read less its expected accidentals.  The H and V counts fix
-    the flux; the Stokes vector follows from the normalized count ratios.  A
-    Bloch vector up to 5 % outside the unit ball is rescaled onto it, anything
-    worse raises ``UnphysicalStateError``.
-    """
+    """Single-photon state from an informationally complete 4-setting run,
+    such as H, V, D and R, by the two-photon estimators' linear inversion:
+    counts less their expected accidentals over the H + V flux.  A Bloch
+    vector outside the ball gives the nearest state, the pure state along
+    it; a schedule of another size, or an incomplete one, raises
+    ``SingularSystemError``."""
     run = polarimetry._as_run(records)
     if any(s.arm2 is not None for s in run.settings):
         raise UnknownLabelError("single-photon records take one analyzer arm")
-    pairs = (run.counts - run.accidentals).tolist()
-    by_label = dict(zip((s.arm1 for s in run.settings), pairs))
-    missing = {"H", "V", "D", "R"} - set(by_label)
-    if missing:
-        raise UnknownLabelError(
-            f"single-photon reconstruction needs H, V, D, R; missing {sorted(missing)}"
-        )
-    n = by_label["H"] + by_label["V"]
-    if n <= 0.0:
-        raise EmptyDataError("H and V counts do not exceed their expected accidentals")
-    s = np.array(
-        [
-            2.0 * by_label["D"] / n - 1.0,
-            1.0 - 2.0 * by_label["R"] / n,
-            (by_label["H"] - by_label["V"]) / n,
-        ]
-    )
-    norm = float(np.linalg.norm(s))
-    if norm > 1.05:
-        raise UnphysicalStateError(f"Bloch vector norm {norm:.4f} exceeds 1.05")
-    if norm > 1.0:
-        s /= norm
-    return 0.5 * (
-        np.eye(2, dtype=complex)
-        + s[0] * SIGMA_X
-        + s[1] * SIGMA_Y
-        + s[2] * SIGMA_Z
-    )
+    _design(run.settings)  # a schedule it cannot invert raises before the flux
+    rho, lowest = _invert(run, _normalization(run))
+    return rho if lowest >= 0.0 else _nearest_state(rho, "the linear inversion")
 
 
 def bootstrap_errors(
@@ -486,7 +481,7 @@ def bootstrap_errors(
         raise OutOfRangeError("bootstrap needs at least 2 replicas")
     if n_replicas > _MAX_REPLICAS:
         raise OutOfRangeError(f"bootstrap takes at most {_MAX_REPLICAS} replicas, got {n_replicas}")
-    run = polarimetry._as_run(records)
+    run = _two_photon_run(records)
     _normalization(run)
     rng = np.random.Generator(np.random.PCG64(seed))
     observed = np.broadcast_to(run.counts, (n_replicas, len(run)))
@@ -496,8 +491,6 @@ def bootstrap_errors(
         n_total = _normalization(replicas)
     except EmptyDataError as exc:
         raise EmptyDataError(f"bootstrap at seed {seed}: {exc}") from exc
-    polarimetry._schedule_stack(run.settings)  # a mixed schedule raises before the count check
-    _check_record_count(run)
     rho, lowest = _invert(replicas, n_total[:, None])
     nonconverged = 0
     for i in np.flatnonzero(lowest < 0.0):

@@ -329,7 +329,13 @@ def test_counts_without_normalization_block_are_bad_input(tmp_path, capsys):
     ({"arm1": "H", "arm2": "V", "count": 2**63},
      f"count must be a non-negative integer that int64 holds, got {2**63}"),
     ({"arm1": "H", "arm2": "V"}, "malformed count record {'arm1': 'H', 'arm2': 'V'}"),
-], ids=["nan", "above-int64", "no-count"])
+    ({"arm1": {"deg": "22.5"}, "arm2": "V", "count": 5}, "deg must be a finite number, got '22.5'"),
+    ({"arm1": "Q", "arm2": "V", "count": 5},
+     "unknown polarization 'Q'; expected one of H, V, D, A, R, L or an angle in degrees"),
+    ({"arm1": {"deg": float("inf")}, "arm2": "V", "count": 5},
+     "deg must be a finite number, got inf"),
+    ({"arm1": {"rad": 1.0}, "arm2": "V", "count": 5}, "malformed analyzer arm {'rad': 1.0}"),
+], ids=["nan", "above-int64", "no-count", "deg-string", "unknown-label", "deg-inf", "rad"])
 def test_reconstruct_names_the_bad_record_of_a_counts_file(tmp_path, capsys, record, error):
     state, counts = tmp_path / "state.json", tmp_path / "counts.json"
     assert run(["gen-state", "werner-phi-minus", "0.8", "--out", state]) == 0
@@ -340,6 +346,17 @@ def test_reconstruct_names_the_bad_record_of_a_counts_file(tmp_path, capsys, rec
     capsys.readouterr()
     assert run(["reconstruct", counts, "--out", tmp_path / "rho.json"]) == 2
     assert capsys.readouterr().err == f"wernerlab: error: record 10 of 16: {error}\n"
+    assert not (tmp_path / "rho.json").exists()
+
+
+@pytest.mark.parametrize("method", ["linear", "mle"])
+def test_reconstruct_refuses_a_one_photon_counts_file(tmp_path, capsys, method):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"duration_s": 1.0, "records": [
+        {"arm1": label, "arm2": None, "count": 500} for label in "HVDR"]}))
+    assert run(["reconstruct", counts, "--method", method, "--out", tmp_path / "rho.json"]) == 2
+    assert capsys.readouterr().err == (
+        "wernerlab: error: two-photon tomography takes two analyzer arms a setting\n")
     assert not (tmp_path / "rho.json").exists()
 
 

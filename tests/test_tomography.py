@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from wernerlab import analysis, fixtures, polarimetry, tomography
+from wernerlab import analysis, decoherence, fixtures, polarimetry, tomography
 from wernerlab.analysis import fidelity
 from wernerlab.errors import (
     EmptyDataError,
@@ -24,7 +24,14 @@ from wernerlab.polarimetry import (
     tomographic_settings,
 )
 from wernerlab.qlinalg import min_eigenvalue
-from wernerlab.states import bell_state, pure_to_density, werner_phi_minus
+from wernerlab.states import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    bell_state,
+    pure_to_density,
+    werner_phi_minus,
+)
 from wernerlab.tomography import (
     LinearInversion,
     MaximumLikelihood,
@@ -101,6 +108,20 @@ def test_estimators_refuse_one_photon_records():
         mle_reconstruct(recs)
     with pytest.raises(UnknownLabelError):
         bootstrap_errors(recs, werner_phi_minus(0.5), n_replicas=3)
+
+
+@pytest.mark.parametrize("estimate", [
+    linear_reconstruct,
+    mle_reconstruct,
+    lambda run: mle_reconstruct(run, seed_matrix=np.eye(4) / 4.0),
+    lambda run: bootstrap_errors(run, werner_phi_minus(0.5), n_replicas=3),
+], ids=["linear", "mle", "mle-seeded", "bootstrap"])
+def test_two_photon_estimators_refuse_a_one_photon_run(estimate):
+    # the one-photon run the linear inversion takes, with no counts: a count
+    # read before the refusal would raise EmptyDataError instead
+    run = CountRun([AnalyzerSetting(label) for label in "HVDR"], np.zeros(4, dtype=np.int64), 1.0)
+    with pytest.raises(UnknownLabelError, match="^two-photon tomography takes two analyzer arms"):
+        estimate(run)
 
 
 def test_linear_inversion_duplicate_settings_singular():
@@ -622,13 +643,71 @@ def test_single_qubit_reconstruct_rescales_slight_excess():
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
 
+def bloch_state(s):
+    return 0.5 * (np.eye(2) + s[0] * SIGMA_X + s[1] * SIGMA_Y + s[2] * SIGMA_Z)
+
+
+def stokes_reference(run):
+    """The H/V/D/R Stokes formula of the single-photon reconstruction before
+    it shared the two-photon linear inversion: the Bloch vector from the
+    count ratios over the H + V flux, each count less its expected
+    accidentals, rescaled onto the unit ball when it lies outside."""
+    by_label = dict(zip((s.arm1 for s in run.settings), (run.counts - run.accidentals).tolist()))
+    n = by_label["H"] + by_label["V"]
+    s = np.array([2.0 * by_label["D"] / n - 1.0, 1.0 - 2.0 * by_label["R"] / n,
+                  (by_label["H"] - by_label["V"]) / n])
+    norm = float(np.linalg.norm(s))
+    if norm > 1.0:
+        s /= norm
+    return bloch_state(s)
+
+
+@pytest.mark.parametrize("duration", [100.0, 1.0])
+def test_single_qubit_reconstruct_is_the_stokes_formula(duration):
+    # the decoherence run over OPD 0 to 250 l0, Bloch vectors inside the ball
+    # and outside it (projected, as the formula rescales them)
+    element = decoherence.BirefringentElement
+    spectrum = decoherence.DEFAULT_SPECTRUM
+    outside = 0
+    for ratio in range(0, 251, 10):
+        for seed in range(50_000, 50_040):
+            run = decoherence.simulate_single_photon_experiment(
+                spectrum, element(ratio * spectrum.center_nm),
+                SourceConfig(pair_rate=300.0, accidental_rate=1.0, duration=duration, seed=seed),
+            )
+            want = stokes_reference(run.records)
+            np.testing.assert_allclose(run.rho, want, rtol=0.0, atol=1e-15)
+            outside += bool(min_eigenvalue(want) < 1e-12)
+    assert outside > 0
+
+
+def test_single_qubit_reconstruct_takes_any_complete_schedule():
+    # exact counts of a state with Bloch vector (0.2, -0.4, 0.6): H/V/A/L
+    # gives the H/V/D/R state
+    rho = bloch_state([0.2, -0.4, 0.6])
+    cfg = SourceConfig(pair_rate=1000.0, accidental_rate=0.0, duration=1.0)
+    runs = [simulate_counts(rho, [AnalyzerSetting(label) for label in labels], cfg, exact=True)
+            for labels in ("HVDR", "HVAL")]
+    assert runs[1].counts.tolist() == [800, 200, 400, 300]
+    hvdr, hval = (single_qubit_reconstruct(run) for run in runs)
+    np.testing.assert_allclose(hvdr, rho, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(hval, hvdr, rtol=0.0, atol=1e-15)
+
+
 def test_single_qubit_reconstruct_error_paths():
-    with pytest.raises(UnphysicalStateError):
-        single_qubit_reconstruct(
-            _single_records({"H": 1500, "V": 500, "D": 2000, "R": 1000})
-        )
-    with pytest.raises(UnknownLabelError):
+    # a Bloch vector (1, 0, 0.5) 12 % outside the ball gives the pure state along it
+    rho = single_qubit_reconstruct(
+        _single_records({"H": 1500, "V": 500, "D": 2000, "R": 1000})
+    )
+    np.testing.assert_allclose(rho, bloch_state(np.array([1.0, 0.0, 0.5]) / np.sqrt(1.25)),
+                               rtol=0.0, atol=1e-15)
+    with pytest.raises(SingularSystemError):
         single_qubit_reconstruct(_single_records({"H": 1, "V": 1, "D": 1}))
+    with pytest.raises(UnknownLabelError, match="^records do not contain the H/V normalization"):
+        single_qubit_reconstruct(_single_records({"H": 1, "D": 1, "A": 1, "R": 1}))
+    # a D count 2**61 times the flux: the projection is lost to round-off
+    with pytest.raises(UnphysicalStateError, match="^the linear inversion lies too far outside"):
+        single_qubit_reconstruct(_single_records({"H": 1, "V": 1, "D": 2**62, "R": 1}))
     bad = CountRun([AnalyzerSetting(label) for label in "HVD"] + [AnalyzerSetting("R", "H")],
                    np.ones(4, dtype=np.int64), 1.0)
     with pytest.raises(UnknownLabelError):
