@@ -1,4 +1,4 @@
-"""Compare the files that a fixed set of commands writes, parent against working tree.
+"""Compare the files that fixed commands and fits write, parent against working tree.
 
 Usage, from the root of a checkout:
 
@@ -33,16 +33,37 @@ subcommand, in this order:
 - ``decohere-curve`` with its defaults and with ``--fwhm 9 --grid
   0:40:0.5``.
 
-It prints how many files are byte-identical and, for every JSON leaf that
+After the commands the same process fits 1,200 count runs through
+``MaximumLikelihood().fit``: the source states x = 1.0 and x = 0.95
+(``werner_phi_minus``) and the ``rho1`` and ``rho2`` fixtures, simulated on
+the tomography schedule at ``SourceConfig``'s defaults at seeds 0-99, each
+fitted from three starts: the default one, the linear inversion's matrix and
+the source state.  About half of them search (549 at the time of writing);
+the rest return their physical linear inversion.  The ``linear`` start gives
+the default start's fit bit for bit, since both start from the same
+inversion; it is kept because it is the call the tomography workloads make
+(``mle_reconstruct(run, seed_matrix=linear.matrix)``).  Each fit is written
+to ``searches/<source>-s<seed>-<start>/fit.json``: its ``path``, ``rho`` as
+the ``[re, im]`` matrix of ``states.density_matrix_to_json``, ``cost``,
+``n_evaluations``, ``iterations``, ``converged`` and the cost ``history``.
+Each side's process inherits the environment, so ``OPENBLAS_CORETYPE`` set
+for this script selects both sides' BLAS kernel.
+
+It prints how many files are byte-identical, then each side's number of
+searches and mean evaluations a search, and, for every JSON leaf that
 differs, named by command, file name and key path (list indices written
-``[]``), the number of runs in which it differs, its largest rise and its
-largest fall (the working tree's value less the parent's, and the parent's
-less the working tree's), so a one-sided bound can be read from it.  It exits 1 when anything other than a float's value differs:
-a file on one side only, a differing file that is not JSON, a changed key,
-length, string, integer, boolean or null, or a command that fails on either
-side, with a nonzero exit status or an exception (the other commands still
-run).  It exits 0 otherwise, and 2 when the revision names no commit or a
-side's commands cannot run at all.
+``[]``; the fits' files are named ``searches/fit.json``), the number of runs
+in which it differs, its largest rise and its largest fall (the working
+tree's value less the parent's, and the parent's less the working tree's),
+so a one-sided bound can be read from it.  It exits 1 when anything other
+than a float's value differs: a file on one side only, a differing file that
+is not JSON, a changed key, length, string, integer, boolean or null, or a
+command or fit that fails on either side, with a nonzero exit status or an
+exception (the others still run).  A fit is an output file like any other:
+one whose floats move while its path, counts and flag stay the same exits
+0, with its moves printed and its file counted as not byte-identical.  It
+exits 0 otherwise, and 2 when the revision names no commit or a side's
+process cannot run at all.
 """
 
 from __future__ import annotations
@@ -55,6 +76,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 import pairs  # bench/pairs.py, beside this script
@@ -66,25 +88,21 @@ TARGETS = ("phi-plus", "phi-minus", "psi-plus", "psi-minus")
 FIXTURES = ("rho1", "rho2")
 CUSTOM_ANGLES = "3,51,-17.5,80"
 
-# Runs each argv of the JSON list argv[1] through wernerlab.cli.main, with
-# the package imported from the directory argv[2], and prints, as its last
-# line, the JSON list of the commands that failed with their exit status or
-# traceback; a failed command does not stop the others.
+SOURCES = ("x=1.0", "rho1", "x=0.95", "rho2")
+FIT_SEEDS = range(100)
+STARTS = ("default", "linear", "source")
+
+# Imports the package, which must come from the directory argv[1], and this
+# script from the directory argv[2], and prints, as its last line, the JSON
+# list that run_side returns on the [argvs, fits] read as JSON from stdin.
 DRIVER = """
-import json, sys, traceback
+import json, sys
 import wernerlab
-from wernerlab.cli import main
-if not wernerlab.__file__.startswith(sys.argv[2]):
-    sys.exit(f"wernerlab imported from {wernerlab.__file__}, not {sys.argv[2]}")
-failed = []
-for argv in json.loads(sys.argv[1]):
-    try:
-        status = main(argv)
-    except Exception:
-        status = traceback.format_exc().strip()
-    if status:
-        failed.append(f"wernerlab {' '.join(argv)}: {status}")
-print(json.dumps(failed))
+if not wernerlab.__file__.startswith(sys.argv[1]):
+    sys.exit(f"wernerlab imported from {wernerlab.__file__}, not {sys.argv[1]}")
+sys.path.append(sys.argv[2])
+import outputs
+print(json.dumps(outputs.run_side(*json.load(sys.stdin))))
 """
 
 
@@ -140,10 +158,61 @@ def commands() -> list[list[str]]:
     return argvs
 
 
+def fits() -> list[tuple[str, int, str]]:
+    """The ``(source, seed, start)`` of every fit, in the order they run."""
+    return [(source, seed, start) for source in SOURCES for seed in FIT_SEEDS for start in STARTS]
+
+
+def write_fit(source: str, seed: int, start: str) -> None:
+    """Fit one run of :func:`fits` and write ``searches/<source>-s<seed>-<start>/fit.json``."""
+    from wernerlab import fixtures, states, tomography
+    from wernerlab.polarimetry import SourceConfig, simulate_counts, tomographic_settings
+
+    if source.startswith("x="):
+        state = states.werner_phi_minus(float(source[2:]))
+    else:
+        state = fixtures.load(source)
+    run = simulate_counts(state, tomographic_settings(), SourceConfig(seed=seed))
+    linear = tomography.linear_reconstruct(run).matrix
+    seed_matrix = {"default": None, "linear": linear, "source": state}[start]
+    est = tomography.MaximumLikelihood().fit(run, seed_matrix=seed_matrix)
+    doc = {"path": est.path_, "rho": states.density_matrix_to_json(est.rho_)["matrix"],
+           "cost": est.cost_, "n_evaluations": est.n_evaluations_,
+           "iterations": est.iterations_, "converged": est.converged_,
+           "history": est.cost_history_}
+    out = Path(f"searches/{source}-s{seed}-{start}/fit.json")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def run_side(argvs: list, runs: list) -> list[str]:
+    """Run each argv through ``wernerlab.cli.main``, then each fit of
+    ``runs``, in the working directory; returns the commands and fits that
+    failed, each with its exit status or traceback.  A failure does not stop
+    the others."""
+    from wernerlab.cli import main
+
+    failed = []
+    for argv in argvs:
+        try:
+            status = main(argv)
+        except Exception:
+            status = traceback.format_exc().strip()
+        if status:
+            failed.append(f"wernerlab {' '.join(argv)}: {status}")
+    for source, seed, start in runs:
+        try:
+            write_fit(source, seed, start)
+        except Exception:
+            failed.append(f"fit {source} seed {seed} from {start}: "
+                          f"{traceback.format_exc().strip()}")
+    return failed
+
+
 def run_commands(src: Path, workdir: Path) -> list[str]:
-    """Run :func:`commands` in ``workdir`` on the package in ``src``, with
-    that package's fixture files copied into ``workdir/fixtures``; returns
-    the commands that failed, each with its exit status or traceback."""
+    """Run :func:`commands`, then :func:`fits`, in ``workdir`` on the package
+    in ``src``, in one child process, with that package's fixture files
+    copied into ``workdir/fixtures``; returns what :func:`run_side` returns."""
     argvs = commands()
     (workdir / "fixtures").mkdir(parents=True, exist_ok=True)
     for name in FIXTURES:
@@ -153,9 +222,18 @@ def run_commands(src: Path, workdir: Path) -> list[str]:
         if "--out" in argv:
             (workdir / argv[argv.index("--out") + 1]).parent.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", DRIVER, json.dumps(argvs), str(src)],
-                          cwd=workdir, env=env, check=True, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", DRIVER, str(src), str(Path(__file__).parent)],
+                          input=json.dumps([argvs, fits()]), cwd=workdir, env=env, check=True,
+                          capture_output=True, text=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def searched(root: Path) -> tuple[int, float]:
+    """A run directory's number of searches and its mean evaluations a search
+    (0.0 without a search)."""
+    docs = [json.loads(path.read_bytes()) for path in root.glob("searches/*/fit.json")]
+    evals = [doc["n_evaluations"] for doc in docs if doc["path"] == "search"]
+    return len(evals), (sum(evals) / len(evals) if evals else 0.0)
 
 
 def leaf_differences(a, b, path: str = "") -> tuple[list, list]:
@@ -188,7 +266,8 @@ def leaf_differences(a, b, path: str = "") -> tuple[list, list]:
 
 def compare(parent: Path, change: Path) -> dict:
     """Compare every file under two run directories.  Returns the number of
-    ``files`` and of ``identical`` ones, ``leaves``, which maps each differing
+    ``files`` and of ``identical`` ones, ``searches``, the :func:`searched`
+    of the parent and of the change, ``leaves``, which maps each differing
     float leaf ``"<command>/<file name> <key path>"`` to ``[runs, largest
     rise, largest fall]``, each 0.0 where the leaf never moves that way, and
     the ``other`` differences."""
@@ -223,11 +302,14 @@ def compare(parent: Path, change: Path) -> dict:
             entry[0] += 1
             entry[1] = max(entry[1], rise)
             entry[2] = max(entry[2], fall)
-    return {"files": len(names), "identical": identical, "leaves": leaves, "other": other}
+    return {"files": len(names), "identical": identical,
+            "searches": [searched(parent), searched(change)], "leaves": leaves, "other": other}
 
 
 def print_report(report: dict) -> None:
     print(f"{report['identical']} of {report['files']} files byte-identical")
+    for side, (searches, mean) in zip(("parent", "change"), report["searches"]):
+        print(f"{side}: {searches} searches, {mean:.4g} evaluations a search")
     for key, (runs, rise, fall) in sorted(report["leaves"].items()):
         print(f"  float {key}: differs in {runs} runs, rises by at most {rise:.3g}"
               f" and falls by at most {fall:.3g}")
@@ -250,7 +332,7 @@ def main(argv=None) -> int:
             try:
                 failed += [f"failed on the {side}: {cmd}" for cmd in run_commands(src, tmp / side)]
             except subprocess.CalledProcessError as exc:
-                print(f"bench/outputs.py: the {side}'s commands did not run:\n{exc.stderr}",
+                print(f"bench/outputs.py: the {side}'s process did not run:\n{exc.stderr}",
                       file=sys.stderr)
                 return 2
         report = compare(tmp / "parent", tmp / "change")

@@ -84,7 +84,7 @@ def _axis_matrix(basis: str) -> np.ndarray:
 
 def _scaling(g: complex) -> np.ndarray:
     g = complex(g)
-    if abs(g) > 1.0 + 1e-12:
+    if not abs(g) <= 1.0 + 1e-12:  # also refuses a NaN
         raise OutOfRangeError(f"|gamma| = {abs(g):.6f} exceeds 1")
     return np.array([[1.0, g], [np.conjugate(g), 1.0]], dtype=complex)
 
@@ -108,13 +108,16 @@ def dephase_single(rho: np.ndarray, g: complex, basis: str = "HV") -> np.ndarray
 def dephase_two_photon(rho, g1: complex, g2: complex, basis="HV") -> np.ndarray:
     """Independent dephasing of each photon of a two-photon state.
 
-    ``basis`` may be a single label applied to both arms or a pair of labels.
+    ``basis`` may be a single label applied to both arms or a pair of labels;
+    anything else raises ``UnknownLabelError``.
     """
     rho = check_hermitian(rho)
     if rho.shape != (4, 4):
         raise NonHermitianError(f"expected a 4x4 state, got shape {rho.shape}")
     if isinstance(basis, str):
         basis = (basis, basis)
+    elif not isinstance(basis, (tuple, list)) or len(basis) != 2:
+        raise UnknownLabelError(f"dephasing basis must be one label or two, got {basis!r}")
     u = kron(_axis_matrix(basis[0]), _axis_matrix(basis[1]))
     r = u.conj().T @ rho @ u
     r = r * kron(_scaling(g1), _scaling(g2))

@@ -24,8 +24,8 @@ from .errors import (
     UnknownLabelError,
     UnphysicalStateError,
 )
-from .qlinalg import _eigh, _scalar, _solve, kron
-from .states import PAULIS
+from .qlinalg import _eigh, _scalar, _solve, check_hermitian, kron
+from .states import PAULIS, bell_state
 
 _COND_LIMIT = 1e10  # largest condition number of an invertible design
 _PROB_FLOOR = 1e-12  # floor of a setting's probability in the likelihood
@@ -473,7 +473,9 @@ def bootstrap_errors(
     replicas whose maximum-likelihood search did not converge (their metrics
     are still used).  A run whose normalization block has no flux raises
     ``EmptyDataError`` as in the estimators; a replica without flux raises
-    it naming the replica and the bootstrap's seed.
+    it naming the replica and the bootstrap's seed.  An unknown ``target``
+    (``UnknownLabelError``) and a ``point`` that is not a finite Hermitian
+    4×4 matrix (``NonHermitianError``) are refused before any count is drawn.
     """
     if isinstance(n_replicas, bool) or not isinstance(n_replicas, numbers.Integral):
         raise OutOfRangeError(f"bootstrap replicas must be an integer, got {n_replicas!r}")
@@ -481,6 +483,10 @@ def bootstrap_errors(
         raise OutOfRangeError("bootstrap needs at least 2 replicas")
     if n_replicas > _MAX_REPLICAS:
         raise OutOfRangeError(f"bootstrap takes at most {_MAX_REPLICAS} replicas, got {n_replicas}")
+    bell_state(target)  # raises UnknownLabelError
+    point = check_hermitian(point)
+    if point.shape != (4, 4):
+        raise NonHermitianError(f"the bootstrap's point must be 4x4, got shape {point.shape}")
     run = _two_photon_run(records)
     _normalization(run)
     rng = np.random.Generator(np.random.PCG64(seed))

@@ -165,6 +165,29 @@ def test_dephase_two_photon_vv_diagonal_basis():
     np.testing.assert_allclose(out, np.eye(4) / 4, atol=1e-15)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda rho2, rho4: dephase_single(rho2, float("nan")), OutOfRangeError),
+    (lambda rho2, rho4: dephase_single(rho2, complex(0.5, float("nan"))), OutOfRangeError),
+    (lambda rho2, rho4: dephase_single(rho2, float("inf")), OutOfRangeError),
+    (lambda rho2, rho4: dephase_two_photon(rho4, 0.5, float("nan")), OutOfRangeError),
+    (lambda rho2, rho4: dephase_two_photon(rho4, 0.5, 0.5, basis=("HV",)), UnknownLabelError),
+    (lambda rho2, rho4: dephase_two_photon(rho4, 0.5, 0.5, basis=("HV", "DA", "XX")),
+     UnknownLabelError),
+    (lambda rho2, rho4: dephase_two_photon(rho4, 0.5, 0.5, basis=()), UnknownLabelError),
+    (lambda rho2, rho4: dephase_two_photon(rho4, 0.5, 0.5, basis=None), UnknownLabelError),
+], ids=["nan", "nan-imag", "inf", "two-photon-nan", "one-label-tuple", "three-labels",
+        "no-label", "none"])
+def test_the_channel_refuses_a_nan_gamma_and_a_basis_of_other_than_one_or_two_labels(
+        call, error):
+    rho2 = np.array([[0.6, 0.3j], [-0.3j, 0.4]], dtype=complex)
+    rho4 = pure_to_density(bell_state("phi-minus"))
+    with pytest.raises(error):
+        call(rho2, rho4)
+    # the labels as a list or a tuple, and |gamma| at the tolerance, still pass
+    pair = dephase_two_photon(rho4, 0.9, 1.0 + 1e-12, basis=("HV", "DA"))
+    assert np.array_equal(dephase_two_photon(rho4, 0.9, 1.0 + 1e-12, basis=["HV", "DA"]), pair)
+
+
 def test_gamma_from_density_roundtrip(rng):
     g = 0.42 * np.exp(1.3j)
     rho = np.array([[0.55, 0.25 - 0.1j], [0.25 + 0.1j, 0.45]], dtype=complex)

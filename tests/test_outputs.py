@@ -1,7 +1,9 @@
 """The output-comparison script's verdict on fixed documents.
 
 ``bench/outputs.py`` passes two run directories whose files differ at most in
-the values of float leaves, and fails any other difference.
+the values of float leaves, and fails any other difference; the
+maximum-likelihood fits it writes are files like the others, and it counts
+each side's searches.
 """
 
 import importlib.util
@@ -108,6 +110,78 @@ def test_a_string_difference_and_a_missing_file_fail(outputs, tmp_path):
     assert report["leaves"] == {}
 
 
+def fit(path="search", evals=200, **fields):
+    """A fit file as the fit set writes it."""
+    return {"path": path, "rho": [[[0.25, 0.0]] * 4] * 4, "cost": 7.25, "n_evaluations": evals,
+            "iterations": 40, "converged": True, "history": [9.5, 7.5, 7.25], **fields}
+
+
+FITS = {"searches/x=1.0-s0-default/fit.json": fit(),
+        "searches/x=1.0-s0-source/fit.json": fit(evals=100),
+        "searches/x=1.0-s1-default/fit.json": fit("linear", 1, iterations=0, history=[])}
+
+
+def test_the_same_fits_pass_and_their_searches_are_counted(outputs, tmp_path):
+    report = compare(outputs, tmp_path, FITS, FITS)
+    assert (report["files"], report["identical"]) == (3, 3)
+    assert (report["leaves"], report["other"]) == ({}, [])
+    assert report["searches"] == [(2, 150.0), (2, 150.0)]
+
+
+def test_a_moved_rho_or_cost_is_counted_by_fit_under_its_leaf(outputs, tmp_path):
+    change = dict(FITS)
+    name0, name1, _ = FITS
+    change[name0] = with_leaf(with_leaf(FITS[name0], ["rho", 0, 1, 1], 2.0**-60),
+                              ["history", 2], 7.25 + 2.0**-50)
+    change[name1] = with_leaf(with_leaf(FITS[name1], ["cost"], 7.25 - 2.0**-50),
+                              ["rho", 3, 3, 0], 0.25 - 2.0**-55)
+    report = compare(outputs, tmp_path, FITS, change)
+    assert (report["identical"], report["other"]) == (1, [])
+    assert report["leaves"] == {
+        "searches/fit.json rho[][][]": [2, 2.0**-60, 2.0**-55],
+        "searches/fit.json cost": [1, 0.0, 2.0**-50],
+        "searches/fit.json history[]": [1, 2.0**-50, 0.0],
+    }
+
+
+@pytest.mark.parametrize("run, field, value, searches", [
+    ("s0-source", "n_evaluations", 101, (2, 150.5)),
+    ("s0-default", "converged", False, (2, 150.0)),
+    ("s1-default", "path", "search", (3, 301 / 3)),
+], ids=["n_evaluations", "converged", "path"])
+def test_a_changed_count_flag_or_path_of_a_fit_fails(outputs, tmp_path, run, field, value,
+                                                     searches):
+    name = f"searches/x=1.0-{run}/fit.json"
+    report = compare(outputs, tmp_path, FITS, {**FITS, name: with_leaf(FITS[name], [field], value)})
+    assert len(report["other"]) == 1
+    assert report["other"][0].startswith(f"{name}: {field}: ")
+    assert report["searches"] == [(2, 150.0), searches]
+
+
+def test_a_missing_fit_fails(outputs, tmp_path):
+    change = {name: doc for name, doc in FITS.items() if "-s0-source" not in name}
+    report = compare(outputs, tmp_path, FITS, change)
+    assert report["other"] == ["searches/x=1.0-s0-source/fit.json: only in the parent"]
+    assert report["searches"] == [(2, 150.0), (1, 200.0)]
+
+
+def test_a_side_without_a_search_counts_none(outputs, tmp_path, capsys):
+    linear = {"searches/x=1.0-s1-default/fit.json": FITS["searches/x=1.0-s1-default/fit.json"]}
+    report = compare(outputs, tmp_path, linear, {})
+    assert report["searches"] == [(0, 0.0), (0, 0.0)]
+    outputs.print_report(report)
+    assert capsys.readouterr().out.splitlines()[1:3] == [
+        "parent: 0 searches, 0 evaluations a search", "change: 0 searches, 0 evaluations a search"]
+
+
+def test_the_fit_set(outputs):
+    runs = outputs.fits()
+    assert len(runs) == 1200
+    # each source's seeds in turn, each seed from the three starts
+    assert runs == [(source, seed, start) for source in ("x=1.0", "rho1", "x=0.95", "rho2")
+                    for seed in range(100) for start in ("default", "linear", "source")]
+
+
 def test_the_command_set(outputs):
     argvs = outputs.commands()
     pipelines = [a for a in argvs if a[0] == "pipeline"]
@@ -156,9 +230,18 @@ def test_a_failed_command_is_reported_and_the_rest_still_run(outputs, monkeypatc
         ["gen-state", "bell", "eta-plus", "--out", "bad/state.json"],
         ["gen-state", "bell", "phi-minus", "--out", "good/state.json"],
     ])
+    monkeypatch.setattr(outputs, "fits", lambda: [("x=2.0", 0, "default"), ("x=1.0", 3, "source")])
     failed = outputs.run_commands(BENCH.parent / "src", tmp_path)
-    assert failed == ["wernerlab gen-state bell eta-plus --out bad/state.json: 2"]
+    assert failed[0] == "wernerlab gen-state bell eta-plus --out bad/state.json: 2"
+    assert failed[1].startswith("fit x=2.0 seed 0 from default: Traceback")
+    assert "OutOfRangeError" in failed[1]
+    assert len(failed) == 2
     assert (tmp_path / "good" / "state.json").is_file()
+    doc = json.loads((tmp_path / "searches" / "x=1.0-s3-source" / "fit.json").read_text())
+    assert list(doc) == ["path", "rho", "cost", "n_evaluations", "iterations", "converged",
+                         "history"]
+    assert doc["path"] == "search"
+    assert len(doc["rho"]) == 4
 
 
 def test_main_exits_2_on_a_revision_that_names_no_commit(outputs, monkeypatch, capsys):

@@ -124,6 +124,25 @@ def test_two_photon_estimators_refuse_a_one_photon_run(estimate):
         estimate(run)
 
 
+def no_draw(*args):
+    raise AssertionError("poisson_sample called")
+
+
+@pytest.mark.parametrize("point, target, error", [
+    (werner_phi_minus(0.5), "bogus", UnknownLabelError),
+    (np.eye(2) / 2.0, "phi-minus", NonHermitianError),
+    (np.stack([werner_phi_minus(0.5)] * 2), "phi-minus", NonHermitianError),
+    (np.triu(werner_phi_minus(0.5) + 0.1), "phi-minus", NonHermitianError),
+    (np.full((4, 4), np.nan), "phi-minus", NonHermitianError),
+], ids=["target", "2x2", "stack", "not-hermitian", "nan"])
+def test_bootstrap_refuses_its_target_and_point_before_it_draws(monkeypatch, point, target,
+                                                                error):
+    recs = exact_records(werner_phi_minus(0.5))
+    monkeypatch.setattr(polarimetry, "poisson_sample", no_draw)
+    with pytest.raises(error):
+        bootstrap_errors(recs, point, n_replicas=3, target=target)
+
+
 def test_linear_inversion_duplicate_settings_singular():
     recs = exact_records(werner_phi_minus(0.5))
     dup = take(recs, [0, 1, 2, 3] + [4] * 12)
