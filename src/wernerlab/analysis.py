@@ -10,7 +10,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import polarimetry
-from .errors import EmptyDataError, NotPSDError, OutOfRangeError, UnknownLabelError
+from .errors import (
+    EmptyDataError,
+    NonHermitianError,
+    NotPSDError,
+    OutOfRangeError,
+    UnknownLabelError,
+)
 from .qlinalg import _PSD_CLAMP, _eigvalsh, _scalar, check_hermitian, kron, psd_sqrt
 from .states import SIGMA_Y, bell_state, pure_to_density
 
@@ -24,6 +30,14 @@ _X_HI = 1.0
 
 # The spin flip sy x sy of the concurrence.
 _SPIN_FLIP = kron(SIGMA_Y, SIGMA_Y)
+
+
+def _check_two_photon(rho: np.ndarray) -> np.ndarray:
+    """``rho``, raising ``NonHermitianError`` unless it is one 4x4 state or a
+    ``(..., 4, 4)`` stack of them."""
+    if rho.shape[-2:] != (4, 4):
+        raise NonHermitianError(f"expected a 4x4 state, got shape {rho.shape}")
+    return rho
 
 
 def _root_spectrum(m: np.ndarray) -> np.ndarray:
@@ -66,7 +80,7 @@ def linear_entropy(rho: np.ndarray):
     """Normalized linear entropy ``4/3 * (1 - tr(rho**2))`` of a two-photon
     state (or of each state of a stack); 0 for pure states, 1 for the
     maximally mixed state."""
-    rho = check_hermitian(rho)
+    rho = _check_two_photon(check_hermitian(rho))
     purity = np.trace(rho @ rho, axis1=-2, axis2=-1).real
     return _scalar(4.0 / 3.0 * (1.0 - purity))
 
@@ -79,7 +93,7 @@ def concurrence(rho: np.ndarray):
     ``sqrt(rho) rho_tilde sqrt(rho)`` with ``rho_tilde = (sy x sy) rho*
     (sy x sy)``, combined as ``max(0, l1 - l2 - l3 - l4)``.
     """
-    rho = check_hermitian(rho)
+    rho = _check_two_photon(check_hermitian(rho))
     root = psd_sqrt(rho)
     lam = _root_spectrum(root @ (_SPIN_FLIP @ rho.conj() @ _SPIN_FLIP) @ root)
     return _scalar(np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]))
@@ -194,7 +208,7 @@ def fit_werner(rho: np.ndarray, target: str = "phi-minus") -> WernerFit:
     leaves the stack when it stops, so every state gets the values it gets
     alone.
     """
-    root = psd_sqrt(rho)
+    root = _check_two_photon(psd_sqrt(rho))
     shape = root.shape[:-2]
     a1 = (root @ pure_to_density(bell_state(target)) @ root).reshape(-1, 4, 4)
     a0 = (root @ root / 4.0).reshape(-1, 4, 4)
@@ -258,10 +272,11 @@ DEFAULT_ANGLES = _OPTIMAL_ANGLES["phi-minus"]
 def chsh_value(rho: np.ndarray, angles: ChshAngles = DEFAULT_ANGLES):
     """CHSH combination ``S = E(t1,t2) + E(t1',t2) + E(t1,t2') - E(t1',t2')``
     evaluated exactly on a two-photon state, or on each state of a stack:
-    each ``E = p1 + p2 - p3 - p4`` is :func:`polarimetry.correlation_E` on
-    the Born probabilities of a :func:`chsh_schedule` quadruple, read from
-    its projector stack (the denominator is ``tr rho = 1``)."""
-    rho = check_hermitian(rho)
+    each ``E = p1 + p2 - p3 - p4`` is read from the Born probabilities of a
+    :func:`chsh_schedule` quadruple ``(a, b), (a_perp, b_perp), (a_perp, b),
+    (a, b_perp)``, taken from its projector stack (the denominator is ``tr
+    rho = 1``)."""
+    rho = _check_two_photon(check_hermitian(rho))
     stack = polarimetry._schedule_stack(chsh_schedule(angles))
     p = np.matmul(stack, rho.reshape(*rho.shape[:-2], 16, 1)).real[..., 0]
     e = p[..., 0::4] + p[..., 1::4] - p[..., 2::4] - p[..., 3::4]
@@ -293,8 +308,8 @@ def chsh_schedule(angles: ChshAngles) -> tuple:
     set and process; a tuple that hashes once, since every caller shares it.
 
     Each of the four angle pairs contributes a quadruple ordered
-    ``(a, b), (a+90, b+90), (a+90, b), (a, b+90)`` to match
-    :func:`polarimetry.correlation_E`.
+    ``(a, b), (a+90, b+90), (a+90, b), (a, b+90)``, the order of
+    ``E = (C1 + C2 - C3 - C4) / (C1 + C2 + C3 + C4)``.
     """
     t1, t1p, t2, t2p = angles.as_tuple()
     settings = []

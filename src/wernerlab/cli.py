@@ -5,7 +5,8 @@ them, all or none, with a ``<output>.manifest.json`` next to the first one
 containing the fully resolved argument vector; running ``argv[1:]`` again
 rewrites the same outputs byte for byte.  Exit codes: 0 on success, 2 for
 input or parameter errors, 3 for numerical failures (singular systems, empty
-data, non-convergence under ``--strict``).
+data, non-convergence under ``--strict``, a search start whose projection
+onto the states is lost to round-off).
 """
 
 from __future__ import annotations

@@ -21,10 +21,6 @@ class OutOfRangeError(WernerlabError):
     """A scalar parameter lies outside its admissible interval."""
 
 
-class NotUnitaryError(WernerlabError):
-    """A matrix expected to be unitary fails U @ U.conj().T == I."""
-
-
 class UnknownLabelError(WernerlabError):
     """A polarization or Bell-state label is not recognised."""
 

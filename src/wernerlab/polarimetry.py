@@ -145,11 +145,6 @@ def _born_probabilities(rho: np.ndarray, settings) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def born_probability(rho: np.ndarray, setting: AnalyzerSetting) -> float:
-    """Detection probability of a setting on a one- or two-photon state."""
-    return float(_born_probabilities(rho, [setting])[0])
-
-
 def tomographic_settings() -> list[AnalyzerSetting]:
     """The 16-setting two-photon tomography schedule.
 
@@ -163,9 +158,6 @@ def tomographic_settings() -> list[AnalyzerSetting]:
         ("V", "D"), ("V", "L"), ("H", "L"), ("R", "L"),
     ]
     return [AnalyzerSetting(a, b) for a, b in pairs]
-
-
-NORMALIZATION_BLOCK = (("H", "H"), ("H", "V"), ("V", "V"), ("V", "H"))
 
 
 @dataclass(frozen=True)
@@ -196,8 +188,10 @@ class CountRun:
     ``settings`` is held as a tuple that hashes once, the key under which
     every schedule memo finds the run.  ``counts`` is held as a read-only
     int64 copy, of shape ``(n,)`` for the ``n`` settings or ``(R, n)`` for
-    ``R`` runs on one schedule; an unsigned count that int64 cannot hold is
-    refused, and its position named.  Every estimator takes one run, and
+    ``R`` runs on one schedule.  ``OutOfRangeError`` refuses a negative count
+    and an unsigned one that int64 cannot hold, naming its position, a
+    duration that is not finite and positive, and an accidental rate that is
+    not finite and non-negative.  Every estimator takes one run, and
     ``len`` gives its number of settings.
     """
 
@@ -213,19 +207,28 @@ class CountRun:
         settings = _Settings(self.settings)
         if counts.ndim not in (1, 2) or counts.shape[-1] != len(settings):
             raise ValueError(f"counts of shape {counts.shape} do not fit {len(settings)} settings")
-        if counts.dtype.kind == "u":
-            over = np.flatnonzero(counts > np.uint64(_INT64_MAX))
-            if over.size:
-                row, i = divmod(int(over[0]), len(settings))
+        if counts.size:
+            # a count that int64 cannot hold is the largest of unsigned counts,
+            # and a count below zero the lowest of signed ones
+            at = int(counts.argmax() if counts.dtype.kind == "u" else counts.argmin())
+            count = counts.item(at)
+            if not 0 <= count <= _INT64_MAX:
+                row, i = divmod(at, len(settings))
                 where = f"row {row + 1} of {len(counts)}: " if counts.ndim == 2 else ""
+                why = "below zero" if count < 0 else "that int64 cannot hold"
                 raise OutOfRangeError(f"{where}record {i + 1} of {len(settings)} has a count "
-                                      f"{counts.flat[over[0]]} that int64 cannot hold")
+                                      f"{count} {why}")
+        duration, rate = float(self.duration), float(self.accidental_rate)
+        if not 0.0 < duration < math.inf:
+            raise OutOfRangeError(f"integration time must be finite and positive, got {duration}")
+        if not 0.0 <= rate < math.inf:
+            raise OutOfRangeError(f"accidental rate must be finite and non-negative, got {rate}")
         counts = counts.astype(np.int64)  # a copy, so no caller can write it
         counts.flags.writeable = False
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "duration", float(self.duration))
-        object.__setattr__(self, "accidental_rate", float(self.accidental_rate))
+        object.__setattr__(self, "duration", duration)
+        object.__setattr__(self, "accidental_rate", rate)
 
     @property
     def accidentals(self) -> float:
@@ -293,28 +296,16 @@ def simulate_counts(
 
 
 def _correlation(pairs) -> float:
-    """``E`` of a quadruple's four pair counts, each a count less its
-    expected accidentals, in :func:`correlation_E`'s order."""
+    """Polarization correlation ``E = (C1 + C2 - C3 - C4) / (C1 + C2 + C3 +
+    C4)`` of an analyzer quadruple ordered ``(a, b), (a_perp, b_perp),
+    (a_perp, b), (a, b_perp)``, each ``Ci`` its count less its expected
+    accidentals."""
     total = pairs[0] + pairs[1] + pairs[2] + pairs[3]
     if total <= 0.0:
         raise EmptyDataError(
             "the four correlation counts do not exceed their expected accidentals"
         )
     return (pairs[0] + pairs[1] - pairs[2] - pairs[3]) / total
-
-
-def correlation_E(quad) -> float:
-    """Polarization correlation from the four counts of an analyzer quadruple,
-    a four-setting run.
-
-    The quadruple is ordered ``(a, b), (a_perp, b_perp), (a_perp, b), (a,
-    b_perp)`` so that ``E = (C1 + C2 - C3 - C4) / (C1 + C2 + C3 + C4)``, with
-    each ``Ci`` the count less its expected accidentals.
-    """
-    run = _as_run(quad)
-    if len(run) != 4:
-        raise OutOfRangeError(f"a correlation needs exactly 4 records, got {len(run)}")
-    return _correlation((run.counts - run.accidentals).tolist())
 
 
 def _arm_to_json(arm):

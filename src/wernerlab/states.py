@@ -9,12 +9,11 @@ from .decoherence import dephase_two_photon
 from .errors import (
     NonHermitianError,
     NotPSDError,
-    NotUnitaryError,
     OutOfRangeError,
     UnknownLabelError,
 )
 from .polarimetry import _is_finite_real
-from .qlinalg import _HERMITICITY_TOL, _PSD_CLAMP, check_hermitian, kron, min_eigenvalue
+from .qlinalg import _HERMITICITY_TOL, _PSD_CLAMP, check_hermitian, min_eigenvalue
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -74,23 +73,6 @@ def werner_phi_minus(x: float) -> np.ndarray:
         raise OutOfRangeError(f"mixing parameter {x} outside [-1/3, 1]")
     proj = pure_to_density(bell_state("phi-minus"))
     return x * proj + (1.0 - x) / 4.0 * np.eye(4, dtype=complex)
-
-
-def check_unitary(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise NotUnitaryError(f"expected a square matrix, got shape {u.shape}")
-    dev = float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
-    if dev > _HERMITICITY_TOL:
-        raise NotUnitaryError(f"matrix deviates from unitarity by {dev:.3e}")
-    return u
-
-
-def local_unitary(rho: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Conjugate a two-photon state by ``u1 (x) u2``."""
-    rho = check_hermitian(rho)
-    u = kron(check_unitary(u1), check_unitary(u2))
-    return u @ rho @ u.conj().T
 
 
 def mix(rho_a: np.ndarray, rho_b: np.ndarray, p: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +16,10 @@ from wernerlab.analysis import (
     fidelity,
     fit_werner,
     linear_entropy,
+    state_metrics,
     tangle,
 )
-from wernerlab.errors import NotPSDError, OutOfRangeError, UnknownLabelError
+from wernerlab.errors import NonHermitianError, NotPSDError, OutOfRangeError, UnknownLabelError
 from wernerlab.polarimetry import (
     AnalyzerSetting,
     SourceConfig,
@@ -27,8 +29,8 @@ from wernerlab.polarimetry import (
 from wernerlab.qlinalg import kron
 from wernerlab.states import (
     BELL_KINDS,
+    SIGMA_X,
     bell_state,
-    local_unitary,
     pure_to_density,
     werner_phi_minus,
     werner_singlet,
@@ -120,6 +122,15 @@ def test_a_metric_whose_inner_matrix_overflows_raises(metric):
         metric()
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 2, 2)])
+@pytest.mark.parametrize("metric", [linear_entropy, tangle, chsh_value, fit_werner, state_metrics],
+                         ids=lambda f: f.__name__)
+def test_a_two_photon_metric_refuses_a_matrix_that_is_not_4x4(metric, shape):
+    rho = np.broadcast_to(np.eye(shape[-1], dtype=complex) / shape[-1], shape)
+    with pytest.raises(NonHermitianError, match=re.escape(f"expected a 4x4 state, got shape {shape}")):
+        metric(rho)
+
+
 def test_singlet_concurrence_threshold():
     for f in np.arange(0.0, 1.0 + 1e-9, 0.05):
         expected = max(0.0, 2 * f - 1)
@@ -139,11 +150,8 @@ def test_fit_werner_recovers_parameter():
 
 
 def test_fit_werner_other_targets():
-    rho = local_unitary(
-        werner_phi_minus(0.64),
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.eye(2, dtype=complex),
-    )
+    u = np.kron(SIGMA_X, np.eye(2, dtype=complex))
+    rho = u @ werner_phi_minus(0.64) @ u.conj().T
     fit = fit_werner(rho, target="psi-minus")
     assert fit.x == pytest.approx(0.64, abs=1e-4)
     assert fit.fidelity == pytest.approx(1.0, abs=1e-8)

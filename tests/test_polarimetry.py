@@ -3,17 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from wernerlab import fixtures, polarimetry
-from wernerlab.analysis import DEFAULT_ANGLES, ChshAngles, angles_for_target, chsh_schedule
+from wernerlab import fixtures, polarimetry, tomography
+from wernerlab.analysis import (
+    DEFAULT_ANGLES,
+    ChshAngles,
+    angles_for_target,
+    chsh_from_counts,
+    chsh_schedule,
+)
 from wernerlab.errors import EmptyDataError, OutOfRangeError, UnknownLabelError
 from wernerlab.polarimetry import (
-    NORMALIZATION_BLOCK,
     POLARIZATION_LABELS,
     AnalyzerSetting,
     CountRun,
     SourceConfig,
-    born_probability,
-    correlation_E,
+    _born_probabilities,
     jones_vector,
     poisson_sample,
     projector,
@@ -135,29 +139,31 @@ def test_projector_stack_rows_equal_numpy_kron_bit_for_bit(settings):
 
 def test_born_probability_bell_examples():
     rho = pure_to_density(bell_state("phi-minus"))
-    assert born_probability(rho, AnalyzerSetting("H", "H")) == pytest.approx(0.5)
-    assert born_probability(rho, AnalyzerSetting("H", "V")) == pytest.approx(0.0, abs=1e-15)
-    assert born_probability(rho, AnalyzerSetting("D", "D")) == pytest.approx(0.0, abs=1e-15)
-    assert born_probability(rho, AnalyzerSetting("D", "A")) == pytest.approx(0.5)
+    pairs = [AnalyzerSetting(a, b) for a, b in ("HH", "HV", "DD", "DA")]
+    p_hh, p_hv, p_dd, p_da = _born_probabilities(rho, pairs)
+    assert p_hh == pytest.approx(0.5)
+    assert p_hv == pytest.approx(0.0, abs=1e-15)
+    assert p_dd == pytest.approx(0.0, abs=1e-15)
+    assert p_da == pytest.approx(0.5)
     # polarizer at 45 degrees on |H>
     rho_h = np.array([[1, 0], [0, 0]], dtype=complex)
-    assert born_probability(rho_h, AnalyzerSetting(45.0)) == pytest.approx(0.5)
-    assert born_probability(rho_h, AnalyzerSetting(30.0)) == pytest.approx(0.75)
+    assert _born_probabilities(rho_h, [AnalyzerSetting(45.0)])[0] == pytest.approx(0.5)
+    assert _born_probabilities(rho_h, [AnalyzerSetting(30.0)])[0] == pytest.approx(0.75)
 
 
 def test_born_probability_shape_checks():
     rho4 = np.eye(4, dtype=complex) / 4
     rho2 = np.eye(2, dtype=complex) / 2
     with pytest.raises(UnknownLabelError):
-        born_probability(rho4, AnalyzerSetting("H"))
+        _born_probabilities(rho4, [AnalyzerSetting("H")])
     with pytest.raises(UnknownLabelError):
-        born_probability(rho2, AnalyzerSetting("H", "V"))
+        _born_probabilities(rho2, [AnalyzerSetting("H", "V")])
 
 
 def test_basis_completeness_on_random_state(rng):
     rho = random_density(rng)
     total = sum(
-        born_probability(rho, AnalyzerSetting(a, b))
+        _born_probabilities(rho, [AnalyzerSetting(a, b)])[0]
         for a in ("H", "V")
         for b in ("H", "V")
     )
@@ -168,7 +174,7 @@ def test_tomographic_settings_schedule():
     settings = tomographic_settings()
     assert len(settings) == 16
     assert [(s.arm1, s.arm2) for s in settings] == SCHEDULE
-    assert NORMALIZATION_BLOCK == tuple(SCHEDULE[:4])
+    assert tomography._block(tuple(settings)).tolist() == [0, 1, 2, 3]
 
 
 def test_source_config_validation():
@@ -212,7 +218,7 @@ def test_simulate_counts_exact_mode():
     assert len(recs) == 16
     flux = 300.0 * 100.0
     for setting, count in zip(recs.settings, recs.counts.tolist()):
-        p = born_probability(rho, setting)
+        p = _born_probabilities(rho, [setting])[0]
         assert count == round(flux * p + 1.0 * 100.0)
     assert recs.duration == 100.0
 
@@ -294,22 +300,25 @@ def test_simulate_counts_empty_and_mixed_schedules():
         simulate_counts(_reduced(rho), mixed[::-1], SourceConfig())
 
 
+def _chsh_run(counts):
+    """A counted CHSH run at t1 = t2 = 0, whose first quadruple is HH, VV, VH, HV."""
+    return CountRun(chsh_schedule(ChshAngles(0.0, 45.0, 0.0, 45.0)), np.array(counts), 100.0)
+
+
 def test_correlation_from_counts():
-    counts = {"HH": 854, "VV": 854, "VH": 146, "HV": 146}
-    pairs = (("H", "H"), ("V", "V"), ("V", "H"), ("H", "V"))
-    quad = CountRun([AnalyzerSetting(a, b) for a, b in pairs],
-                    np.array([counts[a + b] for a, b in pairs]), 100.0)
+    run = _chsh_run([854, 854, 146, 146] * 4)
+    assert [(s.arm1, s.arm2) for s in run.settings[:4]] == [(0.0, 0.0), (90.0, 90.0),
+                                                            (90.0, 0.0), (0.0, 90.0)]
     # (854 + 854 - 146 - 146) / 2000
-    assert correlation_E(quad) == pytest.approx(0.708)
+    assert chsh_from_counts(run).correlations[0] == pytest.approx(0.708)
 
 
 def test_correlation_error_paths():
-    quad = CountRun([AnalyzerSetting(a, b) for a, b in ("HH", "VV", "VH", "HV")],
-                    np.zeros(4, dtype=np.int64), 100.0)
+    run = _chsh_run([0] * 4 + [854, 854, 146, 146] * 3)
     with pytest.raises(EmptyDataError):
-        correlation_E(quad)
+        chsh_from_counts(run)
     with pytest.raises(OutOfRangeError):
-        correlation_E(take(quad, slice(3)))
+        chsh_from_counts(take(run, slice(3)))
 
 
 def test_records_json_roundtrip():

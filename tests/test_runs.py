@@ -89,6 +89,27 @@ def test_an_unsigned_count_beyond_int64_is_refused_and_named():
     assert CountRun(tuple(SCHEDULE), counts, 100.0).counts[0] == 2**63 - 1
 
 
+GOOD = [5] * 16
+
+
+@pytest.mark.parametrize("counts, duration, rate, message", [
+    (GOOD[:15] + [-3000], 100.0, 0.0, "^record 16 of 16 has a count -3000 below zero$"),
+    ([GOOD, GOOD[:2] + [-1] + GOOD[3:]], 100.0, 0.0,
+     "^row 2 of 2: record 3 of 16 has a count -1 below zero$"),
+    (GOOD, float("nan"), 0.0, "^integration time must be finite and positive, got nan$"),
+    (GOOD, float("inf"), 0.0, "^integration time must be finite and positive, got inf$"),
+    (GOOD, 0.0, 0.0, "^integration time must be finite and positive, got 0.0$"),
+    (GOOD, -100.0, 1.0, "^integration time must be finite and positive, got -100.0$"),
+    (GOOD, 100.0, float("nan"), "^accidental rate must be finite and non-negative, got nan$"),
+    (GOOD, 100.0, float("inf"), "^accidental rate must be finite and non-negative, got inf$"),
+    (GOOD, 100.0, -1.0, "^accidental rate must be finite and non-negative, got -1.0$"),
+], ids=["negative-count", "negative-count-in-a-stack", "nan-duration", "inf-duration",
+        "zero-duration", "negative-duration", "nan-rate", "inf-rate", "negative-rate"])
+def test_a_run_refuses_what_no_run_can_hold(counts, duration, rate, message):
+    with pytest.raises(OutOfRangeError, match=message):
+        CountRun(tuple(SCHEDULE), np.array(counts), duration, rate)
+
+
 def test_an_expected_count_beyond_int64_is_refused():
     huge = SourceConfig(pair_rate=1e300, duration=1e300)  # an infinite flux
     with pytest.raises(OutOfRangeError, match="int64"):
@@ -104,7 +125,6 @@ ENTRY_POINTS = {
     "single_qubit_reconstruct": tomography.single_qubit_reconstruct,
     "bootstrap_errors": lambda run: tomography.bootstrap_errors(run, POINT, n_replicas=2),
     "chsh_from_counts": analysis.chsh_from_counts,
-    "correlation_E": polarimetry.correlation_E,
     "records_to_json": records_to_json,
 }
 

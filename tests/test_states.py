@@ -6,7 +6,6 @@ import pytest
 from wernerlab.errors import (
     NonHermitianError,
     NotPSDError,
-    NotUnitaryError,
     OutOfRangeError,
     UnknownLabelError,
 )
@@ -16,10 +15,8 @@ from wernerlab.states import (
     SIGMA_X,
     bell_state,
     check_density_matrix,
-    check_unitary,
     density_matrix_from_json,
     density_matrix_to_json,
-    local_unitary,
     mix,
     pure_to_density,
     source_state,
@@ -99,17 +96,10 @@ def test_werner_singlet_range():
 def test_werner_families_related_by_sigma_x():
     """sigma_x on one arm maps the phi-minus family onto the singlet family
     with fidelity parameter f = (3x + 1) / 4."""
-    eye = np.eye(2, dtype=complex)
+    u = np.kron(SIGMA_X, np.eye(2, dtype=complex))
     for x in np.linspace(0.0, 1.0, 11):
-        rotated = local_unitary(werner_phi_minus(x), SIGMA_X, eye)
+        rotated = u @ werner_phi_minus(x) @ u.conj().T
         np.testing.assert_allclose(rotated, werner_singlet((3 * x + 1) / 4), atol=1e-12)
-
-
-def test_local_unitary_checks_unitarity():
-    with pytest.raises(NotUnitaryError):
-        local_unitary(np.eye(4) / 4, np.array([[1, 1], [0, 1]], dtype=complex), np.eye(2))
-    with pytest.raises(NotUnitaryError):
-        check_unitary(2 * np.eye(2, dtype=complex))
 
 
 def test_mix_is_convex(rng):

@@ -19,7 +19,7 @@ from wernerlab.polarimetry import (
     AnalyzerSetting,
     CountRun,
     SourceConfig,
-    born_probability,
+    _born_probabilities,
     simulate_counts,
     tomographic_settings,
 )
@@ -72,8 +72,8 @@ def test_linear_inversion_werner_spectrum():
 def test_linear_inversion_predict_gives_probabilities():
     rho = werner_phi_minus(0.5)
     est = LinearInversion().fit(exact_records(rho))
-    probs = [born_probability(est.matrix_, s) for s in SCHEDULE]
-    expected = [born_probability(rho, s) for s in SCHEDULE]
+    probs = [_born_probabilities(est.matrix_, [s])[0] for s in SCHEDULE]
+    expected = [_born_probabilities(rho, [s])[0] for s in SCHEDULE]
     np.testing.assert_allclose(probs, expected, atol=1e-5)
 
 
