@@ -71,9 +71,12 @@ def _fidelity(m: np.ndarray):
 def fidelity(a: np.ndarray, b: np.ndarray):
     """Uhlmann fidelity ``(tr sqrt(m))**2``, ``m = sqrt(b) a sqrt(b)``, of two
     states, or the array of fidelities of two ``(..., 4, 4)`` stacks that
-    broadcast; one square root of ``b`` forms ``m``, read by its spectrum."""
-    root = psd_sqrt(b)
-    return _fidelity(root @ check_hermitian(a) @ root)
+    broadcast; one square root of ``b`` forms ``m``, read by its spectrum.
+    States of two sizes raise ``NonHermitianError``."""
+    root, a = psd_sqrt(b), check_hermitian(a)
+    if a.shape[-1] != root.shape[-1]:
+        raise NonHermitianError(f"states of two sizes, shapes {a.shape} and {root.shape}")
+    return _fidelity(root @ a @ root)
 
 
 def linear_entropy(rho: np.ndarray):

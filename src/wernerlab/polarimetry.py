@@ -28,7 +28,7 @@ _JONES = {
 }
 
 POLARIZATION_LABELS = tuple(_JONES)
-_SCHEDULES_KEPT = 32  # schedules whose projector stack and design are memoized
+_SCHEDULES_KEPT = 32  # schedules whose projector stack and inversion are memoized
 _INT64_MAX = 2**63 - 1  # the largest count a run holds
 
 

@@ -3,15 +3,13 @@
 Everything here targets the 2x2 and 4x4 complex matrices of two-photon
 polarization work; the checks, ``kron``, ``herm_eig``, ``psd_sqrt`` and
 ``min_eigenvalue`` also take ``(..., n, n)`` stacks of them.
-Eigendecompositions come from LAPACK through numpy's own gufunc, with a
-fixed ordering and eigenvector phase convention on top.
+Eigendecompositions come from LAPACK through numpy's own gufunc, with
+LAPACK's eigenvector phases.
 
-``_eigh``, ``_eigvalsh`` and ``_solve`` are the calls that
-``np.linalg.eigh`` and ``np.linalg.eigvalsh`` make for complex128 input and
-``np.linalg.solve`` for float64 input,
-``_umath_linalg.eigh_lo(m, signature="D->dD")``,
-``_umath_linalg.eigvalsh_lo(m, signature="D->d")`` and
-``_umath_linalg.solve(a, b, signature="dd->d")``, without the per-call
+``_eigh`` and ``_eigvalsh`` are the calls that ``np.linalg.eigh`` and
+``np.linalg.eigvalsh`` make for complex128 input,
+``_umath_linalg.eigh_lo(m, signature="D->dD")`` and
+``_umath_linalg.eigvalsh_lo(m, signature="D->d")``, without the per-call
 bookkeeping around them, so they give numpy's bits on every kernel.  They
 take finite input only, which each caller guarantees: a non-finite entry is
 refused before them, and a LAPACK failure on finite input gives NaNs with
@@ -29,7 +27,6 @@ from .errors import NonHermitianError, NotPSDError
 
 _HERMITICITY_TOL = 1e-8  # largest allowed entry of m - m.conj().T
 _PSD_CLAMP = 1e-9  # eigenvalues above -_PSD_CLAMP of a PSD matrix count as zero
-_PHASE_EPS = 1e-12
 
 
 def _eigh(m: np.ndarray):
@@ -42,12 +39,6 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
     """``np.linalg.eigvalsh(m)`` of a finite complex128 matrix or stack:
     ascending eigenvalues."""
     return _umath_linalg.eigvalsh_lo(m, signature="D->d")
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(a, b)`` of finite float64 ``(..., n, n)`` and
-    ``(..., n, k)`` arrays."""
-    return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -65,10 +56,11 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def check_square(m: np.ndarray) -> np.ndarray:
-    """Return ``m`` as a complex array of shape ``(..., n, n)``."""
+    """Return ``m`` as a complex array of shape ``(..., n, n)``, raising if it
+    is not square or holds no entry (a 0x0 matrix or an empty stack)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise NonHermitianError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.size == 0:
+        raise NonHermitianError(f"expected a square matrix with entries, got shape {m.shape}")
     return m
 
 
@@ -100,21 +92,13 @@ def herm_eig(m: np.ndarray):
     ``(..., n, n)`` stack, by ``np.linalg.eigh``'s LAPACK call (``_eigh``).
 
     Returns ``(w, v)`` with eigenvalues ``w`` sorted in descending order and
-    orthonormal eigenvectors in the columns of ``v``.  Each eigenvector is
-    phase-fixed so its first component of non-negligible magnitude is real
-    and positive, which makes repeated runs bit-identical.  For degenerate
-    eigenvalues any orthonormal basis of the eigenspace may be returned.
-    A stack gives the same values as its matrices one at a time.
+    orthonormal eigenvectors in the columns of ``v``, with the phases LAPACK
+    gives them.  For degenerate eigenvalues any orthonormal basis of the
+    eigenspace may be returned.  A stack gives the same values as its
+    matrices one at a time.
     """
     w, v = _eigh(check_hermitian(m))
-    w, v = w[..., ::-1], v[..., ::-1]
-    # Each column's first entry of non-negligible magnitude, gathered from
-    # the stack seen as (k, n, n); cheaper than take_along_axis on one matrix.
-    n = w.shape[-1]
-    first = np.argmax(np.abs(v) > _PHASE_EPS, axis=-2).reshape(-1, n)
-    cols = v.reshape(-1, n, n)
-    ref = cols[np.arange(len(cols))[:, None], first, np.arange(n)].reshape(w.shape)
-    return w, v * (ref.conj() / np.abs(ref))[..., None, :]
+    return w[..., ::-1], v[..., ::-1]
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -134,5 +118,6 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 def min_eigenvalue(m: np.ndarray):
     """Smallest eigenvalue of a Hermitian matrix, or the array of them for a
-    stack: bit for bit :func:`herm_eig`'s last, without eigenvectors to fix."""
+    stack: bit for bit :func:`herm_eig`'s last, read from the same ``_eigh``
+    call without the reversal."""
     return _scalar(_eigh(check_hermitian(m))[0][..., 0])

@@ -24,7 +24,7 @@ from .errors import (
     UnknownLabelError,
     UnphysicalStateError,
 )
-from .qlinalg import _eigh, _scalar, _solve, check_hermitian, kron
+from .qlinalg import _eigh, _scalar, check_hermitian, kron
 from .states import PAULIS, bell_state
 
 _COND_LIMIT = 1e10  # largest condition number of an invertible design
@@ -94,22 +94,26 @@ def _block(settings: tuple) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=polarimetry._SCHEDULES_KEPT)
-def _design(settings: tuple) -> np.ndarray:
-    """The real matrix mapping Stokes parameters to the probabilities of a
-    tuple of settings, 4x4 for one photon and 16x16 for two, built once per
-    process and read-only; raises, on every call, if it is not square and
-    invertible."""
+def _reconstruction(settings: tuple) -> np.ndarray:
+    """The complex matrix ``M`` of a tuple of settings that takes their
+    probabilities ``p`` to the flattened state, ``rho = p @ M`` (James et al.,
+    PRA 64, 052312 (2001)), 4x4 for one photon and 16x16 for two:
+    ``inv(design).T @ paulis``, with the real design mapping Stokes
+    parameters to ``p``.  Built once per process and read-only; raises, on
+    every call, if the design is not square and invertible."""
     stack = polarimetry._schedule_stack(settings)
     if len(stack) != stack.shape[1]:
         raise SingularSystemError("linear inversion needs exactly 4 settings for one "
                                   f"photon or 16 for two, got {len(stack)}")
-    design = (stack @ _PAULI_OPS[len(stack)].T).real
+    paulis = _PAULI_OPS[len(stack)]
+    design = (stack @ paulis.T).real
     if np.linalg.cond(design) > _COND_LIMIT:
         raise SingularSystemError(
             "the measurement settings are informationally incomplete"
         )
-    design.flags.writeable = False
-    return design
+    m = np.linalg.inv(design).T @ paulis
+    m.flags.writeable = False
+    return m
 
 
 def _invert(run, n_total):
@@ -118,21 +122,19 @@ def _invert(run, n_total):
     ``(R, n)`` run over an ``(R, 1)`` flux: ``(rho, lowest eigenvalue)``,
     with ``rho`` d x d for the ``n = d * d`` settings.
 
-    The stack takes one solve, which broadcasts the design over the rows
-    and gives each row its own one-column right-hand side (a solve of many
-    columns at once can round differently on some BLAS kernels), and one
-    stacked eigendecomposition; each row gives the values it gives alone.
+    The stack takes one product with the schedule's reconstruction matrix,
+    each row a ``(1, n)`` matrix of its own, and one stacked
+    eigendecomposition; each row gives the values it gives alone.
     The lowest eigenvalue is read from ``_eigh`` without a second Hermiticity
     check: the matrix is Hermitian by its symmetrization, and finite because
     its counts are int64 (a ``CountRun``), its flux passed
     ``_normalization`` and its design passed the condition check.
     """
     probs = (run.counts - run.accidentals) / n_total
-    stokes = _solve(_design(run.settings), probs[..., None])[..., 0]
     # matmul, not tensordot, so a stack gives the same values as one vector
-    rho = np.matmul(stokes[..., None, :], _PAULI_OPS[len(run)])
+    rho = np.matmul(probs[..., None, :], _reconstruction(run.settings))
     d = math.isqrt(len(run))
-    rho = rho.reshape(*stokes.shape[:-1], d, d)
+    rho = rho.reshape(*probs.shape[:-1], d, d)
     rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
     return rho, _scalar(_eigh(rho)[0][..., 0])
 
@@ -148,7 +150,7 @@ class LinearReconstruction:
 class LinearInversion:
     """Linear (Stokes) tomography over the 16-setting schedule.
 
-    Solves the 16x16 system mapping two-photon Stokes parameters to setting
+    Inverts the 16x16 system mapping two-photon Stokes parameters to setting
     probabilities, estimated as the counts less their expected accidentals
     over the pair flux.  The fitted matrix is Hermitian with unit trace but
     can be unphysical (negative eigenvalues) at finite counts.
@@ -158,7 +160,7 @@ class LinearInversion:
 
     def fit(self, records):
         run = _two_photon_run(records)
-        _design(run.settings)  # a schedule it cannot invert raises before the flux
+        _reconstruction(run.settings)  # a schedule it cannot invert raises before the flux
         self.n_total_ = _normalization(run)
         self.matrix_, lowest = _invert(run, self.n_total_)
         self.min_eigenvalue_ = float(lowest)
@@ -441,7 +443,7 @@ def single_qubit_reconstruct(records) -> np.ndarray:
     run = polarimetry._as_run(records)
     if any(s.arm2 is not None for s in run.settings):
         raise UnknownLabelError("single-photon records take one analyzer arm")
-    _design(run.settings)  # a schedule it cannot invert raises before the flux
+    _reconstruction(run.settings)  # a schedule it cannot invert raises before the flux
     rho, lowest = _invert(run, _normalization(run))
     return rho if lowest >= 0.0 else _nearest_state(rho, "the linear inversion")
 
@@ -462,10 +464,11 @@ def bootstrap_errors(
     replica at the observed count as mean, with the values that drawing
     replica after replica would give, on the run's settings, duration and
     accidental rate.  Each replica is reconstructed as
-    :func:`mle_reconstruct` reconstructs the original data: one linear solve
-    inverts all replicas, a physical inversion is the maximum-likelihood
-    state as it stands, and only the replicas with a negative eigenvalue run
-    the maximum-likelihood search, each as a one-row run.  :func:`analysis.state_metrics` scores
+    :func:`mle_reconstruct` reconstructs the original data: one product with
+    the schedule's reconstruction matrix inverts all replicas, a physical
+    inversion is the maximum-likelihood state as it stands, and only the
+    replicas with a negative eigenvalue run the maximum-likelihood search,
+    each as a one-row run.  :func:`analysis.state_metrics` scores
     the point and the replicas in one call on their stack, the point first,
     and gives the point the values it gets alone.  Returns ``(values,
     errors)``: the point's metrics, and the sample standard deviation of each

@@ -131,6 +131,14 @@ def test_a_two_photon_metric_refuses_a_matrix_that_is_not_4x4(metric, shape):
         metric(rho)
 
 
+@pytest.mark.parametrize("a, b", [((2, 2), (4, 4)), ((4, 4), (2, 2)), ((3, 4, 4), (3, 2, 2))],
+                         ids=["2x2-4x4", "4x4-2x2", "stacks"])
+def test_fidelity_refuses_states_of_two_sizes(a, b):
+    states = [np.broadcast_to(np.eye(s[-1], dtype=complex) / s[-1], s) for s in (a, b)]
+    with pytest.raises(NonHermitianError, match=re.escape(f"shapes {a} and {b}")):
+        fidelity(*states)
+
+
 def test_singlet_concurrence_threshold():
     for f in np.arange(0.0, 1.0 + 1e-9, 0.05):
         expected = max(0.0, 2 * f - 1)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -96,18 +98,6 @@ def test_herm_eig_deterministic(rng):
     w2, v2 = herm_eig(h.copy())
     assert np.array_equal(w1, w2)
     assert np.array_equal(v1, v2)
-
-
-def test_herm_eig_phase_convention(rng):
-    # first nonzero component of every eigenvector is real and positive
-    for _ in range(20):
-        h = random_hermitian(rng, 4)
-        _, v = herm_eig(h)
-        for k in range(4):
-            col = v[:, k]
-            lead = col[np.abs(col) > 1e-8][0]
-            assert abs(lead.imag) < 1e-12
-            assert lead.real > 0
 
 
 def test_herm_eig_degenerate_spectrum():
@@ -227,3 +217,23 @@ def test_non_finite_entries_are_refused(func, bad):
         func(bad())
     with pytest.raises(NonHermitianError, match="non-finite"):
         func(np.stack([np.eye(4) / 4.0, bad()]))
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 4), (0, 0)])
+@pytest.mark.parametrize(
+    "func",
+    [
+        psd_sqrt,
+        min_eigenvalue,
+        analysis.linear_entropy,
+        analysis.tangle,
+        analysis.chsh_value,
+        analysis.fit_werner,
+        lambda m: analysis.fidelity(m, m),
+    ],
+    ids=["psd_sqrt", "min_eigenvalue", "linear_entropy", "tangle", "chsh_value",
+         "fit_werner", "fidelity"],
+)
+def test_a_matrix_or_stack_without_entries_is_refused(func, shape):
+    with pytest.raises(NonHermitianError, match=re.escape(f"with entries, got shape {shape}")):
+        func(np.zeros(shape))

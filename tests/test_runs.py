@@ -153,7 +153,7 @@ def test_every_entry_point_refuses_what_is_not_one_run(name, kind):
 
 # ------------------------------------------------ the settings key
 
-SCHEDULE_MEMOS = (polarimetry._schedule_stack, tomography._design, tomography._block)
+SCHEDULE_MEMOS = (polarimetry._schedule_stack, tomography._reconstruction, tomography._block)
 
 # Simulates an x = 1.0 run, whose inversion is unphysical, reconstructs it
 # (so its settings key has hashed), and writes the pickled hash of its

@@ -6,9 +6,10 @@ a loop of single calls.  The bootstrap is compared with the per-replica loop
 it replaced, and the maximum-likelihood search, which forms its gradient
 only where it reads it, with the search that formed the gradient at every
 evaluation; both are kept here as references, the search with its own
-out-of-place copy of the projection onto the states.  The package's raw LAPACK
-calls, ``qlinalg._eigh`` and ``_solve``, are compared byte for byte with
-``np.linalg.eigh`` and ``np.linalg.solve``.
+out-of-place copy of the projection onto the states.  The linear inversion of
+a stack of runs is compared with its single-row inversions, and the package's
+raw LAPACK calls, ``qlinalg._eigh`` and ``_eigvalsh``, byte for byte with
+``np.linalg.eigh`` and ``np.linalg.eigvalsh``.
 """
 
 import math
@@ -79,13 +80,17 @@ def test_the_raw_eigh_is_numpys_eigh_byte_for_byte(shape):
     assert same_bytes(qlinalg._eigvalsh(m), np.linalg.eigvalsh(m))
 
 
-@pytest.mark.parametrize("rows", [None, 1, 20])
-def test_the_raw_solve_is_numpys_solve_byte_for_byte(rows):
-    assert hasattr(_umath_linalg, "solve")
-    design = tomography._design(SCHEDULE_RUN.settings)
-    rng = np.random.default_rng(4712)
-    b = rng.uniform(size=(16, 1) if rows is None else (rows, 16, 1))
-    assert same_bytes(qlinalg._solve(design, b), np.linalg.solve(design, b))
+@pytest.mark.parametrize("x", [0.0, 0.801, 1.0])
+def test_a_stacked_inversion_equals_its_single_row_inversions(x):
+    runs = [simulate_counts(werner_phi_minus(x), SCHEDULE, SourceConfig(seed=seed))
+            for seed in range(48)]
+    stack = polarimetry.CountRun(SCHEDULE_RUN.settings, np.array([run.counts for run in runs]),
+                                 SCHEDULE_RUN.duration, SCHEDULE_RUN.accidental_rate)
+    rho, lowest = tomography._invert(stack, tomography._normalization(stack)[:, None])
+    for i, run in enumerate(runs):
+        rho1, lowest1 = tomography._invert(run, tomography._normalization(run))
+        assert same_bytes(rho[i], rho1)
+        assert lowest[i] == lowest1
 
 
 WERNER = werner_phi_minus(0.6)

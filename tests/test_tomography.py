@@ -547,7 +547,7 @@ def test_mle_cost_and_gradient_match_a_per_setting_sum():
 
 def clear_schedule_memo():
     polarimetry._schedule_stack.cache_clear()
-    tomography._design.cache_clear()
+    tomography._reconstruction.cache_clear()
     tomography._block.cache_clear()
 
 
@@ -570,14 +570,14 @@ def test_memoized_stack_is_the_projector_stack_bit_for_bit(settings):
 def test_memoized_stack_and_design_are_read_only():
     key = tuple(SCHEDULE)
     stack = polarimetry._schedule_stack(key)
-    design = tomography._design(key)
+    reconstruction = tomography._reconstruction(key)
     with pytest.raises(ValueError, match="read-only"):
         stack[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        design[0, 0] = 0.0
+        reconstruction[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        design *= 2.0
-    assert tomography._design(key).tobytes() == design.tobytes()
+        reconstruction *= 2.0
+    assert tomography._reconstruction(key).tobytes() == reconstruction.tobytes()
 
 
 def fit_bits(recs):
