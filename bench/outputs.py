@@ -33,13 +33,17 @@ subcommand, in this order:
 - ``decohere-curve`` with its defaults and with ``--fwhm 9 --grid
   0:40:0.5``.
 
-After the commands the same process fits 1,200 count runs through
+After the commands the same process fits 1,500 count runs through
 ``MaximumLikelihood().fit``: the source states x = 1.0 and x = 0.95
 (``werner_phi_minus``) and the ``rho1`` and ``rho2`` fixtures, simulated on
-the tomography schedule at ``SourceConfig``'s defaults at seeds 0-99, each
-fitted from three starts: the default one, the linear inversion's matrix and
-the source state.  About half of them search (549 at the time of writing);
-the rest return their physical linear inversion.  The ``linear`` start gives
+the tomography schedule at ``SourceConfig``'s defaults, and x = 1.0 without
+accidentals (source ``x=1.0-a0``), whose searches accept their first step
+nearest to the search's opening step, so a change to the opening moves
+their bits first.  Each source is simulated at seeds 0-99 and each run
+fitted from three starts: the default one, the linear inversion's matrix
+and the source state.  Over half of them search (849 at the time of
+writing, 300 of them without accidentals); the rest return their physical
+linear inversion.  The ``linear`` start gives
 the default start's fit bit for bit, since both start from the same
 inversion; it is kept because it is the call the tomography workloads make
 (``mle_reconstruct(run, seed_matrix=linear.matrix)``).  Each fit is written
@@ -88,7 +92,7 @@ TARGETS = ("phi-plus", "phi-minus", "psi-plus", "psi-minus")
 FIXTURES = ("rho1", "rho2")
 CUSTOM_ANGLES = "3,51,-17.5,80"
 
-SOURCES = ("x=1.0", "rho1", "x=0.95", "rho2")
+SOURCES = ("x=1.0", "rho1", "x=0.95", "rho2", "x=1.0-a0")  # "-a0": without accidentals
 FIT_SEEDS = range(100)
 STARTS = ("default", "linear", "source")
 
@@ -168,11 +172,13 @@ def write_fit(source: str, seed: int, start: str) -> None:
     from wernerlab import fixtures, states, tomography
     from wernerlab.polarimetry import SourceConfig, simulate_counts, tomographic_settings
 
-    if source.startswith("x="):
-        state = states.werner_phi_minus(float(source[2:]))
+    name = source.removesuffix("-a0")
+    if name.startswith("x="):
+        state = states.werner_phi_minus(float(name[2:]))
     else:
-        state = fixtures.load(source)
-    run = simulate_counts(state, tomographic_settings(), SourceConfig(seed=seed))
+        state = fixtures.load(name)
+    accidentals = {} if name == source else {"accidental_rate": 0.0}
+    run = simulate_counts(state, tomographic_settings(), SourceConfig(seed=seed, **accidentals))
     linear = tomography.linear_reconstruct(run).matrix
     seed_matrix = {"default": None, "linear": linear, "source": state}[start]
     est = tomography.MaximumLikelihood().fit(run, seed_matrix=seed_matrix)

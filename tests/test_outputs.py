@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from wernerlab.cli import build_parser
-from wernerlab.states import BELL_KINDS
+from wernerlab.polarimetry import SourceConfig, simulate_counts, tomographic_settings
+from wernerlab.states import BELL_KINDS, werner_phi_minus
+from wernerlab.tomography import MaximumLikelihood
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -176,10 +178,23 @@ def test_a_side_without_a_search_counts_none(outputs, tmp_path, capsys):
 
 def test_the_fit_set(outputs):
     runs = outputs.fits()
-    assert len(runs) == 1200
+    assert len(runs) == 1500
     # each source's seeds in turn, each seed from the three starts
-    assert runs == [(source, seed, start) for source in ("x=1.0", "rho1", "x=0.95", "rho2")
+    assert runs == [(source, seed, start)
+                    for source in ("x=1.0", "rho1", "x=0.95", "rho2", "x=1.0-a0")
                     for seed in range(100) for start in ("default", "linear", "source")]
+
+
+def test_a_source_named_a0_is_fitted_without_accidentals(outputs, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    outputs.write_fit("x=1.0-a0", 2, "default")
+    doc = json.loads((tmp_path / "searches" / "x=1.0-a0-s2-default" / "fit.json").read_text())
+    run = simulate_counts(werner_phi_minus(1.0), tomographic_settings(),
+                          SourceConfig(accidental_rate=0.0, seed=2))
+    assert run.accidental_rate == 0.0
+    est = MaximumLikelihood().fit(run)
+    assert (doc["path"], doc["cost"], doc["n_evaluations"], doc["history"]) \
+        == ("search", est.cost_, est.n_evaluations_, est.cost_history_)
 
 
 def test_the_command_set(outputs):

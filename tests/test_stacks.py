@@ -4,8 +4,9 @@ The numerical core takes ``(..., 4, 4)`` stacks, and a single matrix is a
 batch of one on the same code, so these tests compare each stacked call with
 a loop of single calls.  The bootstrap is compared with the per-replica loop
 it replaced, and the maximum-likelihood search, which forms its gradient
-only where it reads it, with the search that formed the gradient at every
-evaluation; both are kept here as references, the search with its own
+only where it reads it and opens at a step set by the gradient's norm, with
+the search that formed the gradient at every evaluation and opened at step
+1.0; both are kept here as references, the search with its own
 out-of-place copy of the projection onto the states.  The linear inversion of
 a stack of runs is compared with its single-row inversions, and the package's
 raw LAPACK calls, ``qlinalg._eigh`` and ``_eigvalsh``, byte for byte with
@@ -357,10 +358,11 @@ def test_the_projection_is_its_out_of_place_reference_byte_for_byte():
         assert same_bytes(tomography._project_to_states(m), want)
 
 
-def reference_projected_gradient(cost, rho):
+def reference_projected_gradient(cost, rho, max_evals):
     """The FISTA search with one projection per trial and the gradient of
-    every evaluated point, under the package's stopping rules and cap."""
-    project, ftol, max_evals = reference_project, tomography._FTOL, tomography._MAX_EVALS
+    every evaluated point, opening at step 1.0, under the package's stopping
+    rule and the cap ``max_evals``."""
+    project, ftol = reference_project, tomography._FTOL
     f, grad = cost(rho)
     scale = np.linalg.norm(grad) or 1.0
 
@@ -403,20 +405,34 @@ def reference_projected_gradient(cost, rho):
     return rho, f, evals, iterations, False, history
 
 
+def opening_halvings(scale):
+    """The halvings from 1.0 to the search's opening step, the least power of
+    two at or above ``2 / scale``, at most 1."""
+    halvings, step = 0, 1.0
+    while step / 2.0 >= 2.0 / scale:
+        halvings, step = halvings + 1, step / 2.0
+    return halvings
+
+
 def assert_search_is_the_reference(run, seed_matrix=None):
-    """``MaximumLikelihood`` searches the run's counts to the reference's
-    bits: state, cost, evaluations, iterations, convergence and history."""
+    """``MaximumLikelihood`` searches the run's counts to the bits of the
+    reference, which opens at 1.0: state, cost, iterations, convergence and
+    history, with the reference's evaluations less the opening halvings the
+    search skips.  The reference is capped that many evaluations higher.
+    Returns the estimator and the halvings skipped."""
     n_total = tomography._normalization(run)
     cost = reference_cost_function(run, polarimetry._schedule_stack(run.settings), n_total)
     linear, _ = tomography._invert(run, n_total)
     start = reference_project(linear if seed_matrix is None else seed_matrix)
-    rho, f, evals, iterations, converged, history = reference_projected_gradient(cost, start)
+    skipped = opening_halvings(np.linalg.norm(cost(start)[1]) or 1.0)
+    rho, f, evals, iterations, converged, history = reference_projected_gradient(
+        cost, start, tomography._MAX_EVALS + skipped)
     est = tomography.MaximumLikelihood().fit(run, seed_matrix=seed_matrix)
     assert est.path_ == "search"
     assert est.rho_.tobytes() == rho.tobytes()
     assert (est.cost_, est.n_evaluations_, est.iterations_, est.converged_, est.cost_history_) \
-        == (f, evals, iterations, converged, history)
-    return est
+        == (f, evals - skipped, iterations, converged, history)
+    return est, skipped
 
 
 SEARCHED = {"x=1.0": werner_phi_minus(1.0), "rho1": fixtures.load("rho1")}
@@ -429,26 +445,57 @@ SEARCHED_SEEDS = [("x=1.0", seed) for seed in range(4)] + [("rho1", seed) for se
 def test_search_is_the_eager_gradient_search_bit_for_bit(source, seed, start):
     rho = SEARCHED[source]
     records = simulate_counts(rho, SCHEDULE, SourceConfig(seed=seed))
-    est = assert_search_is_the_reference(records, None if start == "linear" else rho)
+    est, _ = assert_search_is_the_reference(records, None if start == "linear" else rho)
     assert est.converged_
+
+
+LOW = SourceConfig(pair_rate=3.0, accidental_rate=0.1, duration=10.0)
 
 
 @pytest.mark.parametrize("seed, first_step", [(4, 8), (1, 10)])
 def test_search_with_an_early_first_step_is_the_reference(seed, first_step, monkeypatch):
-    """At 30 pairs a setting the first step is accepted at evaluation
-    ``first_step`` (the start is the first), after 6 or 8 halvings rather than
-    about 20."""
-    low = SourceConfig(pair_rate=3.0, accidental_rate=0.1, duration=10.0, seed=seed)
-    records = simulate_counts(werner_phi_minus(1.0), SCHEDULE, low)
-    assert_search_is_the_reference(records)
-    for max_evals, iterations in ((first_step - 1, 0), (first_step, 1)):
+    """At 30 pairs a setting the reference accepts its first step at
+    evaluation ``first_step`` (the start is the first), after 6 or 8 halvings
+    rather than about 20; the search, opening ``skipped`` halvings lower,
+    accepts it at ``first_step - skipped``.  Caps on the last rejected
+    opening trial and on the first accepted one pin it."""
+    records = simulate_counts(werner_phi_minus(1.0), SCHEDULE, replace(LOW, seed=seed))
+    _, skipped = assert_search_is_the_reference(records)
+    assert 0 < skipped < first_step - 2
+    for max_evals, iterations in ((first_step - skipped - 1, 0), (first_step - skipped, 1)):
         monkeypatch.setattr(tomography, "_MAX_EVALS", max_evals)
-        assert assert_search_is_the_reference(records).iterations_ == iterations
+        est, _ = assert_search_is_the_reference(records)
+        assert (est.n_evaluations_, est.iterations_) == (max_evals, iterations)
 
 
-@pytest.mark.parametrize("max_evals", [2, 5, 13])
+@pytest.mark.parametrize("max_evals", [2, 5, 8, 9])
 def test_search_capped_within_its_opening_halvings_is_the_reference(max_evals, monkeypatch):
+    """At seed 0 the search opens 13 halvings below 1.0 and accepts its first
+    step at evaluation 9, where the reference, opening at 1.0, accepts it at
+    evaluation 22."""
     records = simulate_counts(werner_phi_minus(1.0), SCHEDULE, SourceConfig(seed=0))
     monkeypatch.setattr(tomography, "_MAX_EVALS", max_evals)
-    est = assert_search_is_the_reference(records)
-    assert (est.n_evaluations_, est.iterations_, est.converged_) == (max_evals, 0, False)
+    est, skipped = assert_search_is_the_reference(records)
+    assert skipped == 13
+    assert (est.n_evaluations_, est.iterations_, est.converged_) \
+        == (max_evals, int(max_evals == 9), False)
+
+
+# Without accidentals, x = 1.0 searches accept their first step nearest to
+# the opening: at up to 1.21 / |grad f| at 300 pairs/s (1.52 at 1e5 pairs/s),
+# where the opening keeps the bits of any step below 4 / |grad f|.  An opening
+# at the largest power of two at or below 1 / |grad f| moves the bits of seeds
+# 2, 5, 7, 8, 10, 14, 17 and 21 of these.
+OPENING_RUNS = {"no-accidentals": SourceConfig(accidental_rate=0.0), "3-pairs-per-s": LOW}
+
+
+@pytest.mark.parametrize("level", OPENING_RUNS)
+def test_searches_opened_from_the_gradient_are_the_reference_bit_for_bit(level):
+    searched = 0
+    for seed in range(24):
+        records = simulate_counts(werner_phi_minus(1.0), SCHEDULE,
+                                  replace(OPENING_RUNS[level], seed=seed))
+        if tomography._invert(records, tomography._normalization(records))[1] < 0.0:
+            assert_search_is_the_reference(records)
+            searched += 1
+    assert searched >= 20
