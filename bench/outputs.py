@@ -1,4 +1,5 @@
-"""Compare the files that fixed commands and fits write, parent against working tree.
+"""Compare the files that fixed commands, fits and measurements write, parent
+against working tree.
 
 Usage, from the root of a checkout:
 
@@ -50,6 +51,17 @@ inversion; it is kept because it is the call the tomography workloads make
 to ``searches/<source>-s<seed>-<start>/fit.json``: its ``path``, ``rho`` as
 the ``[re, im]`` matrix of ``states.density_matrix_to_json``, ``cost``,
 ``n_evaluations``, ``iterations``, ``converged`` and the cost ``history``.
+
+Last, the same process runs 80 single-photon decoherence measurements
+(``decoherence.simulate_single_photon_experiment``, which no command
+reaches) on ``DEFAULT_SPECTRUM`` at path differences of 0, 40, 100, 152 and
+200 center wavelengths, at ``SourceConfig``'s defaults with seeds 0-7, each
+with and without ``exact``.  Each is written to
+``photon/L<path>-s<seed>[-exact]/run.json``: its reconstructed ``rho`` as
+the ``[re, im]`` 2x2 matrix, ``gamma_abs`` and the H, V, D and R
+``counts``.  With the commands' 1,006 files and the 1,500 fits that makes
+2,586 files a side.
+
 Each side's process inherits the environment, so ``OPENBLAS_CORETYPE`` set
 for this script selects both sides' BLAS kernel.
 
@@ -62,12 +74,12 @@ tree's value less the parent's, and the parent's less the working tree's),
 so a one-sided bound can be read from it.  It exits 1 when anything other
 than a float's value differs: a file on one side only, a differing file that
 is not JSON, a changed key, length, string, integer, boolean or null, or a
-command or fit that fails on either side, with a nonzero exit status or an
-exception (the others still run).  A fit is an output file like any other:
-one whose floats move while its path, counts and flag stay the same exits
-0, with its moves printed and its file counted as not byte-identical.  It
-exits 0 otherwise, and 2 when the revision names no commit or a side's
-process cannot run at all.
+command, fit or measurement that fails on either side, with a nonzero exit
+status or an exception (the others still run).  A fit is an output file
+like any other: one whose floats move while its path, counts and flag stay
+the same exits 0, with its moves printed and its file counted as not
+byte-identical.  It exits 0 otherwise, and 2 when the revision names no
+commit or a side's process cannot run at all.
 """
 
 from __future__ import annotations
@@ -95,10 +107,11 @@ CUSTOM_ANGLES = "3,51,-17.5,80"
 SOURCES = ("x=1.0", "rho1", "x=0.95", "rho2", "x=1.0-a0")  # "-a0": without accidentals
 FIT_SEEDS = range(100)
 STARTS = ("default", "linear", "source")
+PHOTON_PATHS = (0, 40, 100, 152, 200)  # in center wavelengths
 
 # Imports the package, which must come from the directory argv[1], and this
 # script from the directory argv[2], and prints, as its last line, the JSON
-# list that run_side returns on the [argvs, fits] read as JSON from stdin.
+# list that run_side returns on the [argvs, fits, photons] read as JSON from stdin.
 DRIVER = """
 import json, sys
 import wernerlab
@@ -191,9 +204,34 @@ def write_fit(source: str, seed: int, start: str) -> None:
     out.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def run_side(argvs: list, runs: list) -> list[str]:
+def photons() -> list[tuple[int, int, bool]]:
+    """The ``(path difference in center wavelengths, seed, exact)`` of every
+    single-photon run, in the order they run."""
+    return [(path, seed, exact)
+            for path in PHOTON_PATHS for seed in SEEDS for exact in (False, True)]
+
+
+def write_photon(path: int, seed: int, exact: bool) -> None:
+    """Run one measurement of :func:`photons` and write
+    ``photon/L<path>-s<seed>[-exact]/run.json``."""
+    from wernerlab import decoherence
+    from wernerlab.polarimetry import SourceConfig
+
+    spectrum = decoherence.DEFAULT_SPECTRUM
+    element = decoherence.BirefringentElement(path * spectrum.center_nm)
+    run = decoherence.simulate_single_photon_experiment(
+        spectrum, element, SourceConfig(seed=seed), exact=exact)
+    doc = {"rho": [[[z.real, z.imag] for z in row] for row in run.rho.tolist()],
+           "gamma_abs": run.gamma_abs, "counts": run.records.counts.tolist()}
+    out = Path(f"photon/L{path}-s{seed}{'-exact' if exact else ''}/run.json")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def run_side(argvs: list, runs: list, photon_runs: list) -> list[str]:
     """Run each argv through ``wernerlab.cli.main``, then each fit of
-    ``runs``, in the working directory; returns the commands and fits that
+    ``runs``, then each single-photon measurement of ``photon_runs``, in the
+    working directory; returns the commands, fits and measurements that
     failed, each with its exit status or traceback.  A failure does not stop
     the others."""
     from wernerlab.cli import main
@@ -212,13 +250,20 @@ def run_side(argvs: list, runs: list) -> list[str]:
         except Exception:
             failed.append(f"fit {source} seed {seed} from {start}: "
                           f"{traceback.format_exc().strip()}")
+    for path, seed, exact in photon_runs:
+        try:
+            write_photon(path, seed, exact)
+        except Exception:
+            failed.append(f"single photon L={path} seed {seed} exact={exact}: "
+                          f"{traceback.format_exc().strip()}")
     return failed
 
 
 def run_commands(src: Path, workdir: Path) -> list[str]:
-    """Run :func:`commands`, then :func:`fits`, in ``workdir`` on the package
-    in ``src``, in one child process, with that package's fixture files
-    copied into ``workdir/fixtures``; returns what :func:`run_side` returns."""
+    """Run :func:`commands`, :func:`fits` and :func:`photons` in ``workdir``
+    on the package in ``src``, in one child process, with that package's
+    fixture files copied into ``workdir/fixtures``; returns what
+    :func:`run_side` returns."""
     argvs = commands()
     (workdir / "fixtures").mkdir(parents=True, exist_ok=True)
     for name in FIXTURES:
@@ -229,8 +274,8 @@ def run_commands(src: Path, workdir: Path) -> list[str]:
             (workdir / argv[argv.index("--out") + 1]).parent.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", DRIVER, str(src), str(Path(__file__).parent)],
-                          input=json.dumps([argvs, fits()]), cwd=workdir, env=env, check=True,
-                          capture_output=True, text=True)
+                          input=json.dumps([argvs, fits(), photons()]), cwd=workdir, env=env,
+                          check=True, capture_output=True, text=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 

@@ -341,12 +341,15 @@ def chsh_from_counts(records) -> ChshEstimate:
 
     The settings must be the :func:`chsh_schedule` of the angles on the arms
     of settings 1, 5 and 9, which the estimate reports; other settings raise
-    :class:`UnknownLabelError` before any count is read.  Each correlation's
-    variance comes from first-order propagation of independent Poisson counts
-    through the ratio estimator: ``var(E) = 4*(B'**2*A + A'**2*B) / T'**4``
-    with ``A`` the coincident-count sum, ``B`` the anti-coincident sum, the
-    primes marking those sums less their expected accidentals, and
-    ``T' = A' + B'``.  Without accidentals this is ``4*A*B / T**3``.
+    :class:`UnknownLabelError` before any count is read.  Each quadruple's
+    correlation is ``E = (A' - B') / T'`` with ``A`` the coincident-count sum
+    (its first two settings), ``B`` the anti-coincident sum (its last two),
+    the primes marking those sums less their expected accidentals, and
+    ``T' = A' + B'``; a ``T'`` that is not positive raises
+    :class:`EmptyDataError`.  Its variance comes from first-order
+    propagation of independent Poisson counts through the ratio estimator:
+    ``var(E) = 4*(B'**2*A + A'**2*B) / T'**4``, without accidentals
+    ``4*A*B / T**3``.
     """
     run = polarimetry._as_run(records)
     if len(run) != 16:
@@ -359,10 +362,8 @@ def chsh_from_counts(records) -> ChshEstimate:
     if settings != chsh_schedule(angles):
         raise UnknownLabelError("counts do not follow the CHSH schedule of their angles")
     counts = run.counts.tolist()
-    pairs = (run.counts - run.accidentals).tolist()
     es, variances = [], []
     for q in range(0, 16, 4):
-        es.append(polarimetry._correlation(pairs[q : q + 4]))
         a = float(counts[q] + counts[q + 1])
         b = float(counts[q + 2] + counts[q + 3])
         a_pairs = a - run.accidentals - run.accidentals
@@ -370,6 +371,7 @@ def chsh_from_counts(records) -> ChshEstimate:
         t = a_pairs + b_pairs
         if t <= 0.0:
             raise EmptyDataError("a CHSH quadruple has no pair counts")
+        es.append((a_pairs - b_pairs) / t)
         variances.append(4.0 * (b_pairs**2 * a + a_pairs**2 * b) / t**4)
     s = es[0] + es[1] + es[2] - es[3]
     return ChshEstimate(float(s), float(np.sqrt(sum(variances))), tuple(es), angles)

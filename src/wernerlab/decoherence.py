@@ -22,7 +22,9 @@ from .errors import (
 )
 from .qlinalg import check_hermitian, kron
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+# The axes of a dephasing element, in the columns: H/V, or D/A.
+_AXES = {"HV": np.eye(2, dtype=complex),
+         "DA": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)}
 
 
 @dataclass(frozen=True)
@@ -74,14 +76,6 @@ def gamma(spectrum: Spectrum, element: BirefringentElement) -> complex:
     return complex(np.exp(1j * phase) * _envelope(spectrum, element.opd_nm))
 
 
-def _axis_matrix(basis: str) -> np.ndarray:
-    if basis == "HV":
-        return np.eye(2, dtype=complex)
-    if basis == "DA":
-        return _HADAMARD
-    raise UnknownLabelError(f"unknown dephasing basis {basis!r}; use 'HV' or 'DA'")
-
-
 def _scaling(g: complex) -> np.ndarray:
     g = complex(g)
     if not abs(g) <= 1.0 + 1e-12:  # also refuses a NaN
@@ -89,38 +83,31 @@ def _scaling(g: complex) -> np.ndarray:
     return np.array([[1.0, g], [np.conjugate(g), 1.0]], dtype=complex)
 
 
-def dephase_single(rho: np.ndarray, g: complex, basis: str = "HV") -> np.ndarray:
-    """Scale the off-diagonal coherence of a qubit state by ``g``.
+def dephase(rho: np.ndarray, gammas, basis: str = "HV") -> np.ndarray:
+    """Scale the coherence of each photon of a one- or two-photon state.
 
-    ``basis`` selects the axes of the dephasing element: "HV" leaves the
+    ``gammas`` holds one coherence ``g`` per photon, one or two of them, and
+    ``rho`` is the 2x2 or the 4x4 state of that many photons.  ``basis``
+    selects the axes of every photon's element: "HV" leaves the
     computational basis in place, "DA" dephases between the diagonal
-    polarizations.  ``|g| <= 1`` is required for the map to be a channel.
+    polarizations.  The state is rotated into the elements' axes, its
+    entries scaled by the Kronecker product of the photons' ``[[1, g],
+    [conj(g), 1]]`` and rotated back.  ``|g| <= 1`` is required for the map
+    to be a channel.
     """
     rho = check_hermitian(rho)
-    if rho.shape != (2, 2):
-        raise NonHermitianError(f"expected a 2x2 state, got shape {rho.shape}")
-    u = _axis_matrix(basis)
+    if np.ndim(gammas) != 1 or len(gammas) not in (1, 2):
+        raise OutOfRangeError(f"dephasing takes one gamma per photon, one or two, got {gammas!r}")
+    dim = 2 ** len(gammas)
+    if rho.shape != (dim, dim):
+        raise NonHermitianError(f"expected a {dim}x{dim} state, got shape {rho.shape}")
+    if not isinstance(basis, str) or basis not in _AXES:
+        raise UnknownLabelError(f"unknown dephasing basis {basis!r}; use 'HV' or 'DA'")
+    u, scaling = _AXES[basis], _scaling(gammas[0])
+    for g in gammas[1:]:
+        u, scaling = kron(u, _AXES[basis]), kron(scaling, _scaling(g))
     r = u.conj().T @ rho @ u
-    r = r * _scaling(g)
-    return u @ r @ u.conj().T
-
-
-def dephase_two_photon(rho, g1: complex, g2: complex, basis="HV") -> np.ndarray:
-    """Independent dephasing of each photon of a two-photon state.
-
-    ``basis`` may be a single label applied to both arms or a pair of labels;
-    anything else raises ``UnknownLabelError``.
-    """
-    rho = check_hermitian(rho)
-    if rho.shape != (4, 4):
-        raise NonHermitianError(f"expected a 4x4 state, got shape {rho.shape}")
-    if isinstance(basis, str):
-        basis = (basis, basis)
-    elif not isinstance(basis, (tuple, list)) or len(basis) != 2:
-        raise UnknownLabelError(f"dephasing basis must be one label or two, got {basis!r}")
-    u = kron(_axis_matrix(basis[0]), _axis_matrix(basis[1]))
-    r = u.conj().T @ rho @ u
-    r = r * kron(_scaling(g1), _scaling(g2))
+    r = r * scaling
     return u @ r @ u.conj().T
 
 
@@ -190,7 +177,7 @@ def simulate_single_photon_experiment(
 
     g = gamma(spectrum, element)
     diag = np.full((2, 2), 0.5, dtype=complex)
-    rho_true = dephase_single(diag, g, basis="HV")
+    rho_true = dephase(diag, (g,), "HV")
     records = polarimetry.simulate_counts(rho_true, _PHOTON_SETTINGS, config, exact=exact)
     rho_hat = tomography.single_qubit_reconstruct(records)
     return SinglePhotonRun(

@@ -295,19 +295,6 @@ def simulate_counts(
     return CountRun(settings, counts, config.duration, config.accidental_rate)
 
 
-def _correlation(pairs) -> float:
-    """Polarization correlation ``E = (C1 + C2 - C3 - C4) / (C1 + C2 + C3 +
-    C4)`` of an analyzer quadruple ordered ``(a, b), (a_perp, b_perp),
-    (a_perp, b), (a, b_perp)``, each ``Ci`` its count less its expected
-    accidentals."""
-    total = pairs[0] + pairs[1] + pairs[2] + pairs[3]
-    if total <= 0.0:
-        raise EmptyDataError(
-            "the four correlation counts do not exceed their expected accidentals"
-        )
-    return (pairs[0] + pairs[1] - pairs[2] - pairs[3]) / total
-
-
 def _arm_to_json(arm):
     if arm is None or isinstance(arm, str):
         return arm

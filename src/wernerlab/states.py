@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decoherence import dephase_two_photon
+from .decoherence import dephase
 from .errors import (
     NonHermitianError,
     NotPSDError,
@@ -97,7 +97,7 @@ def source_state(mix_x: float) -> np.ndarray:
     entangled = pure_to_density(bell_state("phi-minus"))
     vv = np.zeros((4, 4), dtype=complex)
     vv[3, 3] = 1.0
-    scrambled = dephase_two_photon(vv, 0.0, 0.0, basis="DA")
+    scrambled = dephase(vv, (0.0, 0.0), "DA")
     return mix(entangled, scrambled, mix_x)
 
 

@@ -139,6 +139,12 @@ def test_fidelity_refuses_states_of_two_sizes(a, b):
         fidelity(*states)
 
 
+def test_fidelity_of_a_matrix_with_a_negative_eigenvalue_raises():
+    a = np.diag([0.6, 0.6, 0.3, -0.5]).astype(complex)
+    with pytest.raises(NotPSDError, match="fidelity argument has eigenvalue -1.250e-01"):
+        fidelity(a, np.eye(4) / 4)
+
+
 def test_singlet_concurrence_threshold():
     for f in np.arange(0.0, 1.0 + 1e-9, 0.05):
         expected = max(0.0, 2 * f - 1)

@@ -7,9 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from wernerlab import __version__, decoherence, polarimetry
+from wernerlab import __version__, decoherence, polarimetry, tomography
 from wernerlab.cli import build_parser, main
-from wernerlab.states import density_matrix_from_json, density_matrix_to_json, werner_phi_minus
+from wernerlab.states import (
+    density_matrix_from_json,
+    density_matrix_to_json,
+    werner_phi_minus,
+    werner_singlet,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -58,6 +63,14 @@ def test_gen_state_werner(tmp_path):
     manifest = read_json(tmp_path / "state.json.manifest.json")
     assert manifest["tool"] == "wernerlab"
     assert str(out) in manifest["outputs"]
+
+
+def test_gen_state_werner_singlet(tmp_path):
+    out = tmp_path / "state.json"
+    assert run(["gen-state", "werner-singlet", "0.75", "--out", out]) == 0
+    assert np.array_equal(density_matrix_from_json(read_json(out)), werner_singlet(0.75))
+    assert read_json(tmp_path / "state.json.manifest.json")["argv"] == [
+        "wernerlab", "gen-state", "werner-singlet", "0.75", "--out", str(out)]
 
 
 def test_gen_state_bell_and_bad_value(tmp_path):
@@ -294,6 +307,32 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     chsh_counts.write_text(json.dumps(doc))
     assert run(["chsh", "--counts", chsh_counts, "--out", tmp_path / "o.json"]) == 2
     assert not (tmp_path / "o.json").exists()
+
+
+def test_angles_of_other_than_four_parts_exit_2(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    assert run(["gen-state", "werner-phi-minus", "0.801", "--out", state]) == 0
+    capsys.readouterr()
+    assert run(["simulate", state, "--schedule", "chsh", "--angles", "0,45,22.5",
+                "--out", tmp_path / "o.json"]) == 2
+    assert "--angles needs four comma-separated degrees, got '0,45,22.5'" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_reconstruct_strict_exits_3_on_a_search_that_does_not_converge(
+        tmp_path, monkeypatch, capsys):
+    state, counts = tmp_path / "state.json", tmp_path / "counts.json"
+    assert run(["gen-state", "werner-phi-minus", "1.0", "--out", state]) == 0
+    assert run(["simulate", state, "--seed", 0, "--out", counts]) == 0
+    monkeypatch.setattr(tomography, "_MAX_EVALS", 5)
+    # without --strict the unconverged search is written with its report
+    assert run(["reconstruct", counts, "--out", tmp_path / "lax.json"]) == 0
+    report = read_json(tmp_path / "lax.json.report.json")
+    assert (report["path"], report["converged"]) == ("search", False)
+    capsys.readouterr()
+    assert run(["reconstruct", counts, "--strict", "--out", tmp_path / "rho.json"]) == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert not any(p.name.startswith("rho.json") for p in tmp_path.iterdir())
 
 
 def test_non_finite_angles_are_refused_before_any_computation(tmp_path, monkeypatch, capsys):

@@ -7,14 +7,14 @@ from wernerlab.decoherence import (
     Spectrum,
     curve_to_csv,
     decoherence_curve,
-    dephase_single,
-    dephase_two_photon,
+    dephase,
     gamma,
     gamma_from_density,
     simulate_single_photon_experiment,
 )
 from wernerlab.errors import (
     DegenerateDiagonalError,
+    NonHermitianError,
     OutOfRangeError,
     UnknownLabelError,
 )
@@ -114,84 +114,115 @@ def test_gamma_sidelobe_peak():
 
 def test_dephase_single_identity_and_full():
     rho = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]], dtype=complex)
-    np.testing.assert_allclose(dephase_single(rho, 1.0), rho, atol=1e-15)
-    full = dephase_single(rho, 0.0)
+    np.testing.assert_allclose(dephase(rho, (1.0,)), rho, atol=1e-15)
+    full = dephase(rho, (0.0,))
     np.testing.assert_allclose(full, np.diag([0.7, 0.3]), atol=1e-15)
 
 
 def test_dephase_single_scales_coherence():
     rho = np.array([[0.6, 0.3j], [-0.3j, 0.4]], dtype=complex)
     g = 0.5 * np.exp(0.7j)
-    out = dephase_single(rho, g)
+    out = dephase(rho, (g,))
     assert out[0, 1] == pytest.approx(0.3j * g)
     assert out[1, 0] == pytest.approx(np.conj(0.3j * g))
     np.testing.assert_allclose(np.diag(out), np.diag(rho), atol=1e-15)
     with pytest.raises(OutOfRangeError):
-        dephase_single(rho, 1.5)
+        dephase(rho, (1.5,))
 
 
 def test_dephase_composition():
     rho = np.array([[0.6, 0.3j], [-0.3j, 0.4]], dtype=complex)
     ga, gb = 0.8 * np.exp(0.2j), 0.6 * np.exp(-1.1j)
-    once = dephase_single(dephase_single(rho, ga), gb)
-    np.testing.assert_allclose(once, dephase_single(rho, ga * gb), atol=1e-15)
+    once = dephase(dephase(rho, (ga,)), (gb,))
+    np.testing.assert_allclose(once, dephase(rho, (ga * gb,)), atol=1e-15)
 
 
 def test_dephase_diagonal_basis():
     # |V><V| is an equal superposition in the diagonal basis, so complete
     # dephasing there leaves the maximally mixed state
     rho_v = np.diag([0.0, 1.0]).astype(complex)
-    np.testing.assert_allclose(dephase_single(rho_v, 0.0, basis="DA"), np.eye(2) / 2, atol=1e-15)
+    np.testing.assert_allclose(dephase(rho_v, (0.0,), basis="DA"), np.eye(2) / 2, atol=1e-15)
     with pytest.raises(UnknownLabelError):
-        dephase_single(rho_v, 0.5, basis="RL")
+        dephase(rho_v, (0.5,), basis="RL")
 
 
 def test_dephase_two_photon_bell_coherence():
     rho = pure_to_density(bell_state("phi-minus"))
     g1, g2 = 0.9, 0.7
-    out = dephase_two_photon(rho, g1, g2)
+    out = dephase(rho, (g1, g2))
     assert out[0, 3] == pytest.approx(rho[0, 3] * g1 * g2)
     np.testing.assert_allclose(np.diag(out), np.diag(rho), atol=1e-15)
-    # per-arm bases may differ
-    out2 = dephase_two_photon(rho, 1.0, 1.0, basis=("HV", "DA"))
-    assert out2.shape == (4, 4)
-    np.testing.assert_allclose(out2, rho, atol=1e-15)
 
 
 def test_dephase_two_photon_vv_diagonal_basis():
     rho_vv = np.zeros((4, 4), dtype=complex)
     rho_vv[3, 3] = 1.0
-    out = dephase_two_photon(rho_vv, 0.0, 0.0, basis="DA")
+    out = dephase(rho_vv, (0.0, 0.0), basis="DA")
     np.testing.assert_allclose(out, np.eye(4) / 4, atol=1e-15)
 
 
+@pytest.mark.parametrize("basis", ["HV", "DA"])
+@pytest.mark.parametrize("photons", [1, 2])
+def test_dephase_rotates_scales_and_rotates_back_bit_for_bit(rng, photons, basis):
+    """Each photon's axis matrix and coherence matrix, combined by the
+    Kronecker product, in the channel's steps: rotate into the elements'
+    axes, scale entrywise, rotate back."""
+    axes = {"HV": np.eye(2, dtype=complex),
+            "DA": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)}[basis]
+    for _ in range(20):
+        rho = random_density(rng, dim=2**photons)
+        gammas = tuple(rng.uniform() * np.exp(2j * np.pi * rng.uniform()) for _ in range(photons))
+        u, scaling = axes, np.array([[1.0, gammas[0]], [np.conj(gammas[0]), 1.0]])
+        for g in gammas[1:]:
+            u = np.kron(u, axes)
+            scaling = np.kron(scaling, np.array([[1.0, g], [np.conj(g), 1.0]]))
+        expected = u @ ((u.conj().T @ rho @ u) * scaling) @ u.conj().T
+        assert dephase(rho, gammas, basis).tobytes() == expected.tobytes()
+        # gammas as a list or an array give the same bits
+        assert dephase(rho, list(gammas), basis).tobytes() == expected.tobytes()
+        assert dephase(rho, np.array(gammas), basis).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("call, error", [
-    (lambda rho2, rho4: dephase_single(rho2, float("nan")), OutOfRangeError),
-    (lambda rho2, rho4: dephase_single(rho2, complex(0.5, float("nan"))), OutOfRangeError),
-    (lambda rho2, rho4: dephase_single(rho2, float("inf")), OutOfRangeError),
-    (lambda rho2, rho4: dephase_two_photon(rho4, 0.5, float("nan")), OutOfRangeError),
-    (lambda rho2, rho4: dephase_two_photon(rho4, 0.5, 0.5, basis=("HV",)), UnknownLabelError),
-    (lambda rho2, rho4: dephase_two_photon(rho4, 0.5, 0.5, basis=("HV", "DA", "XX")),
+    (lambda rho2, rho4: dephase(rho2, (float("nan"),)), OutOfRangeError),
+    (lambda rho2, rho4: dephase(rho2, (complex(0.5, float("nan")),)), OutOfRangeError),
+    (lambda rho2, rho4: dephase(rho2, (float("inf"),)), OutOfRangeError),
+    (lambda rho2, rho4: dephase(rho4, (0.5, float("nan"))), OutOfRangeError),
+    (lambda rho2, rho4: dephase(rho2, ()), OutOfRangeError),
+    (lambda rho2, rho4: dephase(rho2, 0.5), OutOfRangeError),
+    (lambda rho2, rho4: dephase(rho4, (0.5, 0.5, 0.5)), OutOfRangeError),
+    (lambda rho2, rho4: dephase(rho4, [[0.5], [0.5]]), OutOfRangeError),
+    (lambda rho2, rho4: dephase(rho4, (0.5,)), NonHermitianError),
+    (lambda rho2, rho4: dephase(rho2, (0.5, 0.5)), NonHermitianError),
+    (lambda rho2, rho4: dephase(np.eye(8) / 8, (0.5, 0.5)), NonHermitianError),
+    (lambda rho2, rho4: dephase(rho4, (0.5, 0.5), basis=("HV", "DA")), UnknownLabelError),
+    (lambda rho2, rho4: dephase(rho4, (0.5, 0.5), basis=("HV",)), UnknownLabelError),
+    (lambda rho2, rho4: dephase(rho4, (0.5, 0.5), basis=("HV", "DA", "XX")), UnknownLabelError),
+    (lambda rho2, rho4: dephase(rho4, (0.5, 0.5), basis=()), UnknownLabelError),
+    (lambda rho2, rho4: dephase(rho4, (0.5, 0.5), basis=None), UnknownLabelError),
+    (lambda rho2, rho4: dephase(rho2, (0.5,), basis="hv"), UnknownLabelError),
+    (lambda rho2, rho4: dephase(rho2, (0.5,), basis=np.array(["HV"])), UnknownLabelError),
+    (lambda rho2, rho4: dephase(rho4, (0.5, 0.5), basis=np.array(["HV", "DA"])),
      UnknownLabelError),
-    (lambda rho2, rho4: dephase_two_photon(rho4, 0.5, 0.5, basis=()), UnknownLabelError),
-    (lambda rho2, rho4: dephase_two_photon(rho4, 0.5, 0.5, basis=None), UnknownLabelError),
-], ids=["nan", "nan-imag", "inf", "two-photon-nan", "one-label-tuple", "three-labels",
-        "no-label", "none"])
-def test_the_channel_refuses_a_nan_gamma_and_a_basis_of_other_than_one_or_two_labels(
+], ids=["nan", "nan-imag", "inf", "two-photon-nan", "no-gamma", "scalar-gamma",
+        "three-gammas", "gamma-matrix", "one-gamma-4x4", "two-gammas-2x2", "8x8",
+        "label-pair", "one-label-tuple", "three-labels", "no-label", "none", "lower-case",
+        "label-array", "label-pair-array"])
+def test_the_channel_refuses_a_nan_gamma_a_gamma_count_a_shape_and_a_basis_it_does_not_model(
         call, error):
     rho2 = np.array([[0.6, 0.3j], [-0.3j, 0.4]], dtype=complex)
     rho4 = pure_to_density(bell_state("phi-minus"))
     with pytest.raises(error):
         call(rho2, rho4)
-    # the labels as a list or a tuple, and |gamma| at the tolerance, still pass
-    pair = dephase_two_photon(rho4, 0.9, 1.0 + 1e-12, basis=("HV", "DA"))
-    assert np.array_equal(dephase_two_photon(rho4, 0.9, 1.0 + 1e-12, basis=["HV", "DA"]), pair)
+    # |gamma| at the tolerance still passes
+    dephase(rho4, (0.9, 1.0 + 1e-12), "DA")
+    dephase(rho2, (1.0 + 1e-12,))
 
 
 def test_gamma_from_density_roundtrip(rng):
     g = 0.42 * np.exp(1.3j)
     rho = np.array([[0.55, 0.25 - 0.1j], [0.25 + 0.1j, 0.45]], dtype=complex)
-    out = dephase_single(rho, g)
+    out = dephase(rho, (g,))
     est = gamma_from_density(out) / gamma_from_density(rho)
     assert est == pytest.approx(g, abs=1e-12)
 
@@ -199,6 +230,11 @@ def test_gamma_from_density_roundtrip(rng):
 def test_gamma_from_density_degenerate():
     with pytest.raises(DegenerateDiagonalError):
         gamma_from_density(np.diag([1.0, 0.0]).astype(complex))
+
+
+def test_gamma_from_density_refuses_a_two_photon_state():
+    with pytest.raises(NonHermitianError, match=r"expected a 2x2 state, got shape \(4, 4\)"):
+        gamma_from_density(np.eye(4) / 4)
 
 
 # ---------------------------------------------------------------- the curve

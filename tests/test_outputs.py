@@ -2,8 +2,8 @@
 
 ``bench/outputs.py`` passes two run directories whose files differ at most in
 the values of float leaves, and fails any other difference; the
-maximum-likelihood fits it writes are files like the others, and it counts
-each side's searches.
+maximum-likelihood fits and the single-photon measurements it writes are
+files like the others, and it counts each side's searches.
 """
 
 import importlib.util
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from wernerlab import decoherence
 from wernerlab.cli import build_parser
 from wernerlab.polarimetry import SourceConfig, simulate_counts, tomographic_settings
 from wernerlab.states import BELL_KINDS, werner_phi_minus
@@ -197,6 +198,32 @@ def test_a_source_named_a0_is_fitted_without_accidentals(outputs, tmp_path, monk
         == ("search", est.cost_, est.n_evaluations_, est.cost_history_)
 
 
+def test_the_photon_set(outputs):
+    runs = outputs.photons()
+    assert len(runs) == 80
+    # each path difference's seeds in turn, each seed without and with exact
+    assert runs == [(path, seed, exact) for path in (0, 40, 100, 152, 200)
+                    for seed in range(8) for exact in (False, True)]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_photon_run_writes_the_measurement_of_its_path_seed_and_exact(
+        outputs, tmp_path, monkeypatch, exact):
+    monkeypatch.chdir(tmp_path)
+    outputs.write_photon(40, 3, exact)
+    name = "L40-s3-exact" if exact else "L40-s3"
+    doc = json.loads((tmp_path / "photon" / name / "run.json").read_text())
+    spectrum = decoherence.DEFAULT_SPECTRUM
+    run = decoherence.simulate_single_photon_experiment(
+        spectrum, decoherence.BirefringentElement(40 * spectrum.center_nm),
+        SourceConfig(seed=3), exact=exact)
+    assert list(doc) == ["rho", "gamma_abs", "counts"]
+    assert doc["rho"] == [[[z.real, z.imag] for z in row] for row in run.rho.tolist()]
+    assert doc["gamma_abs"] == run.gamma_abs
+    assert doc["counts"] == run.records.counts.tolist()
+    assert len(doc["counts"]) == 4
+
+
 def test_the_command_set(outputs):
     argvs = outputs.commands()
     pipelines = [a for a in argvs if a[0] == "pipeline"]
@@ -246,17 +273,22 @@ def test_a_failed_command_is_reported_and_the_rest_still_run(outputs, monkeypatc
         ["gen-state", "bell", "phi-minus", "--out", "good/state.json"],
     ])
     monkeypatch.setattr(outputs, "fits", lambda: [("x=2.0", 0, "default"), ("x=1.0", 3, "source")])
+    monkeypatch.setattr(outputs, "photons", lambda: [(math.inf, 0, False), (100, 1, True)])
     failed = outputs.run_commands(BENCH.parent / "src", tmp_path)
     assert failed[0] == "wernerlab gen-state bell eta-plus --out bad/state.json: 2"
     assert failed[1].startswith("fit x=2.0 seed 0 from default: Traceback")
     assert "OutOfRangeError" in failed[1]
-    assert len(failed) == 2
+    assert failed[2].startswith("single photon L=inf seed 0 exact=False: Traceback")
+    assert "OutOfRangeError" in failed[2]
+    assert len(failed) == 3
     assert (tmp_path / "good" / "state.json").is_file()
     doc = json.loads((tmp_path / "searches" / "x=1.0-s3-source" / "fit.json").read_text())
     assert list(doc) == ["path", "rho", "cost", "n_evaluations", "iterations", "converged",
                          "history"]
     assert doc["path"] == "search"
     assert len(doc["rho"]) == 4
+    doc = json.loads((tmp_path / "photon" / "L100-s1-exact" / "run.json").read_text())
+    assert list(doc) == ["rho", "gamma_abs", "counts"]
 
 
 def test_main_exits_2_on_a_revision_that_names_no_commit(outputs, monkeypatch, capsys):

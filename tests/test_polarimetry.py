@@ -300,6 +300,21 @@ def test_simulate_counts_empty_and_mixed_schedules():
         simulate_counts(_reduced(rho), mixed[::-1], SourceConfig())
 
 
+def test_simulate_counts_refuses_a_matrix_that_is_not_a_state():
+    with pytest.raises(OutOfRangeError, match=r"expected a 2x2 or 4x4 state, got shape \(3, 3\)"):
+        simulate_counts(np.eye(3) / 3, tomographic_settings(), SourceConfig())
+    # Hermitian with unit trace, but with a negative eigenvalue
+    with pytest.raises(OutOfRangeError, match=r"Born probability 1\.500e\+00 outside \[0, 1\]"):
+        simulate_counts(np.diag([1.5, -0.5]), [AnalyzerSetting(b) for b in "HVDR"],
+                        SourceConfig())
+
+
+def test_records_to_json_refuses_a_run_without_settings():
+    empty = simulate_counts(werner_phi_minus(0.5), [], SourceConfig())
+    with pytest.raises(EmptyDataError, match="no records to serialize"):
+        records_to_json(empty)
+
+
 def _chsh_run(counts):
     """A counted CHSH run at t1 = t2 = 0, whose first quadruple is HH, VV, VH, HV."""
     return CountRun(chsh_schedule(ChshAngles(0.0, 45.0, 0.0, 45.0)), np.array(counts), 100.0)

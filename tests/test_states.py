@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from wernerlab import fixtures
 from wernerlab.errors import (
     NonHermitianError,
     NotPSDError,
@@ -163,3 +164,13 @@ def test_density_matrix_json_rejects_malformed():
                   [10**400, 0]):
         with pytest.raises(ValueError):
             density_matrix_from_json({**doc, "matrix": [[entry] * 4] * 4})
+
+
+def test_density_matrix_to_json_refuses_a_matrix_that_is_not_4x4():
+    with pytest.raises(NonHermitianError, match=r"expected a 4x4 state, got shape \(2, 2\)"):
+        density_matrix_to_json(np.eye(2) / 2)
+
+
+def test_fixtures_load_refuses_an_unknown_name():
+    with pytest.raises(UnknownLabelError, match="unknown fixture 'rho3'; expected one of rho1"):
+        fixtures.load("rho3")
