@@ -192,7 +192,9 @@ class CountRun:
     and an unsigned one that int64 cannot hold, naming its position, a
     duration that is not finite and positive, and an accidental rate that is
     not finite and non-negative.  Every estimator takes one run, and
-    ``len`` gives its number of settings.
+    ``len`` gives its number of settings.  A run cannot change, so
+    ``tomography`` keeps a one-row run's pair flux and linear inversion on it
+    once computed; pickling rebuilds a run from its fields alone.
     """
 
     settings: tuple

@@ -4,6 +4,11 @@ Every function takes one run of counts, a :class:`polarimetry.CountRun`.
 Two two-photon estimators with a ``fit`` method are provided, a direct
 linear (Stokes) inversion and a maximum-likelihood fit by accelerated
 projected gradient over the states; single photons take the same inversion.
+
+A one-row run's pair flux and linear inversion are computed on its first
+reconstruction, kept on the run and shared by every estimator and the
+bootstrap's flux check.  Every matrix returned is a fresh array, and a run
+that is refused is refused again, with the same error, on every call.
 """
 
 from __future__ import annotations
@@ -50,11 +55,12 @@ def _normalization(run):
     # a sum of one term per block setting, not a product: its rounding is the
     # one the package's outputs were written with
     accidentals = sum([run.accidentals] * len(block))
-    block_sum = run.counts[..., block].sum(axis=-1, dtype=float)
+    # the ufunc reductions that .sum and .min call, without their wrappers;
+    # the empty rows are found only to name the first of them
+    block_sum = np.add.reduce(run.counts[..., block], axis=-1, dtype=float)
     n = block_sum - accidentals
-    empty = n <= 0.0
-    if empty.any():
-        i = np.flatnonzero(empty)[0]
+    if np.minimum.reduce(n) <= 0.0:
+        i = np.flatnonzero(n <= 0.0)[0]
         where = f"replica {i + 1} of {n.size}: " if np.ndim(n) else ""
         found = float(np.ravel(block_sum)[i])
         raise EmptyDataError(
@@ -62,6 +68,32 @@ def _normalization(run):
             f"not exceed their expected accidentals {accidentals:.12g}"
         )
     return _scalar(n)
+
+
+def _flux(run):
+    """:func:`_normalization` of a one-row run, kept on the run (which cannot
+    change, and pickles without it) once taken; a refusal is not kept."""
+    n_total = getattr(run, "_flux", None)
+    if n_total is None:
+        n_total = _normalization(run)
+        object.__setattr__(run, "_flux", n_total)  # as CountRun.__post_init__ sets a field
+    return n_total
+
+
+def _linear(run):
+    """``(flux, rho, lowest eigenvalue)`` of a one-row run, its
+    :func:`_invert` over :func:`_flux`, kept on the run once taken with
+    ``rho`` read-only; a refusal is not kept.  A schedule that cannot be
+    inverted raises before the flux is read."""
+    memo = getattr(run, "_linear", None)
+    if memo is None:
+        _reconstruction(run.settings)  # a schedule it cannot invert raises before the flux
+        n_total = _flux(run)
+        rho, lowest = _invert(run, n_total)
+        rho.flags.writeable = False
+        memo = (n_total, rho, lowest)
+        object.__setattr__(run, "_linear", memo)
+    return memo
 
 
 def _two_photon_run(records):
@@ -159,11 +191,8 @@ class LinearInversion:
     """
 
     def fit(self, records):
-        run = _two_photon_run(records)
-        _reconstruction(run.settings)  # a schedule it cannot invert raises before the flux
-        self.n_total_ = _normalization(run)
-        self.matrix_, lowest = _invert(run, self.n_total_)
-        self.min_eigenvalue_ = float(lowest)
+        self.n_total_, rho, self.min_eigenvalue_ = _linear(_two_photon_run(records))
+        self.matrix_ = rho.copy()
         return self
 
 
@@ -397,17 +426,17 @@ class MaximumLikelihood:
 
     def fit(self, records, seed_matrix: np.ndarray | None = None):
         run = _two_photon_run(records)
-        n_total = _normalization(run)
+        n_total = _flux(run)
         cost, gradient = self._cost_function(
             run, polarimetry._schedule_stack(run.settings), n_total)
         linear = lowest = None
         try:
-            linear, lowest = _invert(run, n_total)
+            _, linear, lowest = _linear(run)
         except SingularSystemError:
             if seed_matrix is None:
                 raise
         if linear is not None and lowest >= 0.0:
-            self.rho_ = linear
+            self.rho_ = linear.copy()
             self.cost_ = cost(linear)[0]
             self.iterations_ = 0
             self.n_evaluations_ = 1
@@ -463,9 +492,8 @@ def single_qubit_reconstruct(records) -> np.ndarray:
     run = polarimetry._as_run(records)
     if any(s.arm2 is not None for s in run.settings):
         raise UnknownLabelError("single-photon records take one analyzer arm")
-    _reconstruction(run.settings)  # a schedule it cannot invert raises before the flux
-    rho, lowest = _invert(run, _normalization(run))
-    return rho if lowest >= 0.0 else _nearest_state(rho, "the linear inversion")
+    _, rho, lowest = _linear(run)
+    return rho.copy() if lowest >= 0.0 else _nearest_state(rho, "the linear inversion")
 
 
 def bootstrap_errors(
@@ -511,7 +539,7 @@ def bootstrap_errors(
     if point.shape != (4, 4):
         raise NonHermitianError(f"the bootstrap's point must be 4x4, got shape {point.shape}")
     run = _two_photon_run(records)
-    _normalization(run)
+    _flux(run)
     rng = np.random.Generator(np.random.PCG64(seed))
     observed = np.broadcast_to(run.counts, (n_replicas, len(run)))
     replicas = polarimetry.CountRun(run.settings, polarimetry.poisson_sample(rng, observed),

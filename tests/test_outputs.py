@@ -200,10 +200,11 @@ def test_a_source_named_a0_is_fitted_without_accidentals(outputs, tmp_path, monk
 
 def test_the_photon_set(outputs):
     runs = outputs.photons()
-    assert len(runs) == 80
-    # each path difference's seeds in turn, each seed without and with exact
+    assert len(runs) == 45
+    # each path difference's seeds in turn, seed 0 without and with exact:
+    # an exact run draws nothing, so its seed does not reach its output
     assert runs == [(path, seed, exact) for path in (0, 40, 100, 152, 200)
-                    for seed in range(8) for exact in (False, True)]
+                    for seed in range(8) for exact in (False, True) if seed == 0 or not exact]
 
 
 @pytest.mark.parametrize("exact", [False, True])

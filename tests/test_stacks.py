@@ -14,6 +14,7 @@ raw LAPACK calls, ``qlinalg._eigh`` and ``_eigvalsh``, byte for byte with
 """
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 from wernerlab import analysis, fixtures, polarimetry, qlinalg, tomography
+from wernerlab.errors import EmptyDataError, SingularSystemError, UnknownLabelError
 from wernerlab.polarimetry import SourceConfig, simulate_counts, tomographic_settings
 from wernerlab.qlinalg import herm_eig, min_eigenvalue, psd_sqrt
 from wernerlab.states import bell_state, pure_to_density, werner_phi_minus
@@ -92,6 +94,113 @@ def test_a_stacked_inversion_equals_its_single_row_inversions(x):
         rho1, lowest1 = tomography._invert(run, tomography._normalization(run))
         assert same_bytes(rho[i], rho1)
         assert lowest[i] == lowest1
+
+
+def fresh(run):
+    """A copy of ``run`` rebuilt from its fields, as pickling rebuilds it, so
+    nothing computed on ``run`` is carried over."""
+    return pickle.loads(pickle.dumps(run))
+
+
+def mle_fields(result):
+    return (result.rho.tobytes(), result.cost, result.iterations, result.converged,
+            result.path, result.n_evaluations)
+
+
+@pytest.mark.parametrize("x, seed, path", [(0.801, 0, "linear"), (1.0, 0, "search")])
+def test_a_runs_estimators_share_one_inversion_bit_for_bit(x, seed, path):
+    """Each estimator, called twice on one run, gives the bits of its first
+    call on a fresh copy of the run, and every array it returns is its own."""
+    run = simulate_counts(werner_phi_minus(x), SCHEDULE, SourceConfig(seed=seed))
+    arrays = []
+    for _ in range(2):
+        for seeded in (False, True):
+            linear = tomography.linear_reconstruct(run)
+            want = tomography.linear_reconstruct(fresh(run))
+            assert same_bytes(linear.matrix, want.matrix)
+            assert linear.min_eigenvalue == want.min_eigenvalue
+            seed_matrix = linear.matrix if seeded else None
+            mle = tomography.mle_reconstruct(run, seed_matrix=seed_matrix)
+            assert mle.path == path
+            assert mle_fields(mle) == mle_fields(
+                tomography.mle_reconstruct(fresh(run), seed_matrix=seed_matrix))
+            arrays += [linear.matrix, mle.rho]
+    # what a run keeps is not pickled: a loaded run holds its fields alone
+    assert vars(fresh(run)).keys() == {"settings", "counts", "duration", "accidental_rate"}
+    assert all(a.flags.writeable for a in arrays)
+    for i, written in enumerate(arrays):
+        before = [a.copy() for a in arrays]
+        written[...] = np.nan
+        assert all(same_bytes(a, b) for j, (a, b) in enumerate(zip(arrays, before)) if j != i)
+        arrays[i] = before[i]
+    assert same_bytes(tomography.linear_reconstruct(run).matrix,
+                      tomography.linear_reconstruct(fresh(run)).matrix)
+
+
+def test_a_single_photon_inversion_is_shared_bit_for_bit():
+    hvdr = [polarimetry.AnalyzerSetting(arm) for arm in "HVDR"]
+    run = simulate_counts(np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex), hvdr,
+                          SourceConfig(seed=4))
+    first = tomography.single_qubit_reconstruct(run)
+    second = tomography.single_qubit_reconstruct(run)
+    assert same_bytes(first, tomography.single_qubit_reconstruct(fresh(run)))
+    assert same_bytes(second, first)
+    first[...] = np.nan
+    assert same_bytes(tomography.single_qubit_reconstruct(run), second)
+
+
+def without_flux(run):
+    """``run`` with no counts in its HH/HV/VV/VH block and no accidentals."""
+    counts = np.array(run.counts)
+    counts[:4] = 0
+    return polarimetry.CountRun(run.settings, counts, run.duration, 0.0)
+
+
+INCOMPLETE = tuple(SCHEDULE[:4]) + (polarimetry.AnalyzerSetting("D", "D"),) * 12
+
+
+CALLS = {
+    "linear": tomography.linear_reconstruct,
+    "mle": tomography.mle_reconstruct,
+    "seeded": lambda run: tomography.mle_reconstruct(run, seed_matrix=np.eye(4) / 4),
+}
+
+
+def refused(name):
+    """A run that some estimator refuses, and the error of each call on it:
+    the CHSH schedule, which has no normalization block and cannot be
+    inverted, a run without flux, and an incomplete schedule with a flux."""
+    if name == "chsh":
+        chsh = simulate_counts(werner_phi_minus(0.801),
+                               analysis.chsh_schedule(analysis.DEFAULT_ANGLES), SourceConfig(seed=0))
+        return chsh, {"linear": SingularSystemError, "mle": UnknownLabelError,
+                      "seeded": UnknownLabelError}
+    if name == "no-flux":
+        return without_flux(SCHEDULE_RUN), dict.fromkeys(CALLS, EmptyDataError)
+    incomplete = polarimetry.CountRun(INCOMPLETE, SCHEDULE_RUN.counts, SCHEDULE_RUN.duration,
+                                      SCHEDULE_RUN.accidental_rate)
+    return incomplete, {"linear": SingularSystemError, "mle": SingularSystemError, "seeded": None}
+
+
+@pytest.mark.parametrize("order", [("linear", "mle", "seeded"), ("seeded", "mle", "linear"),
+                                   ("mle", "seeded", "linear")])
+@pytest.mark.parametrize("name", ["chsh", "no-flux", "incomplete"])
+def test_each_estimator_refuses_a_run_on_every_call_in_any_order(name, order):
+    """A refusal is never kept: each call on one run raises what the same
+    call raises on a fresh copy of it, with the same message, and a call
+    that succeeds leaves the others' refusals as they were."""
+    run, errors = refused(name)
+    for _ in range(2):
+        for call in order:
+            error = errors[call]
+            if error is None:
+                assert mle_fields(CALLS[call](run)) == mle_fields(CALLS[call](fresh(run)))
+                continue
+            with pytest.raises(error) as got:
+                CALLS[call](run)
+            with pytest.raises(error) as want:
+                CALLS[call](fresh(run))
+            assert str(got.value) == str(want.value)
 
 
 WERNER = werner_phi_minus(0.6)
