@@ -63,23 +63,29 @@ H, V, D and R ``counts``.  With the commands' 1,006 files and the 1,500 fits
 that makes 2,551 files a side.
 
 Each side's process inherits the environment, so ``OPENBLAS_CORETYPE`` set
-for this script selects both sides' BLAS kernel.
+for this script selects both sides' BLAS kernel.  ``--coretype KERNEL`` sets
+``OPENBLAS_CORETYPE=KERNEL`` in the working tree's child alone: run against
+the working tree's own commit, it measures how far each float moves across
+two BLAS kernels.  OpenBLAS falls back to the kernel it detects for a name it
+does not know, so check the name on the machine first.
 
 It prints how many files are byte-identical, then each side's number of
-searches and mean evaluations a search, and, for every JSON leaf that
-differs, named by command, file name and key path (list indices written
-``[]``; the fits' files are named ``searches/fit.json``), the number of runs
-in which it differs, its largest rise and its largest fall (the working
-tree's value less the parent's, and the parent's less the working tree's),
-so a one-sided bound can be read from it.  It exits 1 when anything other
-than a float's value differs: a file on one side only, a differing file that
-is not JSON, a changed key, length, string, integer, boolean or null, or a
-command, fit or measurement that fails on either side, with a nonzero exit
-status or an exception (the others still run).  A fit is an output file
-like any other: one whose floats move while its path, counts and flag stay
-the same exits 0, with its moves printed and its file counted as not
-byte-identical.  It exits 0 otherwise, and 2 when the revision names no
-commit or a side's process cannot run at all.
+searches and mean evaluations a search, and then every leaf that differs,
+grouped by command, file name and key path (list indices written ``[]``;
+the fits' files are named ``searches/fit.json``).  A float or integer leaf
+gives the number of runs in which it differs, its largest rise and its
+largest fall (the working tree's value less the parent's, and the parent's
+less the working tree's), so a one-sided bound can be read from it.  Any
+other difference gives its number of runs and the first run's file with
+what differs there.  It exits 1 when anything other than a float's value
+differs: a file on one side only, a differing file that is not JSON, a
+changed key, length, string, integer, boolean or null, or a command, fit or
+measurement that fails on either side, with a nonzero exit status or an
+exception (the others still run).  A fit is an output file like any other:
+one whose floats move while its path, counts and flag stay the same exits
+0, with its moves printed and its file counted as not byte-identical.  It
+exits 0 otherwise, and 2 when the revision names no commit or a side's
+process cannot run at all.
 """
 
 from __future__ import annotations
@@ -260,11 +266,12 @@ def run_side(argvs: list, runs: list, photon_runs: list) -> list[str]:
     return failed
 
 
-def run_commands(src: Path, workdir: Path) -> list[str]:
+def run_commands(src: Path, workdir: Path, coretype: str | None = None) -> list[str]:
     """Run :func:`commands`, :func:`fits` and :func:`photons` in ``workdir``
     on the package in ``src``, in one child process, with that package's
-    fixture files copied into ``workdir/fixtures``; returns what
-    :func:`run_side` returns."""
+    fixture files copied into ``workdir/fixtures`` and, given a
+    ``coretype``, ``OPENBLAS_CORETYPE`` set to it in the child's
+    environment; returns what :func:`run_side` returns."""
     argvs = commands()
     (workdir / "fixtures").mkdir(parents=True, exist_ok=True)
     for name in FIXTURES:
@@ -274,6 +281,8 @@ def run_commands(src: Path, workdir: Path) -> list[str]:
         if "--out" in argv:
             (workdir / argv[argv.index("--out") + 1]).parent.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(src)}
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
     done = subprocess.run([sys.executable, "-c", DRIVER, str(src), str(Path(__file__).parent)],
                           input=json.dumps([argvs, fits(), photons()]), cwd=workdir, env=env,
                           check=True, capture_output=True, text=True)
@@ -289,16 +298,17 @@ def searched(root: Path) -> tuple[int, float]:
 
 
 def leaf_differences(a, b, path: str = "") -> tuple[list, list]:
-    """The differences of two parsed JSON documents: ``(floats, other)``, with
-    ``floats`` the ``(path, b - a)`` of each float leaf whose value differs
-    and ``other`` a description of every other difference."""
+    """The differences of two parsed JSON documents: ``(numbers, other)``,
+    with ``numbers`` the ``(path, b - a)`` of each float or integer leaf
+    whose value differs (an int difference for an integer leaf) and
+    ``other`` the ``(path, description)`` of every other difference."""
     if isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
-            return [], [f"{path or '.'}: keys {list(a)} and {list(b)}"]
+            return [], [(path, f"keys {list(a)} and {list(b)}")]
         children = [(a[k], b[k], f"{path}.{k}" if path else k) for k in a]
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            return [], [f"{path}: lengths {len(a)} and {len(b)}"]
+            return [], [(path, f"lengths {len(a)} and {len(b)}")]
         children = [(x, y, f"{path}[]") for x, y in zip(a, b)]
     elif type(a) is float and type(b) is float:
         if a == b or (math.isnan(a) and math.isnan(b)):
@@ -306,65 +316,83 @@ def leaf_differences(a, b, path: str = "") -> tuple[list, list]:
         return [(path, b - a)], []
     elif type(a) is type(b) and a == b:
         return [], []
+    elif type(a) is int and type(b) is int:
+        return [(path, b - a)], []
     else:
-        return [], [f"{path or '.'}: {a!r} and {b!r}"]
-    floats, other = [], []
+        return [], [(path, f"{a!r} and {b!r}")]
+    numbers, other = [], []
     for x, y, child in children:
-        f, o = leaf_differences(x, y, child)
-        floats += f
+        n, o = leaf_differences(x, y, child)
+        numbers += n
         other += o
-    return floats, other
+    return numbers, other
 
 
 def compare(parent: Path, change: Path) -> dict:
     """Compare every file under two run directories.  Returns the number of
     ``files`` and of ``identical`` ones, ``searches``, the :func:`searched`
-    of the parent and of the change, ``leaves``, which maps each differing
-    float leaf ``"<command>/<file name> <key path>"`` to ``[runs, largest
-    rise, largest fall]``, each 0.0 where the leaf never moves that way, and
-    the ``other`` differences."""
+    of the parent and of the change, ``leaves`` and ``integers``, which map
+    each differing float or integer leaf ``"<command>/<file name> <key
+    path>"`` to ``[runs, largest rise, largest fall]``, each 0 where the
+    leaf never moves that way, and ``other``, one line for each group of
+    other differences under the same name: its number of runs and the first
+    run's file with what differs there."""
     names = sorted({p.relative_to(root).as_posix()
                     for root in (parent, change) for p in root.rglob("*") if p.is_file()})
-    identical, leaves, other = 0, {}, []
+    identical, leaves, integers, groups = 0, {}, {}, {}
     for name in names:
+        parts = name.split("/")
+        group = f"{parts[0]}/{parts[-1]}"
         a, b = parent / name, change / name
         if not (a.is_file() and b.is_file()):
-            other.append(f"{name}: only in the {'parent' if a.is_file() else 'change'}")
-            continue
-        text_a, text_b = a.read_bytes(), b.read_bytes()
-        if text_a == text_b:
+            others = [("", f"only in the {'parent' if a.is_file() else 'change'}")]
+            numbers = []
+        elif (text_a := a.read_bytes()) == (text_b := b.read_bytes()):
             identical += 1
             continue
-        try:
-            doc_a, doc_b = json.loads(text_a), json.loads(text_b)
-        except ValueError:
-            other.append(f"{name}: differs and is not JSON")
-            continue
-        floats, others = leaf_differences(doc_a, doc_b)
-        other += [f"{name}: {o}" for o in others]
-        if not (floats or others):
-            other.append(f"{name}: the same values written differently")
-        parts = name.split("/")
+        else:
+            try:
+                numbers, others = leaf_differences(json.loads(text_a), json.loads(text_b))
+            except ValueError:
+                numbers, others = [], [("", "differs and is not JSON")]
+            if not (numbers or others):
+                others = [("", "the same values written differently")]
         moved = {}
-        for path, diff in floats:
-            rise, fall = moved.get(path, (0.0, 0.0))
+        for path, diff in numbers:
+            zero = type(diff)(0)
+            rise, fall = moved.get(path, (zero, zero))
             moved[path] = (max(rise, diff), max(fall, -diff))
         for path, (rise, fall) in moved.items():
-            entry = leaves.setdefault(f"{parts[0]}/{parts[-1]} {path}", [0, 0.0, 0.0])
+            kind = leaves if type(rise) is float else integers
+            entry = kind.setdefault(f"{group} {path}", [0, type(rise)(0), type(rise)(0)])
             entry[0] += 1
             entry[1] = max(entry[1], rise)
             entry[2] = max(entry[2], fall)
+        firsts = {}
+        for path, what in others:
+            firsts.setdefault(f"{group} {path}" if path else group, what)
+        for key, what in firsts.items():
+            groups.setdefault(key, [0, f"{name}: {what}"])[0] += 1
+    other = [f"{key}: in {runs(n)}, first {first}" for key, (n, first) in groups.items()]
     return {"files": len(names), "identical": identical,
-            "searches": [searched(parent), searched(change)], "leaves": leaves, "other": other}
+            "searches": [searched(parent), searched(change)], "leaves": leaves,
+            "integers": integers, "other": other}
+
+
+def runs(n: int) -> str:
+    return f"{n} run{'s' * (n != 1)}"
 
 
 def print_report(report: dict) -> None:
     print(f"{report['identical']} of {report['files']} files byte-identical")
     for side, (searches, mean) in zip(("parent", "change"), report["searches"]):
         print(f"{side}: {searches} searches, {mean:.4g} evaluations a search")
-    for key, (runs, rise, fall) in sorted(report["leaves"].items()):
-        print(f"  float {key}: differs in {runs} runs, rises by at most {rise:.3g}"
+    for key, (n, rise, fall) in sorted(report["leaves"].items()):
+        print(f"  float {key}: differs in {runs(n)}, rises by at most {rise:.3g}"
               f" and falls by at most {fall:.3g}")
+    for key, (n, rise, fall) in sorted(report["integers"].items()):
+        print(f"  DIFFERS integer {key}: differs in {runs(n)}, rises by at most {rise}"
+              f" and falls by at most {fall}")
     for line in report["other"]:
         print(f"  DIFFERS {line}")
 
@@ -372,6 +400,8 @@ def print_report(report: dict) -> None:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="Compare command outputs, parent against working tree.")
     p.add_argument("--parent", required=True, help="git revision of the parent")
+    p.add_argument("--coretype", metavar="KERNEL",
+                   help="OPENBLAS_CORETYPE of the working tree's side alone")
     args = p.parse_args(argv)
     if not pairs.names_commit(args.parent):
         print(f"bench/outputs.py: {args.parent!r} names no commit", file=sys.stderr)
@@ -380,9 +410,11 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         pairs.export(args.parent, tmp)
         failed = []
-        for side, src in (("parent", tmp / "tree" / "src"), ("change", ROOT / "src")):
+        sides = (("parent", tmp / "tree" / "src", None), ("change", ROOT / "src", args.coretype))
+        for side, src, coretype in sides:
             try:
-                failed += [f"failed on the {side}: {cmd}" for cmd in run_commands(src, tmp / side)]
+                failed += [f"failed on the {side}: {cmd}"
+                           for cmd in run_commands(src, tmp / side, coretype)]
             except subprocess.CalledProcessError as exc:
                 print(f"bench/outputs.py: the {side}'s process did not run:\n{exc.stderr}",
                       file=sys.stderr)
@@ -390,7 +422,7 @@ def main(argv=None) -> int:
         report = compare(tmp / "parent", tmp / "change")
         report["other"] += failed
     print_report(report)
-    return int(bool(report["other"]))
+    return int(bool(report["integers"] or report["other"]))
 
 
 if __name__ == "__main__":

@@ -97,7 +97,11 @@ def concurrence(rho: np.ndarray):
     (sy x sy)``, combined as ``max(0, l1 - l2 - l3 - l4)``.
     """
     rho = _check_two_photon(check_hermitian(rho))
-    root = psd_sqrt(rho)
+    return _concurrence(rho, psd_sqrt(rho))
+
+
+def _concurrence(rho: np.ndarray, root: np.ndarray):
+    """:func:`concurrence` of a checked state (or stack) from its square root."""
     lam = _root_spectrum(root @ (_SPIN_FLIP @ rho.conj() @ _SPIN_FLIP) @ root)
     return _scalar(np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]))
 
@@ -211,7 +215,11 @@ def fit_werner(rho: np.ndarray, target: str = "phi-minus") -> WernerFit:
     leaves the stack when it stops, so every state gets the values it gets
     alone.
     """
-    root = _check_two_photon(psd_sqrt(rho))
+    return _werner_fit(_check_two_photon(psd_sqrt(rho)), target)
+
+
+def _werner_fit(root: np.ndarray, target: str) -> WernerFit:
+    """:func:`fit_werner` of the state (or stack) whose square root is ``root``."""
     shape = root.shape[:-2]
     a1 = (root @ pure_to_density(bell_state(target)) @ root).reshape(-1, 4, 4)
     a0 = (root @ root / 4.0).reshape(-1, 4, 4)
@@ -292,15 +300,18 @@ def state_metrics(rho: np.ndarray, target: str = "phi-minus",
     ``(..., 4, 4)`` stack: ``x`` and ``fidelity`` of :func:`fit_werner` on
     ``target``, ``linear_entropy``, ``tangle`` and ``chsh_s``, the exact S at
     ``angles`` (default: the optimum for ``target``).  A stack gives each
-    state the values it gets alone."""
+    state the values it gets alone, and the Werner fit and the tangle share
+    one square root of ``rho``."""
     if angles is None:
         angles = angles_for_target(target)
-    fit = fit_werner(rho, target=target)
+    root = _check_two_photon(psd_sqrt(rho))
+    fit = _werner_fit(root, target)
+    c = _concurrence(check_hermitian(rho), root)
     return {
         "x": fit.x,
         "fidelity": fit.fidelity,
         "linear_entropy": linear_entropy(rho),
-        "tangle": tangle(rho),
+        "tangle": c * c,
         "chsh_s": chsh_value(rho, angles),
     }
 

@@ -34,7 +34,12 @@ from .states import PAULIS, bell_state
 
 _COND_LIMIT = 1e10  # largest condition number of an invertible design
 _PROB_FLOOR = 1e-12  # floor of a setting's probability in the likelihood
-_FTOL = 1e-9  # cost gain at which a stationary search stops
+# Cost gain at which a stationary search stops: the largest power of ten whose
+# moves, against the same search run to 1e-9, stay inside bounds declared
+# before they were measured, x by less than the Werner fit's own tolerance and
+# every other metric by less than 1 % of its seed-to-seed sd at x = 1.0; 1e-7
+# moved x by up to 3.9e-6 in 3 of 240 seeded searches
+_FTOL = 1e-8
 _MAX_EVALS = 100_000  # cost evaluations after which a search stops unconverged
 _MAX_REPLICAS = 100_000  # largest bootstrap; its counts alone take 13 MB
 
@@ -265,7 +270,9 @@ def _projected_gradient(cost, gradient, rho):
     cost exceeds 1) at a stationary state: one whose projected gradient is
     below ``sqrt(_FTOL)`` of the gradient at the start.  A small gain alone
     is no test, since a step that backtracking has cut to nothing gains
-    nothing anywhere.  The search also stops, converged only if stationary,
+    nothing anywhere.  ``_FTOL`` is 1e-8 because no output reads a finer
+    state, and 1e-7 moved x beyond the Werner fit's tolerance (its comment
+    gives the rule).  The search also stops, converged only if stationary,
     when a step from the best state no longer lowers the cost.  At most
     ``_MAX_EVALS`` cost evaluations are made.  Returns ``(rho, f, evals,
     iterations, converged, history)`` with ``history`` the best cost after
@@ -371,13 +378,15 @@ class MaximumLikelihood:
     inversion): FISTA steps projected onto the density matrices, with
     backtracking on the step size and a momentum restart when the cost
     rises; convergence when an iteration improves the cost by less than
-    ``1e-9`` at a stationary state, and a hard cap of 100,000 objective
-    evaluations.  The first step opens at the least power of two at or above
-    2 over the norm of the gradient at the start, and at most at 1.  That
-    step lies on the halving chain from 1, so the search keeps the bits of
-    one that opens at 1 wherever its first accepted step lies at or below
-    the opening, as it always does below 4 over that norm (it lay at most at
-    1.52 over it on 1,035 seeded searches), and skips the halvings above it.
+    ``_FTOL`` (1e-8, the coarsest stop that moves no output beyond the
+    precision it is read at) at a stationary state, and a hard cap of
+    100,000 objective evaluations.  The first step opens at the least power
+    of two at or above 2 over the norm of the gradient at the start, and at
+    most at 1.  That step lies on the halving chain from 1, so the search
+    keeps the bits of one that opens at 1 wherever its first accepted step
+    lies at or below the opening, as it always does below 4 over that norm
+    (it lay at most at 1.52 over it on 1,035 seeded searches), and skips the
+    halvings above it.
     An evaluation forms the objective alone, and the search forms the
     gradient only at the points where it reads it.  The estimator takes no
     options.

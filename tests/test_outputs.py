@@ -1,9 +1,10 @@
 """The output-comparison script's verdict on fixed documents.
 
 ``bench/outputs.py`` passes two run directories whose files differ at most in
-the values of float leaves, and fails any other difference; the
-maximum-likelihood fits and the single-photon measurements it writes are
-files like the others, and it counts each side's searches.
+the values of float leaves, and fails any other difference, grouped by
+command, file and key path; the maximum-likelihood fits and the
+single-photon measurements it writes are files like the others, and it
+counts each side's searches.
 """
 
 import importlib.util
@@ -82,7 +83,6 @@ def test_float_values_are_counted_by_leaf_and_pass(outputs, tmp_path):
 
 
 @pytest.mark.parametrize("change", [
-    with_leaf(METRICS, ["bootstrap_nonconverged"], 1),     # an int
     with_leaf(METRICS, ["x_err"], None),                   # null against a float
     with_leaf(METRICS, ["x"], 1),                          # an int against a float
     with_leaf(METRICS, ["bootstrap_nonconverged"], False),  # a bool against an int
@@ -91,14 +91,28 @@ def test_float_values_are_counted_by_leaf_and_pass(outputs, tmp_path):
     {"x_err": 0.0123, **METRICS},                          # the key order
     json.dumps(METRICS),                                   # the same values, other text
     "not json",
-], ids=["int", "null", "int-for-float", "bool", "length", "key", "key-order",
+], ids=["null", "int-for-float", "bool", "length", "key", "key-order",
         "text", "not-json"])
 def test_any_other_difference_fails(outputs, tmp_path, change):
     report = compare(outputs, tmp_path, {"metrics/a/metrics.json": METRICS},
                      {"metrics/a/metrics.json": change})
     assert report["identical"] == 0
+    assert (report["leaves"], report["integers"]) == ({}, {})
     assert len(report["other"]) == 1
-    assert report["other"][0].startswith("metrics/a/metrics.json: ")
+    assert report["other"][0].startswith("metrics/metrics.json")
+    assert ": in 1 run, first metrics/a/metrics.json: " in report["other"][0]
+
+
+def test_an_integer_difference_fails_with_its_rise_and_fall(outputs, tmp_path):
+    parent = {f"metrics/{r}/metrics.json": METRICS for r in "abc"}
+    change = {"metrics/a/metrics.json": with_leaf(METRICS, ["bootstrap_nonconverged"], 3),
+              "metrics/b/metrics.json": METRICS,
+              "metrics/c/metrics.json": with_leaf(METRICS, ["bootstrap_nonconverged"], -2)}
+    report = compare(outputs, tmp_path, parent, change)
+    assert (report["identical"], report["leaves"], report["other"]) == (1, {}, [])
+    assert report["integers"] == {"metrics/metrics.json bootstrap_nonconverged": [2, 3, 2]}
+    _, rise, fall = report["integers"]["metrics/metrics.json bootstrap_nonconverged"]
+    assert (type(rise), type(fall)) == (int, int)
 
 
 def test_a_string_difference_and_a_missing_file_fail(outputs, tmp_path):
@@ -107,8 +121,9 @@ def test_a_string_difference_and_a_missing_file_fail(outputs, tmp_path):
     report = compare(outputs, tmp_path, {name: manifest, "chsh/a/chsh.json": {"S": 2.0}},
                      {name: with_leaf(manifest, ["argv", 3], "psi-plus")})
     assert report["other"] == [
-        "chsh/a/chsh.json: only in the parent",
-        "chsh/a/chsh.json.manifest.json: argv[]: 'phi-minus' and 'psi-plus'",
+        "chsh/chsh.json: in 1 run, first chsh/a/chsh.json: only in the parent",
+        "chsh/chsh.json.manifest.json argv[]: in 1 run, first "
+        "chsh/a/chsh.json.manifest.json: 'phi-minus' and 'psi-plus'",
     ]
     assert report["leaves"] == {}
 
@@ -156,15 +171,49 @@ def test_a_changed_count_flag_or_path_of_a_fit_fails(outputs, tmp_path, run, fie
                                                      searches):
     name = f"searches/x=1.0-{run}/fit.json"
     report = compare(outputs, tmp_path, FITS, {**FITS, name: with_leaf(FITS[name], [field], value)})
-    assert len(report["other"]) == 1
-    assert report["other"][0].startswith(f"{name}: {field}: ")
+    if field == "n_evaluations":
+        assert (report["integers"], report["other"]) == (
+            {"searches/fit.json n_evaluations": [1, 1, 0]}, [])
+    else:
+        assert report["integers"] == {}
+        assert report["other"] == [f"searches/fit.json {field}: in 1 run, first {name}: "
+                                   f"{FITS[name][field]!r} and {value!r}"]
     assert report["searches"] == [(2, 150.0), searches]
+
+
+def test_shorter_searches_read_as_a_few_grouped_lines_and_a_moved_path_stands_out(
+        outputs, tmp_path, capsys):
+    """Searches that stop earlier move their counts and the length of their
+    history in every run; each leaf is one line with its run count, the
+    counts with their largest rise and fall, and a moved path is a line of
+    its own."""
+    parent = {f"searches/x=1.0-s{seed}-default/fit.json": fit(evals=200 + seed)
+              for seed in range(50)}
+    change = {name: with_leaf(with_leaf(with_leaf(doc, ["n_evaluations"], 150 + 2 * seed),
+                                        ["iterations"], 30), ["history"], [9.5, 7.25])
+              for seed, (name, doc) in enumerate(parent.items())}
+    moved = "searches/x=1.0-s7-default/fit.json"
+    change[moved] = with_leaf(change[moved], ["path"], "linear")
+    report = compare(outputs, tmp_path, parent, change)
+    assert report["integers"] == {"searches/fit.json n_evaluations": [50, 0, 50],
+                                  "searches/fit.json iterations": [50, 0, 10]}
+    assert report["other"] == [
+        "searches/fit.json history: in 50 runs, first "
+        "searches/x=1.0-s0-default/fit.json: lengths 3 and 2",
+        f"searches/fit.json path: in 1 run, first {moved}: 'search' and 'linear'",
+    ]
+    outputs.print_report(report)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert lines[3] == ("  DIFFERS integer searches/fit.json iterations: differs in 50 runs,"
+                        " rises by at most 0 and falls by at most 10")
 
 
 def test_a_missing_fit_fails(outputs, tmp_path):
     change = {name: doc for name, doc in FITS.items() if "-s0-source" not in name}
     report = compare(outputs, tmp_path, FITS, change)
-    assert report["other"] == ["searches/x=1.0-s0-source/fit.json: only in the parent"]
+    assert report["other"] == [
+        "searches/fit.json: in 1 run, first searches/x=1.0-s0-source/fit.json: only in the parent"]
     assert report["searches"] == [(2, 150.0), (1, 200.0)]
 
 
@@ -296,3 +345,23 @@ def test_main_exits_2_on_a_revision_that_names_no_commit(outputs, monkeypatch, c
     monkeypatch.setattr(outputs.pairs, "names_commit", lambda rev: False)
     assert outputs.main(["--parent", "no-such-rev"]) == 2
     assert "names no commit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, status", [(fit(evals=200), 0), (fit(evals=180), 1)],
+                         ids=["same", "integer"])
+def test_main_runs_the_change_alone_under_the_coretype_and_exits_1_on_an_integer(
+        outputs, monkeypatch, tmp_path, capsys, change, status):
+    runs = []
+
+    def run_commands(src, workdir, coretype=None):
+        runs.append((src.parent.name, coretype))
+        doc = fit() if src.parent.name == "tree" else change
+        write_tree(workdir, {"searches/x=1.0-s0-default/fit.json": doc})
+        return []
+
+    monkeypatch.setattr(outputs.pairs, "names_commit", lambda rev: True)
+    monkeypatch.setattr(outputs.pairs, "export", lambda rev, dest: None)
+    monkeypatch.setattr(outputs, "run_commands", run_commands)
+    assert outputs.main(["--parent", "HEAD", "--coretype", "Haswell"]) == status
+    assert runs == [("tree", None), (outputs.ROOT.name, "Haswell")]
+    assert capsys.readouterr().out.startswith(f"{1 - status} of 1 files byte-identical")
